@@ -124,6 +124,8 @@ def _spectrum_to_doc(spectrum: Spectrum) -> dict:
 
 
 def _spectrum_from_doc(doc: dict) -> Spectrum:
+    if not isinstance(doc, dict):
+        raise CertificateError("a spectrum must be an object")
     return Spectrum.from_counts({parse_rational(k): int(v) for k, v in doc.items()})
 
 
@@ -144,6 +146,18 @@ def _pairs_from_doc(doc: list) -> SitePairs:
         b_op = custom_site("B", [parse_rational(w) for w in entry["b_weights"]])
         pairs.append((a_op, b_op))
     return tuple(pairs)
+
+
+def _exact_int(value, what: str) -> int:
+    """An integer field; bools and floats are not integers here."""
+    if type(value) is not int:
+        raise CertificateError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _check_format_version(doc: dict) -> None:
+    if _exact_int(doc["format_version"], "format_version") != FORMAT_VERSION:
+        raise CertificateError(f"unsupported format version {doc['format_version']!r}")
 
 
 def dumps_document(doc: dict) -> str:
@@ -322,11 +336,9 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
                 raise CertificateError(f"missing key {key!r}")
         if doc["kind"] != GHZ_KIND:
             raise CertificateError(f"not a GHZ certificate: kind {doc['kind']!r}")
-        if doc["format_version"] != FORMAT_VERSION:
-            raise CertificateError(
-                f"unsupported format version {doc['format_version']!r}"
-            )
-        levels = tuple(int(m) for m in doc["parties"]["levels"])
+        _check_format_version(doc)
+        levels = tuple(_exact_int(m, "a level count") for m in doc["parties"]["levels"])
+        mixed_marker = doc["parties"]["mixed_parity_experimental"]
         parties = PartySpec(levels, allow_mixed_parity=True)
         pairs = _pairs_from_doc(doc["site_operators"])
         word_strings = tuple(str(w) for w in doc["words"])
@@ -341,9 +353,9 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         return False, "malformed certificate: one site pair per party required"
     if len(eigen_tuple) != len(word_strings):
         return False, "malformed certificate: eigen_tuple length mismatch"
-    if not parties.mixed_parity and doc["parties"]["mixed_parity_experimental"]:
+    if not parties.mixed_parity and mixed_marker:
         return False, "mixed-parity marker set on a uniform-parity certificate"
-    if parties.mixed_parity and not doc["parties"]["mixed_parity_experimental"]:
+    if parties.mixed_parity and not mixed_marker:
         return False, "mixed-parity certificate must carry the experimental marker"
 
     # structural: anticommutation, word commutation, flags
@@ -385,7 +397,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         ]
         stored_product = _spectrum_from_doc(doc["spectra"]["plan_product"])
         stored_class = doc["spectra"]["plan_product_classification"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (CertificateError, KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
     if len(stored_word_spectra) != len(words):
         return False, "malformed certificate: one spectrum per word required"
@@ -473,12 +485,19 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
     try:
         if doc.get("kind") != KS_KIND:
             raise CertificateError(f"not a KS certificate: kind {doc.get('kind')!r}")
-        if doc["format_version"] != FORMAT_VERSION:
-            raise CertificateError(f"unsupported format version {doc['format_version']!r}")
-        m = int(doc["levels"])
+        _check_format_version(doc)
+        m = _exact_int(doc["levels"], "levels")
         mode = doc["search"]["mode"]
         stored_status = doc["search"]["status"]
         stored_checked = int(doc["search"]["patterns_checked"])
+        observables = doc["observables"]
+        contexts = doc["contexts"]
+        sign_targets = doc["sign_targets"]
+        structure = doc["structure"]
+        if not isinstance(structure, dict):
+            raise CertificateError("structure must be an object")
+        stored_horizontal = _spectrum_from_doc(structure["horizontal_spectrum"])
+        stored_side = _spectrum_from_doc(structure["side_spectrum"])
     except (CertificateError, KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
     try:
@@ -488,22 +507,21 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
     rebuilt_observables = [
         {"label": obs.label, "letters": list(obs.letters)} for obs in cfg.observables
     ]
-    if doc["observables"] != rebuilt_observables:
+    if observables != rebuilt_observables:
         return False, "stored observables do not match the rebuilt configuration"
-    if doc["contexts"] != [list(ctx) for ctx in cfg.contexts]:
+    if contexts != [list(ctx) for ctx in cfg.contexts]:
         return False, "stored contexts do not match the rebuilt configuration"
-    if doc["sign_targets"] != list(cfg.sign_targets):
+    if sign_targets != list(cfg.sign_targets):
         return False, "stored sign targets do not match the rebuilt configuration"
     horizontal = plan_product_spectrum(cfg)
     side = spectrum_of_monomial(shared_side_product(cfg))
-    structure = doc.get("structure", {})
     if structure.get("horizontal_classification") != horizontal.classify():
         return False, "stored horizontal classification does not match recomputation"
     if structure.get("side_classification") != side.classify():
         return False, "stored side classification does not match recomputation"
-    if _spectrum_from_doc(structure.get("horizontal_spectrum", {})) != horizontal:
+    if stored_horizontal != horizontal:
         return False, "stored horizontal spectrum does not match recomputation"
-    if _spectrum_from_doc(structure.get("side_spectrum", {})) != side:
+    if stored_side != side:
         return False, "stored side spectrum does not match recomputation"
     if mode not in (SIGN_ONLY, FULL_SPECTRUM):
         return False, f"unknown search mode {mode!r}"

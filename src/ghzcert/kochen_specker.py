@@ -23,12 +23,13 @@ which is what makes the context products definite.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParityError
 from .exact import MonomialMatrix, ONE, monomial_compose, monomial_equal, monomial_tensor
+from .search import Check, first_assignment
 from .siteops import SiteOperator, canonical_pair
 from .spectral import (
     NEGATIVE_DEFINITE,
@@ -179,8 +180,11 @@ def ks_color_search(cfg: KsConfiguration, mode: str = SIGN_ONLY) -> KsReport:
     eigenvalues, forces each composite's value to the product of its three
     factor values, and additionally requires the product of the four
     composite values to be an eigenvalue of their operator product.
-    Enumeration prefers larger values first, so a satisfiable control case
-    reports its all-positive witness.
+    Enumeration is exhaustive, in lexicographic order with refuted prefixes
+    counted whole, so ``patterns_checked`` is the complete count for UNSAT
+    and the 1-based position of the first witness for SAT. It prefers larger
+    values first, so a satisfiable control case reports its all-positive
+    witness.
     """
     if mode == SIGN_ONLY:
         return _search_signs(cfg)
@@ -190,74 +194,53 @@ def ks_color_search(cfg: KsConfiguration, mode: str = SIGN_ONLY) -> KsReport:
 
 
 def _search_signs(cfg: KsConfiguration) -> KsReport:
-    labels = [obs.label for obs in cfg.observables]
-    checked = 0
-    for signs in itertools.product((1, -1), repeat=len(cfg.observables)):
-        checked += 1
-        ok = True
-        for ctx, target in zip(cfg.contexts, cfg.sign_targets):
-            prod = 1
-            for i in ctx:
-                prod *= signs[i]
-            if prod != target:
-                ok = False
-                break
-        if ok:
-            witness = tuple(
-                (label, Fraction(sign)) for label, sign in zip(labels, signs)
-            )
-            return KsReport(KS_SAT, witness, checked, SIGN_ONLY)
-    return KsReport(KS_UNSAT, None, checked, SIGN_ONLY)
+    checks = [
+        Check(ctx, allowed=frozenset((target,)))
+        for ctx, target in zip(cfg.contexts, cfg.sign_targets)
+    ]
+    checked, signs = first_assignment([(1, -1)] * len(cfg.observables), checks)
+    if signs is None:
+        return KsReport(KS_UNSAT, None, checked, SIGN_ONLY)
+    witness = tuple(
+        (obs.label, Fraction(sign)) for obs, sign in zip(cfg.observables, signs)
+    )
+    return KsReport(KS_SAT, witness, checked, SIGN_ONLY)
 
 
 def _search_full(cfg: KsConfiguration) -> KsReport:
+    # One search slot per one-party observable, in observable order; each
+    # composite stands for the product of its three factors.
     pairs = cfg.pairs()
-    one_party = [
-        (idx, obs) for idx, obs in enumerate(cfg.observables) if not obs.is_composite
-    ]
+    slot_of: dict[int, tuple[int, ...]] = {}
     domains = []
-    for _, obs in one_party:
+    for idx, obs in enumerate(cfg.observables):
+        if obs.is_composite:
+            continue
         party = next(p for p, c in enumerate(obs.letters) if c != "I")
         a_op, b_op = pairs[party]
         op = a_op if obs.letters[party] == "A" else b_op
+        slot_of[idx] = (len(domains),)
         domains.append(tuple(sorted(op.spectrum_values(), reverse=True)))
-    factor_of = {idx: k for k, (idx, _) in enumerate(one_party)}
-    composite_ids = [i for i, obs in enumerate(cfg.observables) if obs.is_composite]
-    composite_factors = {
-        ctx[0]: tuple(factor_of[i] for i in ctx[1:]) for ctx in cfg.contexts[1:]
-    }
-    allowed_products = set(plan_product_spectrum(cfg).as_dict())
+    for ctx in cfg.contexts[1:]:
+        slot_of[ctx[0]] = tuple(k for i in ctx[1:] for k in slot_of[i])
+    allowed_products = frozenset(plan_product_spectrum(cfg).as_dict())
 
-    labels = [obs.label for obs in cfg.observables]
-    checked = 0
-    for values in itertools.product(*domains):
-        checked += 1
-        value_of: dict[int, Fraction] = {
-            idx: values[k] for k, (idx, _) in enumerate(one_party)
-        }
-        for cid in composite_ids:
-            prod = ONE
-            for k in composite_factors[cid]:
-                prod *= values[k]
-            value_of[cid] = prod
-        ok = True
-        for ctx, target in zip(cfg.contexts, cfg.sign_targets):
-            prod = ONE
-            for i in ctx:
-                prod *= value_of[i]
-            if (prod > 0) != (target > 0):
-                ok = False
-                break
-        if ok:
-            horizontal = ONE
-            for i in cfg.contexts[0]:
-                horizontal *= value_of[i]
-            if horizontal not in allowed_products:
-                ok = False
-        if ok:
-            witness = tuple((labels[i], value_of[i]) for i in sorted(value_of))
-            return KsReport(KS_SAT, witness, checked, FULL_SPECTRUM)
-    return KsReport(KS_UNSAT, None, checked, FULL_SPECTRUM)
+    checks = [
+        Check(
+            tuple(k for i in ctx for k in slot_of[i]),
+            allowed=allowed_products if c == 0 else None,
+            positive=target > 0,
+        )
+        for c, (ctx, target) in enumerate(zip(cfg.contexts, cfg.sign_targets))
+    ]
+    checked, values = first_assignment(domains, checks)
+    if values is None:
+        return KsReport(KS_UNSAT, None, checked, FULL_SPECTRUM)
+    witness = tuple(
+        (obs.label, math.prod((values[k] for k in slot_of[idx]), start=ONE))
+        for idx, obs in enumerate(cfg.observables)
+    )
+    return KsReport(KS_SAT, witness, checked, FULL_SPECTRUM)
 
 
 def render_contexts(cfg: KsConfiguration) -> str:

@@ -7,18 +7,20 @@ word's eigenvalue. Unsatisfiability is established twice, independently:
 * analytically -- every one-particle observable occurs an even number of
   times across the product plan, so the left-hand side of the multiplied-out
   system is a product of squares, while the right-hand side is negative;
-* by brute force -- exhaustive enumeration of all assignments drawing each
-  value from the exact spectrum of its site operator.
+* by exhaustive search -- every assignment drawing each value from the exact
+  spectrum of its site operator, walked in lexicographic order with refuted
+  prefixes counted whole (``ghzcert.search``).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SearchBoundError
 from .exact import ONE, format_rational
+from .search import Check, first_assignment
 from .spectral import GhzState, eigen_tuple_plan_product
 from .words import LETTERS, ProofSet, SitePairs
 
@@ -133,12 +135,14 @@ def verify_witness(cs: ConstraintSystem, witness: dict[Slot, Fraction]) -> bool:
 def brute_force_lhv(
     cs: ConstraintSystem, bound: int = DEFAULT_BOUND, sign_only: bool = False
 ) -> LhvReport:
-    """Exhaustive scan over all value assignments.
+    """Exhaustive search over all value assignments.
 
     Values range over the exact site spectra (or over signs in the fast
     pre-check mode, where a sign refutation implies a full refutation).
-    Returns the lexicographically first witness under ascending domains,
-    or UNSAT with the complete count.
+    Assignments are walked in lexicographic order under ascending domains,
+    with refuted prefixes counted whole, so ``assignments_checked`` is the
+    complete count for UNSAT and the 1-based position of the
+    lexicographically first witness for SAT.
     """
     if sign_only:
         domains: tuple[tuple[Fraction, ...], ...] = tuple(
@@ -151,30 +155,20 @@ def brute_force_lhv(
     else:
         domains = cs.domains
         targets = cs.rhs
-    space = 1
-    for d in domains:
-        space *= len(d)
+    space = math.prod(len(d) for d in domains)
     if space > bound:
         raise SearchBoundError(
             f"assignment space {space} exceeds the bound {bound}"
         )
-    word_slots = cs.word_slot_indices()
-    method = "brute-force"
-    checked = 0
-    for assignment in itertools.product(*domains):
-        checked += 1
-        ok = True
-        for slots, target in zip(word_slots, targets):
-            prod = ONE
-            for k in slots:
-                prod *= assignment[k]
-            if prod != target:
-                ok = False
-                break
-        if ok:
-            witness = tuple(zip(cs.slots, assignment))
-            return LhvReport(SAT, witness, method, checked, sign_only)
-    return LhvReport(UNSAT, None, method, checked, sign_only)
+    checks = [
+        Check(slots, allowed=frozenset((target,)))
+        for slots, target in zip(cs.word_slot_indices(), targets)
+    ]
+    checked, values = first_assignment(domains, checks)
+    if values is None:
+        return LhvReport(UNSAT, None, "brute-force", checked, sign_only)
+    witness = tuple(zip(cs.slots, values))
+    return LhvReport(SAT, witness, "brute-force", checked, sign_only)
 
 
 def analyze_lhv(cs: ConstraintSystem, bound: int = DEFAULT_BOUND) -> LhvReport:

@@ -162,6 +162,47 @@ def test_missing_key_rejected(m3_doc):
     assert "malformed" in reason
 
 
+def _assert_malformed(doc):
+    ok, reason = verify_document(doc)
+    assert not ok
+    assert reason.startswith("malformed certificate: ")
+
+
+def test_missing_mixed_parity_marker_rejected(m3_doc):
+    tampered = copy.deepcopy(m3_doc)
+    del tampered["parties"]["mixed_parity_experimental"]
+    _assert_malformed(tampered)
+
+
+def test_ks_missing_observables_rejected():
+    tampered = build_ks_document(2, SIGN_ONLY)
+    del tampered["observables"]
+    _assert_malformed(tampered)
+
+
+def test_ks_structure_list_rejected():
+    tampered = build_ks_document(2, SIGN_ONLY)
+    tampered["structure"] = list(tampered["structure"].values())
+    _assert_malformed(tampered)
+
+
+@pytest.mark.parametrize("value", (True, 1.0))
+def test_format_version_must_be_int(m3_doc, value):
+    tampered = copy.deepcopy(m3_doc)
+    tampered["format_version"] = value
+    _assert_malformed(tampered)
+    ks = build_ks_document(2, SIGN_ONLY)
+    ks["format_version"] = value
+    _assert_malformed(ks)
+
+
+@pytest.mark.parametrize("levels", ([3.9, 3, 3], [3.0, 3, 3]))
+def test_levels_must_be_int(m3_doc, levels):
+    tampered = copy.deepcopy(m3_doc)
+    tampered["parties"]["levels"] = levels
+    _assert_malformed(tampered)
+
+
 def test_unknown_kind_rejected(m3_doc):
     tampered = copy.deepcopy(m3_doc)
     tampered["kind"] = "something-else"
