@@ -29,7 +29,13 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational written as ``num`` or ``num/den`` (den positive)."""
+    """Parse a rational written as ``num`` or ``num/den`` (den positive).
+
+    Anything that is not a string raises ``ValueError`` too, so callers that
+    read untrusted documents can reject every malformed value the same way.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"a rational literal must be a string, got {text!r}")
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")

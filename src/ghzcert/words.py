@@ -17,6 +17,13 @@ A usable four-word set must satisfy four combinatorial requirements:
 Odd party counts admit such sets directly; even party counts do not, and are
 handled by extending an odd set with a trailing B plus one extra word that is
 taken twice in the product plan.
+
+Requirements 3 and 4 leave every party column of a four-word set exactly two
+A letters, so each column is one of six types, and the other requirements and
+the plan sign depend only on how many columns there are of each type. The
+lexicographically first set is therefore found by a search over those counts,
+polynomial in the party count, and the extra word of the even case has a
+closed form.
 """
 
 from __future__ import annotations
@@ -227,6 +234,13 @@ def plan_product_sign(letter_words: tuple[str, ...], plan: tuple[int, ...]) -> i
     return -1 if inversions % 2 else 1
 
 
+def _check_plan(word_count: int, plan: tuple[int, ...]) -> None:
+    if not word_count:
+        raise ValueError("a proof set needs at least one word")
+    if any(not 0 <= i < word_count for i in plan):
+        raise ValueError("product plan references a word outside the set")
+
+
 @dataclass(frozen=True)
 class ProofSet:
     """Mutually commuting words plus the plan of indices whose operator
@@ -237,8 +251,7 @@ class ProofSet:
     requirement_flags: RequirementFlags
 
     def __post_init__(self) -> None:
-        if not self.words:
-            raise ValueError("a proof set needs at least one word")
+        _check_plan(len(self.words), self.product_plan)
         parties = self.words[0].parties
         for w in self.words[1:]:
             if w.parties != parties:
@@ -246,8 +259,6 @@ class ProofSet:
         for u, v in itertools.combinations(self.words, 2):
             if not words_commute(u, v):
                 raise ValueError(f"words {u} and {v} do not commute")
-        if any(not 0 <= i < len(self.words) for i in self.product_plan):
-            raise ValueError("product plan references a word outside the set")
 
     @classmethod
     def assemble(
@@ -255,6 +266,8 @@ class ProofSet:
     ) -> ProofSet:
         if plan is None:
             plan = tuple(range(len(words)))
+        # the flags index the words through the plan, so check it first
+        _check_plan(len(words), plan)
         flags = _flags(tuple(w.letters for w in words), plan)
         return cls(words, plan, flags)
 
@@ -281,61 +294,60 @@ def _all_words(n: int) -> list[str]:
     return ["".join(c) for c in itertools.product(LETTERS, repeat=n)]
 
 
-def _search_four_sets(n: int):
-    """Yield 4-word candidates in lexicographic order with column pruning.
+# The six column types of a four-word set, each read top to bottom through
+# the four words, in lexicographic order: the pair of words carrying letter A.
+_COLUMN_TYPES = ("AABB", "ABAB", "ABBA", "BAAB", "BABA", "BBAA")
 
-    Requirements 3 and 4 force every party column of a valid 4-word set to
-    hold exactly two A and two B letters, which prunes the search hard.
+
+def _count_vectors(n: int):
+    """Yield every split of n columns over the six types, as counts in
+    ``_COLUMN_TYPES`` order, so that the word tuples of the column-sorted
+    arrangements (see ``generate_odd_set``) ascend lexicographically.
+
+    With the columns sorted, the first word is A^k B^(n-k) for
+    k = #AABB + #ABAB + #ABBA, so larger k comes first; ties are broken the
+    same way by #AABB, by #BAAB + #BABA, by #ABAB and by #BAAB in turn, which
+    fix the second and third words; the fourth follows from them.
     """
-    words = _all_words(n)
-    total = len(words)
-
-    def recurse(chosen: list[str], start: int, acol: list[int], bcol: list[int]):
-        depth = len(chosen)
-        if depth == 4:
-            yield tuple(chosen)
-            return
-        remaining = 4 - depth
-        for idx in range(start, total):
-            w = words[idx]
-            if chosen and (w.count("A") - chosen[0].count("A")) % 2 != 0:
-                continue
-            na = [acol[p] + (1 if w[p] == "A" else 0) for p in range(n)]
-            nb = [bcol[p] + (1 if w[p] == "B" else 0) for p in range(n)]
-            rest = remaining - 1
-            if any(a > 2 or b > 2 for a, b in zip(na, nb)):
-                continue
-            if any(a + rest < 2 or b + rest < 2 for a, b in zip(na, nb)):
-                continue
-            chosen.append(w)
-            yield from recurse(chosen, idx + 1, na, nb)
-            chosen.pop()
-
-    yield from recurse([], 0, [0] * n, [0] * n)
+    for k in range(n, -1, -1):
+        for aabb in range(k, -1, -1):
+            for baab_baba in range(n - k, -1, -1):
+                for abab in range(k - aabb, -1, -1):
+                    for baab in range(baab_baba, -1, -1):
+                        yield (
+                            aabb, abab, k - aabb - abab,
+                            baab, baab_baba - baab, n - k - baab_baba,
+                        )
 
 
-def generate_odd_set(parties: PartySpec) -> ProofSet:
-    """Deterministic four-word proof set for an odd number of parties.
+def _counts_qualify(counts: tuple[int, ...]) -> bool:
+    """The requirements and the negative plan sign, from column-type counts.
 
-    Selects the lexicographically first (letter order A < B, candidate sets
-    compared row-wise after sorting) four-word set whose requirement flags
-    all hold and whose plan product carries a negative sign. The returned
-    order puts the three common-count words first, sorted, and the word with
-    the outlying A count last, so that the odd-signed equation is always the
-    final one.
+    Each word's A count is the number of columns whose type puts an A in its
+    row. Equal parities make the words commute, and a unique outlier among
+    the counts also keeps the words distinct: two equal words would force
+    the other two to be equal as well, giving two pairs of equal counts.
+    A column adds one B-before-A inversion to the plan sign for ABAB, three
+    for BABA and an even number for the other types.
     """
-    if parties.n % 2 == 0:
-        raise ParityError(f"party count {parties.n} is even; use extend_even_set")
-    plan = (0, 1, 2, 3)
-    for candidate in _search_four_sets(parties.n):
-        if not _flags(candidate, plan).all_ok:
-            continue
-        if plan_product_sign(candidate, plan) != -1:
-            continue
-        ordered = _outlier_last(candidate)
-        words = tuple(TensorWord(w, parties) for w in ordered)
-        return ProofSet.assemble(words, plan)
-    raise ValueError(f"no valid four-word set exists for {parties.n} parties")
+    a_counts = [
+        sum(c for t, c in zip(_COLUMN_TYPES, counts) if t[row] == "A")
+        for row in range(4)
+    ]
+    if len({c % 2 for c in a_counts}) != 1:
+        return False
+    if sorted(a_counts.count(c) for c in set(a_counts)) != [1, 3]:
+        return False
+    return (counts[1] + counts[4]) % 2 == 1
+
+
+def _checked(ps: ProofSet) -> ProofSet:
+    """A constructed set, once its flags all hold and its plan sign is -1."""
+    if not ps.requirement_flags.all_ok or ps.product_sign() != -1:
+        raise ValueError(
+            f"constructed word set {' '.join(ps.letter_words)} is not a proof set"
+        )
+    return ps
 
 
 def _outlier_last(candidate: tuple[str, ...]) -> tuple[str, ...]:
@@ -346,13 +358,45 @@ def _outlier_last(candidate: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(common) + (outlier,)
 
 
+def generate_odd_set(parties: PartySpec) -> ProofSet:
+    """Deterministic four-word proof set for an odd number of parties.
+
+    Returns the lexicographically first (letter order A < B, sets compared
+    as sorted tuples) four-word set whose requirement flags all hold and
+    whose plan product carries a negative sign. Requirements 3 and 4 give
+    every party column exactly two A letters, so it is one of six types, and
+    every other condition depends only on how many columns there are of
+    each type. For one split of the columns over the types, sorting the
+    columns gives the lexicographically smallest word tuple, and for the
+    best split that tuple is already sorted; so the answer is the first
+    qualifying split in the order of ``_count_vectors``, with its columns
+    sorted. The returned order puts the three common-count words first,
+    sorted, and the word with the outlying A count last, so that the
+    odd-signed equation is always the final one.
+    """
+    if parties.n % 2 == 0:
+        raise ParityError(f"party count {parties.n} is even; use extend_even_set")
+    counts = next(
+        (c for c in _count_vectors(parties.n) if _counts_qualify(c)), None
+    )
+    if counts is None:
+        raise ValueError(f"no valid four-word set exists for {parties.n} parties")
+    columns = [t for t, c in zip(_COLUMN_TYPES, counts) for _ in range(c)]
+    rows = tuple("".join(col[row] for col in columns) for row in range(4))
+    words = tuple(TensorWord(w, parties) for w in _outlier_last(rows))
+    return _checked(ProofSet.assemble(words, (0, 1, 2, 3)))
+
+
 def extend_even_set(parties: PartySpec) -> ProofSet:
     """Five-word proof set for an even number of parties.
 
     Builds the odd set on the first n-1 parties, appends letter B to every
-    word, and adds the lexicographically first word ending in A (with
-    matching A-count parity) such that all requirement flags hold under the
-    six-factor plan that counts the new word twice.
+    word, and adds the lexicographically first word ending in A such that
+    all requirement flags hold under the six-factor plan that counts the new
+    word twice. Taken twice, the new word always uses its slots an even
+    number of times and never changes the plan sign, and the plan's A
+    counts keep a unique outlier only if the new word carries the common A
+    count c of the base set; so it is A^(c-1) B^(n-c) A.
     """
     if parties.n % 2 == 1:
         raise ParityError(f"party count {parties.n} is odd; use generate_odd_set")
@@ -360,21 +404,11 @@ def extend_even_set(parties: PartySpec) -> ProofSet:
         raise InvalidLevelsError("even extension needs at least 4 parties")
     sub = PartySpec(parties.levels[:-1], allow_mixed_parity=parties.allow_mixed_parity)
     base = generate_odd_set(sub)
-    extended = tuple(w.letters + "B" for w in base.words)
-    base_parity = base.words[0].a_count % 2
-    plan = (0, 1, 2, 3, 4, 4)
-    for prefix in itertools.product(LETTERS, repeat=parties.n - 1):
-        fifth = "".join(prefix) + "A"
-        if fifth.count("A") % 2 != base_parity:
-            continue
-        candidate = extended + (fifth,)
-        if not _flags(candidate, plan).all_ok:
-            continue
-        if plan_product_sign(candidate, plan) != -1:
-            continue
-        words = tuple(TensorWord(w, parties) for w in candidate)
-        return ProofSet.assemble(words, plan)
-    raise ValueError(f"no fifth word completes the even extension for {parties.n} parties")
+    common = base.words[0].a_count
+    fifth = "A" * (common - 1) + "B" * (parties.n - common) + "A"
+    letters = tuple(w.letters + "B" for w in base.words) + (fifth,)
+    words = tuple(TensorWord(w, parties) for w in letters)
+    return _checked(ProofSet.assemble(words, (0, 1, 2, 3, 4, 4)))
 
 
 def build_proof_set(parties: PartySpec) -> ProofSet:

@@ -1,10 +1,15 @@
-"""Independent brute-force oracles for the exhaustive search kernel.
+"""Independent brute-force oracles for the package's searches.
 
-These are the plain ``itertools.product`` loops the package used before its
-searches moved onto ``ghzcert.search.first_assignment``. They visit every
-assignment one by one, with no pruning, scaling or division, so agreement
-with the kernel on status, count and witness checks the kernel's
+The first part holds the plain ``itertools.product`` loops the package used
+before its searches moved onto ``ghzcert.search.first_assignment``. They
+visit every assignment one by one, with no pruning, scaling or division, so
+agreement with the kernel on status, count and witness checks the kernel's
 prefix refutation and counting.
+
+The second part holds the word-set searches the package used before proof
+sets were constructed from column-type counts: the lexicographic search over
+four-word sets and the loop over every candidate fifth word. They take time
+exponential in the party count, so they are the reference for small ``n``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ghzcert.errors import SearchBoundError
+from ghzcert.errors import InvalidLevelsError, ParityError, SearchBoundError
 from ghzcert.exact import ONE
 from ghzcert.kochen_specker import (
     FULL_SPECTRUM,
@@ -25,6 +30,16 @@ from ghzcert.kochen_specker import (
 )
 from ghzcert.lhv import DEFAULT_BOUND, SAT, UNSAT, ConstraintSystem, LhvReport
 from ghzcert.search import Check
+from ghzcert.words import (
+    LETTERS,
+    PartySpec,
+    ProofSet,
+    TensorWord,
+    _all_words,
+    _flags,
+    _outlier_last,
+    plan_product_sign,
+)
 
 
 def brute_force_lhv(
@@ -165,3 +180,81 @@ def first_assignment(domains, checks: list[Check]) -> tuple[int, tuple | None]:
         if ok:
             return checked, assignment
     return checked, None
+
+
+def search_four_sets(n: int):
+    """Yield 4-word candidates in lexicographic order with column pruning.
+
+    Requirements 3 and 4 force every party column of a valid 4-word set to
+    hold exactly two A and two B letters, which prunes the search hard.
+    """
+    words = _all_words(n)
+    total = len(words)
+
+    def recurse(chosen: list[str], start: int, acol: list[int], bcol: list[int]):
+        depth = len(chosen)
+        if depth == 4:
+            yield tuple(chosen)
+            return
+        remaining = 4 - depth
+        for idx in range(start, total):
+            w = words[idx]
+            if chosen and (w.count("A") - chosen[0].count("A")) % 2 != 0:
+                continue
+            na = [acol[p] + (1 if w[p] == "A" else 0) for p in range(n)]
+            nb = [bcol[p] + (1 if w[p] == "B" else 0) for p in range(n)]
+            rest = remaining - 1
+            if any(a > 2 or b > 2 for a, b in zip(na, nb)):
+                continue
+            if any(a + rest < 2 or b + rest < 2 for a, b in zip(na, nb)):
+                continue
+            chosen.append(w)
+            yield from recurse(chosen, idx + 1, na, nb)
+            chosen.pop()
+
+    yield from recurse([], 0, [0] * n, [0] * n)
+
+
+def generate_odd_set(parties: PartySpec) -> ProofSet:
+    if parties.n % 2 == 0:
+        raise ParityError(f"party count {parties.n} is even; use extend_even_set")
+    plan = (0, 1, 2, 3)
+    for candidate in search_four_sets(parties.n):
+        if not _flags(candidate, plan).all_ok:
+            continue
+        if plan_product_sign(candidate, plan) != -1:
+            continue
+        ordered = _outlier_last(candidate)
+        words = tuple(TensorWord(w, parties) for w in ordered)
+        return ProofSet.assemble(words, plan)
+    raise ValueError(f"no valid four-word set exists for {parties.n} parties")
+
+
+def extend_even_set(parties: PartySpec) -> ProofSet:
+    if parties.n % 2 == 1:
+        raise ParityError(f"party count {parties.n} is odd; use generate_odd_set")
+    if parties.n < 4:
+        raise InvalidLevelsError("even extension needs at least 4 parties")
+    sub = PartySpec(parties.levels[:-1], allow_mixed_parity=parties.allow_mixed_parity)
+    base = generate_odd_set(sub)
+    extended = tuple(w.letters + "B" for w in base.words)
+    base_parity = base.words[0].a_count % 2
+    plan = (0, 1, 2, 3, 4, 4)
+    for prefix in itertools.product(LETTERS, repeat=parties.n - 1):
+        fifth = "".join(prefix) + "A"
+        if fifth.count("A") % 2 != base_parity:
+            continue
+        candidate = extended + (fifth,)
+        if not _flags(candidate, plan).all_ok:
+            continue
+        if plan_product_sign(candidate, plan) != -1:
+            continue
+        words = tuple(TensorWord(w, parties) for w in candidate)
+        return ProofSet.assemble(words, plan)
+    raise ValueError(f"no fifth word completes the even extension for {parties.n} parties")
+
+
+def build_proof_set(parties: PartySpec) -> ProofSet:
+    if parties.n % 2 == 1:
+        return generate_odd_set(parties)
+    return extend_even_set(parties)

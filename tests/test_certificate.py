@@ -203,6 +203,56 @@ def test_levels_must_be_int(m3_doc, levels):
     _assert_malformed(tampered)
 
 
+NON_STRING_RATIONALS = (1, -1, 0.5, True, None, ["1"], {"1": 1})
+GHZ_RATIONAL_FIELDS = {
+    "a_weight": lambda d, v: d["site_operators"][0]["a_weights"].__setitem__(0, v),
+    "b_weight": lambda d, v: d["site_operators"][2]["b_weights"].__setitem__(1, v),
+    "eigen_tuple": lambda d, v: d["eigen_tuple"].__setitem__(3, v),
+    "coefficient": lambda d, v: d["state"]["coefficients"].__setitem__(0, v),
+    "norm_sq": lambda d, v: d["state"].__setitem__("norm_sq", v),
+}
+
+
+@pytest.mark.parametrize("value", NON_STRING_RATIONALS, ids=repr)
+@pytest.mark.parametrize("field", sorted(GHZ_RATIONAL_FIELDS))
+def test_non_string_rational_rejected(m3_doc, field, value):
+    tampered = copy.deepcopy(m3_doc)
+    GHZ_RATIONAL_FIELDS[field](tampered, value)
+    _assert_malformed(tampered)
+
+
+def test_non_string_spectrum_key_rejected(m3_doc):
+    # JSON keys are strings, but a library caller can hand over any dict
+    tampered = copy.deepcopy(m3_doc)
+    tampered["spectra"]["plan_product"] = {-1: 8, 0: 19}
+    _assert_malformed(tampered)
+    ks = build_ks_document(2, SIGN_ONLY)
+    ks["structure"]["side_spectrum"] = {
+        parse_rational(k): v for k, v in ks["structure"]["side_spectrum"].items()
+    }
+    _assert_malformed(ks)
+
+
+@pytest.mark.parametrize("plan", ([7, 1, 2, 3], [0, 1, 2, 4], [-1, 0, 1, 2]))
+def test_plan_index_out_of_range_rejected(m3_doc, plan):
+    tampered = copy.deepcopy(m3_doc)
+    tampered["product_plan"] = plan
+    ok, reason = verify_document(tampered)
+    assert not ok
+    assert reason == (
+        "invalid word set: product plan references a word outside the set"
+    )
+
+
+def test_empty_word_list_rejected(m3_doc):
+    tampered = copy.deepcopy(m3_doc)
+    tampered["words"] = []
+    tampered["eigen_tuple"] = []
+    ok, reason = verify_document(tampered)
+    assert not ok
+    assert reason == "invalid word set: a proof set needs at least one word"
+
+
 def test_unknown_kind_rejected(m3_doc):
     tampered = copy.deepcopy(m3_doc)
     tampered["kind"] = "something-else"

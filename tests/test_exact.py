@@ -36,7 +36,8 @@ def test_rational_round_trip():
 
 
 def test_rational_parse_rejects_junk():
-    for bad in ("", "1.5", "3/0", "1/-2", "a/b", "--1", "1 / 2"):
+    for bad in ("", "1.5", "3/0", "1/-2", "a/b", "--1", "1 / 2",
+                3, 1.5, None, True, ["1"]):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

@@ -1,0 +1,37 @@
+"""The package reproduces the golden corpus byte for byte.
+
+``tests/golden/corpus.json`` was written by ``tests/golden/make_golden.py``
+with the exponential word-set searches of ``tests/oracles.py``: the proof
+set for every party count from 3 to 12, and the sha256 of the certificate
+bytes for a fixed grid of ``ghzcert build`` and ``ghzcert ks`` commands.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from ghzcert.cli import main
+from ghzcert.words import PartySpec, build_proof_set
+
+CORPUS = json.loads(
+    (Path(__file__).parent / "golden" / "corpus.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("n", sorted(CORPUS["proof_sets"], key=int))
+def test_proof_set_matches_corpus(n):
+    expected = CORPUS["proof_sets"][n]
+    ps = build_proof_set(PartySpec((2,) * int(n)))
+    assert list(ps.letter_words) == expected["letter_words"]
+    assert list(ps.product_plan) == expected["product_plan"]
+
+
+@pytest.mark.parametrize(
+    "entry", CORPUS["certificates"], ids=lambda e: " ".join(e["command"])
+)
+def test_certificate_bytes_match_corpus(entry, tmp_path):
+    path = tmp_path / "cert.json"
+    assert main([*entry["command"], "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]

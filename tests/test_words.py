@@ -1,8 +1,11 @@
 """Word combinatorics: commutation, requirement flags, set generation."""
 
 import itertools
+import time
 
+import oracles
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ghzcert.errors import (
     InvalidLevelsError,
@@ -15,6 +18,7 @@ from ghzcert.words import (
     PartySpec,
     ProofSet,
     TensorWord,
+    build_proof_set,
     exhaustive_no_4set,
     extend_even_set,
     generate_odd_set,
@@ -217,3 +221,36 @@ def test_plan_product_sign_order_independent():
     base = plan_product_sign(letters, (0, 1, 2, 3))
     for perm in itertools.permutations(range(4)):
         assert plan_product_sign(letters, perm) == base
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_construction_matches_oracle_search(n):
+    # the count-vector construction and the closed-form fifth word return
+    # the very set the exponential word-set searches select
+    spec = PartySpec((2,) * n)
+    expected = oracles.build_proof_set(spec)
+    ps = build_proof_set(spec)
+    assert ps.letter_words == expected.letter_words
+    assert ps.product_plan == expected.product_plan
+
+
+@given(st.integers(min_value=1, max_value=20), st.booleans())
+@example(20, False)
+@example(20, True)
+def test_constructed_sets_are_proof_sets(half, even):
+    n = 2 * half + 1 + even  # odd n up to 41, even n up to 42
+    ps = build_proof_set(PartySpec((2,) * n))
+    assert validate_requirements(ps).all_ok
+    assert ps.product_sign() == -1
+    assert len(set(ps.letter_words)) == len(ps.words) == 4 + even
+    # the outlying A count sits on the last of the four base words; an even
+    # set's fifth word carries the common count
+    counts = [w.a_count for w in ps.words[:4]]
+    assert counts.count(counts[-1]) == 1
+
+
+def test_thirteen_parties_build_quickly():
+    start = time.perf_counter()
+    ps = build_proof_set(PartySpec((2,) * 13))
+    assert time.perf_counter() - start < 1.0
+    assert len(ps.words) == 4 and ps.requirement_flags.all_ok
