@@ -69,6 +69,13 @@ STATE_SELECTION_NOTE = (
 # -- shared pieces -----------------------------------------------------------
 
 
+def _exact_int(value, what: str) -> int:
+    """An integer field; bools and floats are not integers here."""
+    if type(value) is not int:
+        raise CertificateError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Sparse state with exact coefficients and a separate squared norm."""
@@ -114,7 +121,10 @@ class StateVector:
 
     @classmethod
     def from_doc(cls, dims: tuple[int, ...], doc: dict) -> StateVector:
-        support = tuple(tuple(int(x) for x in entry) for entry in doc["support"])
+        support = tuple(
+            tuple(_exact_int(x, "a support digit") for x in entry)
+            for entry in doc["support"]
+        )
         coeffs = tuple(parse_rational(c) for c in doc["coefficients"])
         return cls(dims, support, coeffs, parse_rational(doc["norm_sq"]))
 
@@ -126,7 +136,9 @@ def _spectrum_to_doc(spectrum: Spectrum) -> dict:
 def _spectrum_from_doc(doc: dict) -> Spectrum:
     if not isinstance(doc, dict):
         raise CertificateError("a spectrum must be an object")
-    return Spectrum.from_counts({parse_rational(k): int(v) for k, v in doc.items()})
+    return Spectrum.from_counts(
+        {parse_rational(k): _exact_int(v, "a multiplicity") for k, v in doc.items()}
+    )
 
 
 def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
@@ -146,13 +158,6 @@ def _pairs_from_doc(doc: list) -> SitePairs:
         b_op = custom_site("B", [parse_rational(w) for w in entry["b_weights"]])
         pairs.append((a_op, b_op))
     return tuple(pairs)
-
-
-def _exact_int(value, what: str) -> int:
-    """An integer field; bools and floats are not integers here."""
-    if type(value) is not int:
-        raise CertificateError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _check_format_version(doc: dict) -> None:
@@ -342,7 +347,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         parties = PartySpec(levels, allow_mixed_parity=True)
         pairs = _pairs_from_doc(doc["site_operators"])
         word_strings = tuple(str(w) for w in doc["words"])
-        plan = tuple(int(i) for i in doc["product_plan"])
+        plan = tuple(_exact_int(i, "a plan index") for i in doc["product_plan"])
         eigen_tuple = tuple(parse_rational(t) for t in doc["eigen_tuple"])
         state = StateVector.from_doc(levels, doc["state"])
         stored_flags = dict(doc["requirement_flags"])
@@ -360,7 +365,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
 
     # structural: anticommutation, word commutation, flags
     for party, (a_op, b_op) in enumerate(pairs):
-        if a_op.dim != levels[party]:
+        if a_op.dim != levels[party] or b_op.dim != levels[party]:
             return False, f"site operators for party {party + 1} have the wrong dimension"
         if not check_anticommute(a_op, b_op):
             return False, f"site operators for party {party + 1} do not anticommute"
@@ -421,9 +426,9 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
     try:
         stored_status = lhv_doc["status"]
         stored_method = lhv_doc["method"]
-        stored_checked = int(lhv_doc["assignments_checked"])
-        stored_bound = int(lhv_doc["bound"])
-    except (KeyError, TypeError, ValueError) as exc:
+        stored_checked = _exact_int(lhv_doc["assignments_checked"], "assignments_checked")
+        stored_bound = _exact_int(lhv_doc["bound"], "bound")
+    except (CertificateError, KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
     effective_bound = bound if bound is not None else stored_bound
     try:
@@ -489,7 +494,7 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         m = _exact_int(doc["levels"], "levels")
         mode = doc["search"]["mode"]
         stored_status = doc["search"]["status"]
-        stored_checked = int(doc["search"]["patterns_checked"])
+        stored_checked = _exact_int(doc["search"]["patterns_checked"], "patterns_checked")
         observables = doc["observables"]
         contexts = doc["contexts"]
         sign_targets = doc["sign_targets"]

@@ -14,11 +14,16 @@ word's possible eigenvalues on that orbit. Subspaces are kept in reduced row
 echelon form, so the output is canonical: orbits ascend by smallest index,
 eigenvalue branches descend, and each eigenvector is scaled to primitive
 integer coefficients with a positive leading entry.
+
+Orbits are refined one at a time, in that order. ``simultaneous_eigenbasis``
+refines them all; ``select_ghz`` stops at the orbit that holds the vector it
+picks, so a build never computes the rest of the basis.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -92,10 +97,13 @@ class OrbitDecomposition:
 
     @classmethod
     def from_targets(cls, dim: int, targets: list[tuple[int, ...]]) -> OrbitDecomposition:
-        unvisited = set(range(dim))
+        visited: set[int] = set()
         orbits = []
-        while unvisited:
-            seed = min(unvisited)
+        # seeds ascend and each one is the smallest index left, so the
+        # orbits come out ordered by their smallest index
+        for seed in range(dim):
+            if seed in visited:
+                continue
             frontier = [seed]
             members = {seed}
             while frontier:
@@ -107,9 +115,9 @@ class OrbitDecomposition:
                             members.add(y)
                             nxt.append(y)
                 frontier = nxt
-            unvisited -= members
+            visited |= members
             orbits.append(tuple(sorted(members)))
-        return cls(dim, tuple(sorted(orbits)))
+        return cls(dim, tuple(orbits))
 
     @classmethod
     def from_involution(cls, target: tuple[int, ...]) -> OrbitDecomposition:
@@ -283,22 +291,17 @@ def check_mutually_commuting(mats: list[MonomialMatrix]) -> bool:
     return True
 
 
-def simultaneous_eigenbasis(
-    ps: ProofSet, pairs: SitePairs | None = None
-) -> tuple[JointEigenvector, ...]:
-    """Full exact simultaneous eigenbasis of a commuting word set.
+def _joint_eigenvectors(mats: list[MonomialMatrix]) -> Iterator[JointEigenvector]:
+    """Yield the simultaneous eigenbasis orbit by orbit, in canonical order.
 
-    Returns exactly dim vectors; each is an eigenvector of every word, and
-    vectors from different eigenvalue tuples are orthogonal (the words are
-    symmetric matrices). Deterministic: see the module docstring.
+    An orbit is refined only when the caller asks for its first vector, so a
+    caller that stops early never pays for the orbits after it.
     """
-    mats = [w.realize(pairs) for w in ps.words]
     if not check_mutually_commuting(mats):
         raise NonCommutingSetError("word set is not mutually commuting")
-    dim = mats[0].dim
-    decomposition = OrbitDecomposition.from_targets(dim, [m.target for m in mats])
-
-    out: list[JointEigenvector] = []
+    decomposition = OrbitDecomposition.from_targets(
+        mats[0].dim, [m.target for m in mats]
+    )
     for orbit in decomposition.orbits:
         spaces: list[tuple[list[Vec], tuple[Fraction, ...]]] = [
             ([{j: ONE} for j in orbit], ())
@@ -319,10 +322,25 @@ def simultaneous_eigenbasis(
         for basis, tup in spaces:
             for v in basis:
                 support, coeffs = _primitive(v)
-                out.append(JointEigenvector(tup, support, coeffs))
-    if len(out) != dim:
+                yield JointEigenvector(tup, support, coeffs)
+
+
+def simultaneous_eigenbasis(
+    ps: ProofSet, pairs: SitePairs | None = None
+) -> tuple[JointEigenvector, ...]:
+    """Full exact simultaneous eigenbasis of a commuting word set.
+
+    Returns exactly dim vectors; each is an eigenvector of every word, and
+    vectors from different eigenvalue tuples are orthogonal (the words are
+    symmetric matrices). Deterministic: see the module docstring.
+    ``select_ghz`` walks the same vectors in the same order but stops at the
+    one it picks.
+    """
+    mats = [w.realize(pairs) for w in ps.words]
+    out = tuple(_joint_eigenvectors(mats))
+    if len(out) != mats[0].dim:
         raise AssertionError("eigenbasis is incomplete")
-    return tuple(out)
+    return out
 
 
 def eigen_tuple_plan_product(
@@ -348,51 +366,47 @@ def select_ghz(
 ) -> GhzState:
     """Pick the entangled eigenvector the contradiction is built on.
 
-    With a hint, returns the eigenvector carrying exactly that eigenvalue
-    tuple; otherwise the first eligible one in the deterministic basis order.
+    With a hint, returns the first eigenvector carrying exactly that
+    eigenvalue tuple; otherwise the first eligible one in the deterministic
+    basis order of ``simultaneous_eigenbasis``. Orbits are refined in that
+    order only until the vector is found, so the rest of the basis is never
+    computed.
     """
-    basis = simultaneous_eigenbasis(ps, pairs)
-    chosen: JointEigenvector | None = None
-    if tuple_hint is not None:
+    if tuple_hint is None:
+        def wanted(t: tuple[Fraction, ...]) -> bool:
+            return is_eligible(t, ps.product_plan)
+        missing = (
+            "no simultaneous eigenvector has all-nonzero eigenvalues with "
+            "a negative plan product"
+        )
+    else:
         if len(tuple_hint) != len(ps.words):
             raise ValueError(
                 f"hint has {len(tuple_hint)} entries for {len(ps.words)} words"
             )
-        for vec in basis:
-            if vec.eigen_tuple == tuple(tuple_hint):
-                chosen = vec
-                break
-        if chosen is None:
-            raise NoGhzStateError(
-                "no simultaneous eigenvector carries the requested eigen-tuple"
-            )
-        if not is_eligible(chosen.eigen_tuple, ps.product_plan):
-            raise NoGhzStateError(
-                "requested eigen-tuple is not eligible: it has a zero entry "
-                "or a nonnegative plan product"
-            )
-    else:
-        for vec in basis:
-            if is_eligible(vec.eigen_tuple, ps.product_plan):
-                chosen = vec
-                break
-        if chosen is None:
-            raise NoGhzStateError(
-                "no simultaneous eigenvector has all-nonzero eigenvalues with "
-                "a negative plan product"
-            )
+        wanted = tuple(tuple_hint).__eq__
+        missing = "no simultaneous eigenvector carries the requested eigen-tuple"
+    mats = [w.realize(pairs) for w in ps.words]
+    chosen = next(
+        (v for v in _joint_eigenvectors(mats) if wanted(v.eigen_tuple)), None
+    )
+    if chosen is None:
+        raise NoGhzStateError(missing)
+    if not is_eligible(chosen.eigen_tuple, ps.product_plan):
+        raise NoGhzStateError(
+            "requested eigen-tuple is not eligible: it has a zero entry "
+            "or a nonnegative plan product"
+        )
     state = GhzState(
         chosen.support, chosen.coefficients, chosen.norm_sq, chosen.eigen_tuple
     )
-    _check_state(state, ps, pairs)
+    _check_state(state, ps, mats)
     return state
 
 
-def _check_state(state: GhzState, ps: ProofSet, pairs: SitePairs | None) -> None:
+def _check_state(state: GhzState, ps: ProofSet, mats: list[MonomialMatrix]) -> None:
     """Re-verify the eigenvector equations before handing the state out."""
     vec = state.as_vec()
-    for word, lam in zip(ps.words, state.eigen_tuple):
-        image = word.realize(pairs).apply(vec)
-        expected = _vec_scale(vec, lam)
-        if image != expected:
+    for word, mat, lam in zip(ps.words, mats, state.eigen_tuple):
+        if mat.apply(vec) != _vec_scale(vec, lam):
             raise AssertionError(f"state fails the eigenvector equation for {word}")

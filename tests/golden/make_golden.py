@@ -42,6 +42,10 @@ COMMANDS = (
     ["build", *["2"] * 7],
     ["build", *["2"] * 9],
     ["build", *["2"] * 11, "--bound", "5000"],
+    ["build", *["3"] * 7, "--bound", "5000"],
+    ["build", "10", "10", "10", "--bound", "5000"],
+    ["build", "12", "12", "12", "--bound", "5000"],
+    ["build", *["2"] * 10, "--bound", "5000"],
     *(["ks", str(m), "--mode", mode]
       for m in (2, 4, 6) for mode in ("sign-only", "full-spectrum")),
 )

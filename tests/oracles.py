@@ -10,6 +10,10 @@ The second part holds the word-set searches the package used before proof
 sets were constructed from column-type counts: the lexicographic search over
 four-word sets and the loop over every candidate fifth word. They take time
 exponential in the party count, so they are the reference for small ``n``.
+
+The third part holds the orbit decomposition loop the package used before
+``OrbitDecomposition.from_targets`` took its seeds in one pass over the
+indices: it seeds each orbit with ``min`` of the unvisited set.
 """
 
 from __future__ import annotations
@@ -258,3 +262,25 @@ def build_proof_set(parties: PartySpec) -> ProofSet:
     if parties.n % 2 == 1:
         return generate_odd_set(parties)
     return extend_even_set(parties)
+
+
+def orbit_decomposition(dim: int, targets: list[tuple[int, ...]]):
+    """The orbits of the index maps, each sorted, ordered by smallest index."""
+    unvisited = set(range(dim))
+    orbits = []
+    while unvisited:
+        seed = min(unvisited)
+        frontier = [seed]
+        members = {seed}
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for t in targets:
+                    y = t[x]
+                    if y not in members:
+                        members.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        unvisited -= members
+        orbits.append(tuple(sorted(members)))
+    return tuple(sorted(orbits))

@@ -233,6 +233,63 @@ def test_non_string_spectrum_key_rejected(m3_doc):
     _assert_malformed(ks)
 
 
+def _replace_at(doc, path, change):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = change(doc[last])
+
+
+def _plus_half(value):
+    return value + 0.5
+
+
+GHZ_INTEGER_FIELDS = {
+    "plan index": ("product_plan", 0),
+    "support digit": ("state", "support", 1, 1),
+    "assignments_checked": ("lhv", "assignments_checked"),
+    "bound": ("lhv", "bound"),
+    "word multiplicity": ("spectra", "words", 0, "1"),
+    "plan-product multiplicity": ("spectra", "plan_product", "-1"),
+}
+# each keeps the value that int() would read back, or (bool) one it would
+# read as an index
+NON_INT_CHANGES = {"str": str, "float": float, "plus half": _plus_half, "bool": bool}
+
+
+@pytest.mark.parametrize("change", sorted(NON_INT_CHANGES))
+@pytest.mark.parametrize("field", sorted(GHZ_INTEGER_FIELDS))
+def test_integer_field_must_be_int(m3_doc, field, change):
+    tampered = copy.deepcopy(m3_doc)
+    _replace_at(tampered, GHZ_INTEGER_FIELDS[field], NON_INT_CHANGES[change])
+    _assert_malformed(tampered)
+
+
+@pytest.mark.parametrize("value", (0.9, "0", True, False))
+def test_plan_index_must_be_int(m3_doc, value):
+    tampered = copy.deepcopy(m3_doc)
+    tampered["product_plan"][0] = value
+    _assert_malformed(tampered)
+
+
+@pytest.mark.parametrize("change", sorted(NON_INT_CHANGES))
+def test_ks_patterns_checked_must_be_int(change):
+    tampered = build_ks_document(2, SIGN_ONLY)
+    _replace_at(tampered, ("search", "patterns_checked"), NON_INT_CHANGES[change])
+    _assert_malformed(tampered)
+
+
+@pytest.mark.parametrize("party", range(3))
+def test_short_b_weights_rejected(m3_doc, party):
+    tampered = copy.deepcopy(m3_doc)
+    del tampered["site_operators"][party]["b_weights"][1]
+    ok, reason = verify_document(tampered)
+    assert not ok
+    assert reason == (
+        f"site operators for party {party + 1} have the wrong dimension"
+    )
+
+
 @pytest.mark.parametrize("plan", ([7, 1, 2, 3], [0, 1, 2, 4], [-1, 0, 1, 2]))
 def test_plan_index_out_of_range_rejected(m3_doc, plan):
     tampered = copy.deepcopy(m3_doc)

@@ -4,7 +4,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
+from ghzcert import spectral
 from ghzcert.errors import NoGhzStateError, NonCommutingSetError
 from ghzcert.exact import (
     DenseMatrix,
@@ -246,6 +250,79 @@ def test_select_ghz_even_extension():
     for i in ps.product_plan:
         prod *= state.eigen_tuple[i]
     assert prod < 0
+
+
+def _fields(vec):
+    return vec.support, vec.coefficients, vec.norm_sq, vec.eigen_tuple
+
+
+def _orbits(ps):
+    mats = [w.realize() for w in ps.words]
+    return OrbitDecomposition.from_targets(mats[0].dim, [m.target for m in mats]).orbits
+
+
+SELECTION_GRID = [(m,) * n for n in (3, 4, 5) for m in (2, 3, 4)] + [(3,) * 7]
+
+
+@pytest.mark.parametrize("levels", SELECTION_GRID, ids=str)
+def test_select_ghz_is_first_eligible_of_full_basis(levels):
+    ps = canonical(levels)
+    expected = next(
+        v for v in simultaneous_eigenbasis(ps)
+        if is_eligible(v.eigen_tuple, ps.product_plan)
+    )
+    assert _fields(select_ghz(ps)) == _fields(expected)
+
+
+# level lists with an eligible tuple that no vector of the first orbit carries
+@pytest.mark.parametrize(
+    "levels", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (4, 4, 4, 4)], ids=str
+)
+def test_select_ghz_hint_from_later_orbit(levels):
+    ps = canonical(levels)
+    basis = simultaneous_eigenbasis(ps)
+    first_orbit = set(_orbits(ps)[0])
+    early = {v.eigen_tuple for v in basis if set(v.support) <= first_orbit}
+    later = [
+        v for v in basis
+        if is_eligible(v.eigen_tuple, ps.product_plan) and v.eigen_tuple not in early
+    ]
+    hint = later[-1].eigen_tuple
+    expected = next(v for v in basis if v.eigen_tuple == hint)
+    assert _fields(select_ghz(ps, hint)) == _fields(expected)
+
+
+def test_select_ghz_refines_only_the_first_orbit(monkeypatch):
+    ps = canonical((3,) * 7)
+    projected: set[int] = set()
+    original = spectral._project_eigenspace
+
+    def counting(op, basis, eigenvalue, candidates):
+        for v in basis:
+            projected.update(v)
+        return original(op, basis, eigenvalue, candidates)
+
+    monkeypatch.setattr(spectral, "_project_eigenspace", counting)
+    state = select_ghz(ps)
+    first_orbit = _orbits(ps)[0]
+    assert set(state.support) <= set(first_orbit)
+    assert projected == set(first_orbit)
+
+
+@st.composite
+def permutation_sets(draw):
+    dim = draw(st.integers(1, 40))
+    targets = draw(st.lists(st.permutations(range(dim)), min_size=1, max_size=3))
+    return dim, [tuple(t) for t in targets]
+
+
+@given(permutation_sets())
+def test_orbit_decomposition_matches_oracle(problem):
+    dim, targets = problem
+    assert (
+        OrbitDecomposition.from_targets(dim, targets).orbits
+        == oracles.orbit_decomposition(dim, targets)
+    )
 
 
 def test_spectrum_classify_spectrum_input():
