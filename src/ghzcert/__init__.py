@@ -21,6 +21,7 @@ from .errors import (
 )
 from .exact import (
     DenseMatrix,
+    FactoredMonomial,
     MonomialMatrix,
     Rational,
     format_rational,
@@ -54,6 +55,7 @@ from .spectral import (
     classify_definiteness,
     select_ghz,
     simultaneous_eigenbasis,
+    spectrum_of_factored,
     spectrum_of_monomial,
     spectrum_of_word,
 )
@@ -92,7 +94,8 @@ __all__ = [
     "PartyMismatchError", "SearchBoundError", "NonCommutingSetError",
     "NoGhzStateError", "CertificateError",
     # exact core
-    "Rational", "DenseMatrix", "MonomialMatrix", "mat_multiply", "mat_tensor",
+    "Rational", "DenseMatrix", "MonomialMatrix", "FactoredMonomial",
+    "mat_multiply", "mat_tensor",
     "mat_apply", "monomial_multiply", "monomial_compose", "monomial_tensor",
     "sparsify", "parse_rational", "format_rational",
     # site operators
@@ -104,7 +107,8 @@ __all__ = [
     "extend_even_set", "build_proof_set", "exhaustive_no_4set",
     # spectral
     "Spectrum", "OrbitDecomposition", "JointEigenvector", "GhzState",
-    "spectrum_of_word", "spectrum_of_monomial", "classify_definiteness",
+    "spectrum_of_word", "spectrum_of_factored", "spectrum_of_monomial",
+    "classify_definiteness",
     "simultaneous_eigenbasis", "select_ghz",
     # lhv
     "ConstraintSystem", "LhvReport", "parity_unsat", "brute_force_lhv",

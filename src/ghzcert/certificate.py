@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__ as _tool_version
-from .errors import CertificateError, GhzError
-from .exact import ZERO, format_rational, monomial_compose, parse_rational
+from .errors import CertificateError, GhzError, ShapeError
+from .exact import ZERO, FactoredMonomial, format_rational, parse_rational
 from .kochen_specker import (
     FULL_SPECTRUM,
     KS_UNSAT,
@@ -29,7 +29,7 @@ from .kochen_specker import (
     ks_color_search,
     plan_product_spectrum,
     render_contexts,
-    shared_side_product,
+    side_product_spectrum,
 )
 from .lhv import (
     ConstraintSystem,
@@ -43,8 +43,9 @@ from .siteops import check_anticommute, custom_site
 from .spectral import (
     Spectrum,
     eigen_tuple_plan_product,
+    eigenvalue_of,
     select_ghz,
-    spectrum_of_monomial,
+    spectrum_of_factored,
 )
 from .words import (
     PartySpec,
@@ -229,9 +230,7 @@ def check_ghz_criteria(
     vec = state.flat_vec()
     eigen_tuple: list[Fraction] = []
     for word in tensor_words:
-        mat = word.realize(pairs)
-        image = mat.apply(vec)
-        lam = _eigenvalue_of(vec, image)
+        lam = eigenvalue_of(word.factored(pairs), vec)
         if lam is None:
             return False, f"not an eigenvector of word {word.letters}"
         eigen_tuple.append(lam)
@@ -249,18 +248,6 @@ def check_ghz_criteria(
     return True, "is-ghz"
 
 
-def _eigenvalue_of(
-    vec: dict[int, Fraction], image: dict[int, Fraction]
-) -> Fraction | None:
-    """The exact scalar with image = scalar * vec, or None."""
-    if not image:
-        return ZERO
-    anchor = min(vec)
-    lam = image.get(anchor, ZERO) / vec[anchor]
-    expected = {k: lam * c for k, c in vec.items() if lam * c}
-    return lam if image == expected else None
-
-
 # -- GHZ certificates --------------------------------------------------------
 
 
@@ -276,10 +263,11 @@ def build_ghz_document(
     cs = ConstraintSystem.for_state(ps, state, pairs)
     report = analyze_lhv(cs, bound)
 
-    mats = [w.realize(pairs) for w in ps.words]
-    word_spectra = [spectrum_of_monomial(m) for m in mats]
-    product = monomial_compose([mats[i] for i in ps.product_plan])
-    product_spectrum = spectrum_of_monomial(product)
+    ops = [w.factored(pairs) for w in ps.words]
+    word_spectra = [spectrum_of_factored(op) for op in ops]
+    product_spectrum = spectrum_of_factored(
+        FactoredMonomial.product(ops[i] for i in ps.product_plan)
+    )
 
     doc = {
         "kind": GHZ_KIND,
@@ -320,7 +308,7 @@ def build_ghz_document(
             ),
         },
     }
-    ok, reason = verify_ghz_document(doc)
+    ok, reason = verify_ghz_document(doc, bound)
     if not ok:
         raise AssertionError(f"freshly built certificate failed to verify: {reason}")
     return doc
@@ -334,7 +322,11 @@ _GHZ_REQUIRED_KEYS = (
 
 
 def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]:
-    """Re-derive every claim in a certificate; accept only if all hold."""
+    """Re-derive every claim in a certificate; accept only if all hold.
+
+    ``bound`` caps the LHV enumeration (``DEFAULT_BOUND`` when omitted); the
+    document's own ``lhv.bound`` never sets how much work the check does.
+    """
     try:
         for key in _GHZ_REQUIRED_KEYS:
             if key not in doc:
@@ -388,11 +380,9 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         return False, "criterion III: plan product of eigenvalues is not negative"
 
     vec = state.flat_vec()
-    mats = [w.realize(pairs) for w in words]
-    for i, (mat, lam) in enumerate(zip(mats, eigen_tuple), start=1):
-        image = mat.apply(vec)
-        expected = {k: lam * c for k, c in vec.items() if lam * c}
-        if image != expected:
+    ops = [w.factored(pairs) for w in words]
+    for i, (op, lam) in enumerate(zip(ops, eigen_tuple), start=1):
+        if eigenvalue_of(op, vec) != lam:
             return False, f"eigenvector equation fails for word {i}"
 
     # spectra are advisory in the file; recompute and insist they match
@@ -406,11 +396,16 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         return False, f"malformed certificate: {exc}"
     if len(stored_word_spectra) != len(words):
         return False, "malformed certificate: one spectrum per word required"
-    for i, (mat, stored) in enumerate(zip(mats, stored_word_spectra), start=1):
-        if spectrum_of_monomial(mat) != stored:
+    try:
+        word_spectra = [spectrum_of_factored(op) for op in ops]
+        product_spectrum = spectrum_of_factored(
+            FactoredMonomial.product(ops[i] for i in plan)
+        )
+    except ShapeError as exc:
+        return False, f"spectrum recomputation failed: {exc}"
+    for i, (spectrum, stored) in enumerate(zip(word_spectra, stored_word_spectra), start=1):
+        if spectrum != stored:
             return False, f"stored spectrum for word {i} does not match recomputation"
-    product = monomial_compose([mats[i] for i in plan])
-    product_spectrum = spectrum_of_monomial(product)
     if product_spectrum != stored_product:
         return False, "stored plan-product spectrum does not match recomputation"
     if product_spectrum.classify() != stored_class:
@@ -427,12 +422,12 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         stored_status = lhv_doc["status"]
         stored_method = lhv_doc["method"]
         stored_checked = _exact_int(lhv_doc["assignments_checked"], "assignments_checked")
-        stored_bound = _exact_int(lhv_doc["bound"], "bound")
+        # recorded for the reader; the caller's bound sets the work done
+        _exact_int(lhv_doc["bound"], "bound")
     except (CertificateError, KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
-    effective_bound = bound if bound is not None else stored_bound
     try:
-        report = analyze_lhv(cs, effective_bound)
+        report = analyze_lhv(cs, DEFAULT_BOUND if bound is None else bound)
     except GhzError as exc:
         return False, f"unsatisfiability re-derivation failed: {exc}"
     if report.status != UNSAT or stored_status != UNSAT:
@@ -449,7 +444,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
 def build_ks_document(m: int, mode: str = SIGN_ONLY) -> dict:
     cfg = build_ks(m)
     report = ks_color_search(cfg, mode)
-    side = spectrum_of_monomial(shared_side_product(cfg))
+    side = side_product_spectrum(cfg)
     horizontal = plan_product_spectrum(cfg)
     doc = {
         "kind": KS_KIND,
@@ -519,7 +514,7 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
     if sign_targets != list(cfg.sign_targets):
         return False, "stored sign targets do not match the rebuilt configuration"
     horizontal = plan_product_spectrum(cfg)
-    side = spectrum_of_monomial(shared_side_product(cfg))
+    side = side_product_spectrum(cfg)
     if structure.get("horizontal_classification") != horizontal.classify():
         return False, "stored horizontal classification does not match recomputation"
     if structure.get("side_classification") != side.classify():
@@ -539,7 +534,8 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
 
 
 def verify_document(doc: dict, bound: int | None = None) -> tuple[bool, str]:
-    """Dispatch on the certificate kind."""
+    """Dispatch on the certificate kind; ``bound`` is the caller's LHV
+    enumeration cap, as in ``verify_ghz_document``."""
     kind = doc.get("kind")
     if kind == GHZ_KIND:
         return verify_ghz_document(doc, bound)

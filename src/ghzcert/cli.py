@@ -31,8 +31,7 @@ from .errors import (
     ParityError,
     SearchBoundError,
 )
-from .exact import format_rational, parse_rational
-from .exact import monomial_compose
+from .exact import FactoredMonomial, format_rational, parse_rational
 from .lhv import (
     ConstraintSystem,
     DEFAULT_BOUND,
@@ -40,8 +39,8 @@ from .lhv import (
     explain_parity,
     parity_unsat,
 )
-from .kochen_specker import FULL_SPECTRUM, SIGN_ONLY, build_ks, render_contexts
-from .spectral import select_ghz, spectrum_of_monomial, spectrum_of_word
+from .kochen_specker import FULL_SPECTRUM, SIGN_ONLY
+from .spectral import select_ghz, spectrum_of_factored, spectrum_of_word
 from .words import PartySpec, TensorWord, build_proof_set
 
 TEXT = "text"
@@ -96,11 +95,10 @@ def _cmd_ks(args) -> int:
     doc = build_ks_document(args.m, mode)
     if args.output:
         save_document(doc, args.output)
-    cfg = build_ks(args.m)
     lines = [
         f"levels: {args.m}",
         "contexts:",
-        *("  " + line for line in render_contexts(cfg).split("\n")),
+        *("  " + line for line in doc["contexts_rendered"]),
         f"search ({mode}): {doc['search']['status']} after "
         f"{doc['search']['patterns_checked']} patterns",
     ]
@@ -170,9 +168,10 @@ def _cmd_spectrum(args) -> int:
         lines.append(f"classification: {spectrum.classify()}")
     if args.product or not args.word:
         ps = build_proof_set(parties)
-        mats = [w.realize() for w in ps.words]
-        product = monomial_compose([mats[i] for i in ps.product_plan])
-        spectrum = spectrum_of_monomial(product)
+        ops = [w.factored() for w in ps.words]
+        spectrum = spectrum_of_factored(
+            FactoredMonomial.product(ops[i] for i in ps.product_plan)
+        )
         doc["plan_words"] = list(ps.letter_words)
         doc["plan"] = list(ps.product_plan)
         doc["plan_product_spectrum"] = {

@@ -8,7 +8,12 @@ anywhere in the package. Matrices come in two forms:
 * `MonomialMatrix` -- generalized permutation form (one nonzero per row and
   column), which realizes every tensor-word operator exactly and cheaply.
 
-Both forms are immutable; every operation is a pure function.
+A tensor word, and any product of words, is kept as a `FactoredMonomial`:
+the tuple of its per-site monomial factors. It applies to sparse vectors,
+multiplies and compares site by site, so nothing of composite dimension is
+ever formed; `expand()` gives the `MonomialMatrix` of the whole operator.
+
+All forms are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ShapeError
@@ -314,3 +320,99 @@ def monomial_equal(a: MonomialMatrix, b: MonomialMatrix) -> bool:
         if wa and a.target[j] != b.target[j]:
             return False
     return True
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredMonomial:
+    """Kronecker product of per-site monomial matrices, kept factored.
+
+    Composite indices use the mixed-radix order of `monomial_tensor` (left
+    factor most significant), so ``expand()`` equals the fold of
+    `monomial_tensor` over ``factors``. ``==`` is identity; compare operators
+    with ``equals``.
+    """
+
+    factors: tuple[MonomialMatrix, ...]
+
+    @property
+    def dim(self) -> int:
+        out = 1
+        for f in self.factors:
+            out *= f.dim
+        return out
+
+    def entry(self, j: int) -> tuple[int, Fraction]:
+        """Target row and weight of composite column ``j``."""
+        target, num, den, stride = 0, 1, 1, 1
+        for f in reversed(self.factors):
+            j, digit = divmod(j, f.dim)
+            target += f.target[digit] * stride
+            w = f.weight[digit]
+            num *= w.numerator
+            den *= w.denominator
+            stride *= f.dim
+        return target, Fraction(num, den)
+
+    def apply(self, vector: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Apply to a sparse vector {index: coefficient}, one support index
+        at a time; zero results dropped."""
+        out: dict[int, Fraction] = {}
+        for j, c in vector.items():
+            t, w = self.entry(j)
+            if w and c:
+                out[t] = w * c
+        return out
+
+    def multiply(self, other: FactoredMonomial) -> FactoredMonomial:
+        """The product self*other, site by site."""
+        if len(self.factors) != len(other.factors):
+            raise ShapeError(
+                f"site count mismatch: {len(self.factors)} vs {len(other.factors)}"
+            )
+        return FactoredMonomial(tuple(
+            monomial_multiply(a, b) for a, b in zip(self.factors, other.factors)
+        ))
+
+    @classmethod
+    def product(cls, ops: Iterable[FactoredMonomial]) -> FactoredMonomial:
+        """Left-to-right product of factored operators."""
+        ops = list(ops)
+        if not ops:
+            raise ShapeError("cannot compose an empty sequence")
+        return reduce(cls.multiply, ops)
+
+    def equals(self, other: FactoredMonomial) -> bool:
+        """Equality as linear maps, decided site by site.
+
+        A Kronecker product is zero exactly when one factor is. Two nonzero
+        products are equal exactly when every site pair is proportional,
+        x_i = c_i y_i, with the product of the c_i equal to one.
+        """
+        if [f.dim for f in self.factors] != [f.dim for f in other.factors]:
+            raise ShapeError("operators act on different site dimensions")
+        x_zero = any(not any(f.weight) for f in self.factors)
+        y_zero = any(not any(f.weight) for f in other.factors)
+        if x_zero or y_zero:
+            return x_zero and y_zero
+        scale = ONE
+        for x, y in zip(self.factors, other.factors):
+            c = _proportion(x, y)
+            if c is None:
+                return False
+            scale *= c
+        return scale == ONE
+
+    def expand(self) -> MonomialMatrix:
+        """The operator as one monomial matrix on the composite space."""
+        return reduce(monomial_tensor, self.factors)
+
+
+def _proportion(x: MonomialMatrix, y: MonomialMatrix) -> Fraction | None:
+    """The scalar c with x = c*y as linear maps, for nonzero x and y."""
+    j = next(j for j, w in enumerate(y.weight) if w)
+    c = x.weight[j] / y.weight[j]
+    for j in range(x.dim):
+        wx, wy = x.weight[j], y.weight[j]
+        if wx != c * wy or (wx and x.target[j] != y.target[j]):
+            return None
+    return c

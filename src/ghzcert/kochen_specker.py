@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParityError
-from .exact import MonomialMatrix, ONE, monomial_compose, monomial_equal, monomial_tensor
+from .exact import FactoredMonomial, MonomialMatrix, ONE
 from .search import Check, first_assignment
 from .siteops import SiteOperator, canonical_pair
 from .spectral import (
@@ -36,9 +36,9 @@ from .spectral import (
     POSITIVE_DEFINITE,
     Spectrum,
     check_mutually_commuting,
-    classify_definiteness,
-    spectrum_of_monomial,
+    spectrum_of_factored,
 )
+from .words import factor_letters
 
 COMPOSITE_WORDS = ("ABB", "BAB", "BBA", "AAA")
 
@@ -57,19 +57,13 @@ class KsObservable:
     label: str
     letters: tuple[str, ...]  # per party: "A", "B", or "I"
 
+    def factored(
+        self, pairs: tuple[tuple[SiteOperator, SiteOperator], ...]
+    ) -> FactoredMonomial:
+        return factor_letters(self.letters, pairs, tuple(a.dim for a, _ in pairs))
+
     def realize(self, pairs: tuple[tuple[SiteOperator, SiteOperator], ...]) -> MonomialMatrix:
-        mats = []
-        for letter, (a_op, b_op) in zip(self.letters, pairs):
-            if letter == "A":
-                mats.append(a_op.to_monomial())
-            elif letter == "B":
-                mats.append(b_op.to_monomial())
-            else:
-                mats.append(MonomialMatrix.identity(a_op.dim))
-        acc = mats[0]
-        for m in mats[1:]:
-            acc = monomial_tensor(acc, m)
-        return acc
+        return self.factored(pairs).expand()
 
     @property
     def is_composite(self) -> bool:
@@ -88,9 +82,17 @@ class KsConfiguration:
     def pairs(self) -> tuple[tuple[SiteOperator, SiteOperator], ...]:
         return tuple(canonical_pair(self.levels) for _ in range(3))
 
-    def realized(self) -> list[MonomialMatrix]:
+    def factored(self) -> list[FactoredMonomial]:
         pairs = self.pairs()
-        return [obs.realize(pairs) for obs in self.observables]
+        return [obs.factored(pairs) for obs in self.observables]
+
+    def realized(self) -> list[MonomialMatrix]:
+        return [op.expand() for op in self.factored()]
+
+    def context_products(self) -> list[FactoredMonomial]:
+        """The operator product of each context, in context order."""
+        ops = self.factored()
+        return [FactoredMonomial.product(ops[i] for i in ctx) for ctx in self.contexts]
 
 
 @dataclass(frozen=True)
@@ -140,36 +142,38 @@ def build_ks(m: int) -> KsConfiguration:
 
 
 def _verify_structure(cfg: KsConfiguration) -> None:
-    mats = cfg.realized()
+    ops = cfg.factored()
     appearances = [0] * len(cfg.observables)
     for ctx in cfg.contexts:
         for i in ctx:
             appearances[i] += 1
-        if not check_mutually_commuting([mats[i] for i in ctx]):
+        if not check_mutually_commuting([ops[i] for i in ctx]):
             raise AssertionError(f"context {ctx} is not mutually commuting")
     if any(count != 2 for count in appearances):
         raise AssertionError("every observable must sit in exactly two contexts")
-    products = [monomial_compose([mats[i] for i in ctx]) for ctx in cfg.contexts]
-    if classify_definiteness(products[0]) != NEGATIVE_DEFINITE:
+    horizontal, side, *others = cfg.context_products()
+    if spectrum_of_factored(horizontal).classify() != NEGATIVE_DEFINITE:
         raise AssertionError("the composite-context product must be negative-definite")
-    side = products[1]
-    if classify_definiteness(side) != POSITIVE_DEFINITE:
+    if spectrum_of_factored(side).classify() != POSITIVE_DEFINITE:
         raise AssertionError("side-context products must be positive-definite")
-    for other in products[2:]:
-        if not monomial_equal(side, other):
+    for other in others:
+        if not side.equals(other):
             raise AssertionError("side-context products must all be the same operator")
 
 
 def shared_side_product(cfg: KsConfiguration) -> MonomialMatrix:
     """The one operator every non-horizontal context multiplies out to."""
-    mats = cfg.realized()
-    return monomial_compose([mats[i] for i in cfg.contexts[1]])
+    return cfg.context_products()[1].expand()
+
+
+def side_product_spectrum(cfg: KsConfiguration) -> Spectrum:
+    """Spectrum of the shared side-context product."""
+    return spectrum_of_factored(cfg.context_products()[1])
 
 
 def plan_product_spectrum(cfg: KsConfiguration) -> Spectrum:
     """Spectrum of the product of the four composite observables."""
-    mats = cfg.realized()
-    return spectrum_of_monomial(monomial_compose([mats[i] for i in cfg.contexts[0]]))
+    return spectrum_of_factored(cfg.context_products()[0])
 
 
 def ks_color_search(cfg: KsConfiguration, mode: str = SIGN_ONLY) -> KsReport:

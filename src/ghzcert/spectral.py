@@ -1,11 +1,22 @@
 """Exact spectra and simultaneous eigenbases for commuting monomial words.
 
 Everything here exploits one structural fact: a tensor word acts on the
-composite basis by an index involution with symmetric weights. Its spectrum
-therefore reads off directly from the orbits of that involution (a fixed
-point contributes its weight; a 2-cycle contributes the weight with both
-signs), and a commuting set of words is diagonalized orbit by orbit of the
-abelian group their involutions generate.
+composite basis by an index involution with symmetric weights. The spectrum
+of one such monomial reads off directly from the orbits of its involution
+(a fixed point contributes its weight; a 2-cycle contributes the weight with
+both signs), and a commuting set of words is diagonalized orbit by orbit of
+the abelian group their involutions generate.
+
+Words and their products stay factored (`FactoredMonomial`), and their
+spectra follow the Kronecker rule: the spectrum of x_1 (x) ... (x) x_n is
+the multiset of products l_1 ... l_n of site eigenvalues, with the site
+multiplicities multiplied. The rule is exact for the factors that occur
+here: a diagonal factor and an involution with symmetric weights are both
+real symmetric matrices, so each site space has a basis of eigenvectors
+with rational eigenvalues (w, or +-w on a 2-cycle), and the tensor products
+of those bases are a basis of eigenvectors of the product. A plan product
+whose one-particle operators all occur an even number of times has a
+diagonal factor at every site. Any other site factor is rejected.
 
 The simultaneous eigenbasis is computed by sequential eigenspace refinement:
 within an orbit's coordinate subspace, each word in turn splits the current
@@ -26,10 +37,10 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NoGhzStateError, NonCommutingSetError, ShapeError
-from .exact import MonomialMatrix, ONE, ZERO, monomial_equal, monomial_multiply
+from .exact import FactoredMonomial, MonomialMatrix, ONE, ZERO
 from .words import ProofSet, SitePairs
 
 NEGATIVE_DEFINITE = "negative-definite"
@@ -97,31 +108,36 @@ class OrbitDecomposition:
 
     @classmethod
     def from_targets(cls, dim: int, targets: list[tuple[int, ...]]) -> OrbitDecomposition:
-        visited: set[int] = set()
-        orbits = []
-        # seeds ascend and each one is the smallest index left, so the
-        # orbits come out ordered by their smallest index
-        for seed in range(dim):
-            if seed in visited:
-                continue
-            frontier = [seed]
-            members = {seed}
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for t in targets:
-                        y = t[x]
-                        if y not in members:
-                            members.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            visited |= members
-            orbits.append(tuple(sorted(members)))
-        return cls(dim, tuple(orbits))
+        return cls(dim, tuple(_orbit_walk(dim, lambda x: (t[x] for t in targets))))
 
     @classmethod
     def from_involution(cls, target: tuple[int, ...]) -> OrbitDecomposition:
         return cls.from_targets(len(target), [target])
+
+
+def _orbit_walk(dim: int, images) -> Iterator[tuple[int, ...]]:
+    """Yield the orbits of the index maps, each sorted, as they are reached.
+
+    ``images(x)`` gives the image of index ``x`` under every map. Seeds
+    ascend and each one is the smallest index left, so the orbits come out
+    ordered by their smallest index.
+    """
+    visited: set[int] = set()
+    for seed in range(dim):
+        if seed in visited:
+            continue
+        frontier = [seed]
+        members = {seed}
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in images(x):
+                    if y not in members:
+                        members.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        visited |= members
+        yield tuple(sorted(members))
 
 
 def spectrum_of_monomial(op: MonomialMatrix) -> Spectrum:
@@ -150,9 +166,33 @@ def spectrum_of_monomial(op: MonomialMatrix) -> Spectrum:
     return Spectrum.from_counts(counts)
 
 
+def spectrum_of_factored(op: FactoredMonomial) -> Spectrum:
+    """Exact spectrum of a factored operator by the Kronecker rule (see the
+    module docstring); each site factor goes through `spectrum_of_monomial`,
+    which raises ``ShapeError`` for a factor outside the supported shapes.
+
+    Site eigenvalues are scaled to integers by their common denominator, so
+    the products are exact integer products over one overall denominator.
+    """
+    counts: dict[int, int] = {1: 1}
+    scale = 1
+    for factor in op.factors:
+        site = spectrum_of_monomial(factor).entries
+        den = lcm(*(v.denominator for v, _ in site))
+        scale *= den
+        site_ints = [(v.numerator * (den // v.denominator), k) for v, k in site]
+        product: dict[int, int] = {}
+        for p, m in counts.items():
+            for w, k in site_ints:
+                product[p * w] = product.get(p * w, 0) + m * k
+        counts = product
+    # one positive denominator for all values, so integer order is value order
+    return Spectrum(tuple((Fraction(p, scale), m) for p, m in sorted(counts.items())))
+
+
 def spectrum_of_word(word, pairs: SitePairs | None = None) -> Spectrum:
     """Exact spectrum of one tensor word."""
-    return spectrum_of_monomial(word.realize(pairs))
+    return spectrum_of_factored(word.factored(pairs))
 
 
 def classify_definiteness(op: MonomialMatrix | Spectrum) -> str:
@@ -253,21 +293,31 @@ class GhzState:
         return dict(zip(self.support, self.coefficients))
 
 
-def _eigenvalue_candidates(op: MonomialMatrix, orbit: tuple[int, ...]) -> list[Fraction]:
+# A word's action on one orbit: orbit index -> (target index, weight).
+OrbitAction = dict[int, tuple[int, Fraction]]
+
+
+def _eigenvalue_candidates(action: OrbitAction) -> list[Fraction]:
     """Possible eigenvalues of a word restricted to one orbit subspace."""
     values: set[Fraction] = set()
-    for x in orbit:
-        w = op.weight[x]
-        if op.target[x] == x:
-            values.add(w)
-        else:
-            values.add(w)
+    for x, (t, w) in action.items():
+        values.add(w)
+        if t != x:
             values.add(-w)
     return sorted(values, reverse=True)
 
 
+def _act(action: OrbitAction, u: Vec) -> Vec:
+    out: Vec = {}
+    for j, c in u.items():
+        t, w = action[j]
+        if w:
+            out[t] = w * c
+    return out
+
+
 def _project_eigenspace(
-    op: MonomialMatrix, basis: list[Vec], eigenvalue: Fraction, candidates: list[Fraction]
+    action: OrbitAction, basis: list[Vec], eigenvalue: Fraction, candidates: list[Fraction]
 ) -> list[Vec]:
     """Lagrange projector onto one eigenvalue, applied to a subspace basis."""
     projected = []
@@ -277,42 +327,42 @@ def _project_eigenspace(
             if mu == eigenvalue:
                 continue
             u = _vec_scale(
-                _vec_add(op.apply(u), _vec_scale(u, -mu)), ONE / (eigenvalue - mu)
+                _vec_add(_act(action, u), _vec_scale(u, -mu)), ONE / (eigenvalue - mu)
             )
         if u:
             projected.append(u)
     return _rref(projected)
 
 
-def check_mutually_commuting(mats: list[MonomialMatrix]) -> bool:
-    for a, b in itertools.combinations(mats, 2):
-        if not monomial_equal(monomial_multiply(a, b), monomial_multiply(b, a)):
-            return False
-    return True
+def check_mutually_commuting(ops: list[FactoredMonomial]) -> bool:
+    """True iff every pair satisfies UV == VU, decided site by site."""
+    return all(
+        a.multiply(b).equals(b.multiply(a))
+        for a, b in itertools.combinations(ops, 2)
+    )
 
 
-def _joint_eigenvectors(mats: list[MonomialMatrix]) -> Iterator[JointEigenvector]:
+def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvector]:
     """Yield the simultaneous eigenbasis orbit by orbit, in canonical order.
 
-    An orbit is refined only when the caller asks for its first vector, so a
-    caller that stops early never pays for the orbits after it.
+    An orbit is found and refined only when the caller asks for its first
+    vector, so a caller that stops early never pays for the orbits after it.
     """
-    if not check_mutually_commuting(mats):
+    if not check_mutually_commuting(ops):
         raise NonCommutingSetError("word set is not mutually commuting")
-    decomposition = OrbitDecomposition.from_targets(
-        mats[0].dim, [m.target for m in mats]
-    )
-    for orbit in decomposition.orbits:
+    for orbit in _orbit_walk(ops[0].dim, lambda x: (op.entry(x)[0] for op in ops)):
         spaces: list[tuple[list[Vec], tuple[Fraction, ...]]] = [
             ([{j: ONE} for j in orbit], ())
         ]
-        for op in mats:
-            candidates = _eigenvalue_candidates(op, orbit)
+        for op in ops:
+            # each word's entries on the orbit, computed once per orbit
+            action = {x: op.entry(x) for x in orbit}
+            candidates = _eigenvalue_candidates(action)
             refined: list[tuple[list[Vec], tuple[Fraction, ...]]] = []
             for basis, partial in spaces:
                 found = 0
                 for lam in candidates:
-                    sub = _project_eigenspace(op, basis, lam, candidates)
+                    sub = _project_eigenspace(action, basis, lam, candidates)
                     if sub:
                         refined.append((sub, partial + (lam,)))
                         found += len(sub)
@@ -336,9 +386,9 @@ def simultaneous_eigenbasis(
     ``select_ghz`` walks the same vectors in the same order but stops at the
     one it picks.
     """
-    mats = [w.realize(pairs) for w in ps.words]
-    out = tuple(_joint_eigenvectors(mats))
-    if len(out) != mats[0].dim:
+    ops = [w.factored(pairs) for w in ps.words]
+    out = tuple(_joint_eigenvectors(ops))
+    if len(out) != ops[0].dim:
         raise AssertionError("eigenbasis is incomplete")
     return out
 
@@ -386,9 +436,9 @@ def select_ghz(
             )
         wanted = tuple(tuple_hint).__eq__
         missing = "no simultaneous eigenvector carries the requested eigen-tuple"
-    mats = [w.realize(pairs) for w in ps.words]
+    ops = [w.factored(pairs) for w in ps.words]
     chosen = next(
-        (v for v in _joint_eigenvectors(mats) if wanted(v.eigen_tuple)), None
+        (v for v in _joint_eigenvectors(ops) if wanted(v.eigen_tuple)), None
     )
     if chosen is None:
         raise NoGhzStateError(missing)
@@ -400,13 +450,25 @@ def select_ghz(
     state = GhzState(
         chosen.support, chosen.coefficients, chosen.norm_sq, chosen.eigen_tuple
     )
-    _check_state(state, ps, mats)
+    _check_state(state, ps, ops)
     return state
 
 
-def _check_state(state: GhzState, ps: ProofSet, mats: list[MonomialMatrix]) -> None:
+def _check_state(state: GhzState, ps: ProofSet, ops: list[FactoredMonomial]) -> None:
     """Re-verify the eigenvector equations before handing the state out."""
     vec = state.as_vec()
-    for word, mat, lam in zip(ps.words, mats, state.eigen_tuple):
-        if mat.apply(vec) != _vec_scale(vec, lam):
+    for word, op, lam in zip(ps.words, ops, state.eigen_tuple):
+        if eigenvalue_of(op, vec) != lam:
             raise AssertionError(f"state fails the eigenvector equation for {word}")
+
+
+def eigenvalue_of(op: FactoredMonomial, vec: Vec) -> Fraction | None:
+    """The exact scalar lam with op*vec = lam*vec, or None when ``vec`` is not
+    an eigenvector of ``op``. Only the support of ``vec`` is visited."""
+    image = op.apply(vec)
+    if not image:
+        return ZERO
+    anchor = min(vec)
+    lam = image.get(anchor, ZERO) / vec[anchor]
+    expected = {k: lam * c for k, c in vec.items() if lam * c}
+    return lam if image == expected else None

@@ -29,6 +29,7 @@ closed form.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     PartyMismatchError,
     SearchBoundError,
 )
-from .exact import MonomialMatrix, monomial_tensor
+from .exact import FactoredMonomial, MonomialMatrix
 from .siteops import SiteOperator, canonical_pair
 
 LETTERS = "AB"
@@ -125,25 +126,38 @@ class TensorWord:
     def a_count(self) -> int:
         return self.letters.count("A")
 
-    def realize(self, pairs: SitePairs | None = None) -> MonomialMatrix:
-        """The word's operator as a monomial matrix on the composite space."""
+    def factored(self, pairs: SitePairs | None = None) -> FactoredMonomial:
+        """The word's operator, one site factor per party."""
         if pairs is None:
             pairs = self.parties.canonical_pairs()
-        mats = []
-        for letter, (a_op, b_op), m in zip(self.letters, pairs, self.parties.levels):
-            op = a_op if letter == "A" else b_op
-            if op.dim != m:
-                raise PartyMismatchError(
-                    f"site operator dimension {op.dim} does not match level {m}"
-                )
-            mats.append(op.to_monomial())
-        acc = mats[0]
-        for mat in mats[1:]:
-            acc = monomial_tensor(acc, mat)
-        return acc
+        return factor_letters(self.letters, pairs, self.parties.levels)
+
+    def realize(self, pairs: SitePairs | None = None) -> MonomialMatrix:
+        """The word's operator as a monomial matrix on the composite space."""
+        return self.factored(pairs).expand()
 
     def __str__(self) -> str:
         return self.letters
+
+
+def factor_letters(
+    letters: Sequence[str], pairs: SitePairs, levels: tuple[int, ...]
+) -> FactoredMonomial:
+    """The operator of a letter string, kept factored: letter A picks the
+    party's diagonal site operator, B its anti-diagonal one and I the
+    identity. Each site operator must match its party's level count."""
+    factors = []
+    for letter, (a_op, b_op), m in zip(letters, pairs, levels):
+        if letter == "I":
+            factors.append(MonomialMatrix.identity(m))
+            continue
+        op = a_op if letter == "A" else b_op
+        if op.dim != m:
+            raise PartyMismatchError(
+                f"site operator dimension {op.dim} does not match level {m}"
+            )
+        factors.append(op.to_monomial())
+    return FactoredMonomial(tuple(factors))
 
 
 def words_commute(u: TensorWord, v: TensorWord) -> bool:

@@ -14,6 +14,11 @@ exponential in the party count, so they are the reference for small ``n``.
 The third part holds the orbit decomposition loop the package used before
 ``OrbitDecomposition.from_targets`` took its seeds in one pass over the
 indices: it seeds each orbit with ``min`` of the unvisited set.
+
+The fourth part holds the composite-dimension path the package used before
+words stayed factored: realization as a fold of ``monomial_tensor``, the
+pairwise commutation check on full products, and the simultaneous
+eigenbasis refined over the orbits of full index maps.
 """
 
 from __future__ import annotations
@@ -22,7 +27,13 @@ import itertools
 from fractions import Fraction
 
 from ghzcert.errors import InvalidLevelsError, ParityError, SearchBoundError
-from ghzcert.exact import ONE
+from ghzcert.exact import (
+    ONE,
+    MonomialMatrix,
+    monomial_equal,
+    monomial_multiply,
+    monomial_tensor,
+)
 from ghzcert.kochen_specker import (
     FULL_SPECTRUM,
     KS_SAT,
@@ -34,6 +45,14 @@ from ghzcert.kochen_specker import (
 )
 from ghzcert.lhv import DEFAULT_BOUND, SAT, UNSAT, ConstraintSystem, LhvReport
 from ghzcert.search import Check
+from ghzcert.spectral import (
+    JointEigenvector,
+    OrbitDecomposition,
+    _primitive,
+    _rref,
+    _vec_add,
+    _vec_scale,
+)
 from ghzcert.words import (
     LETTERS,
     PartySpec,
@@ -284,3 +303,77 @@ def orbit_decomposition(dim: int, targets: list[tuple[int, ...]]):
         unvisited -= members
         orbits.append(tuple(sorted(members)))
     return tuple(sorted(orbits))
+
+
+def realize(letters, pairs, levels) -> MonomialMatrix:
+    """A letter string (A, B or I per party) as one composite monomial."""
+    mats = []
+    for letter, (a_op, b_op), m in zip(letters, pairs, levels):
+        if letter == "I":
+            mats.append(MonomialMatrix.identity(m))
+        else:
+            mats.append((a_op if letter == "A" else b_op).to_monomial())
+    acc = mats[0]
+    for mat in mats[1:]:
+        acc = monomial_tensor(acc, mat)
+    return acc
+
+
+def mutually_commuting(mats: list[MonomialMatrix]) -> bool:
+    for a, b in itertools.combinations(mats, 2):
+        if not monomial_equal(monomial_multiply(a, b), monomial_multiply(b, a)):
+            return False
+    return True
+
+
+def _eigenvalue_candidates(op: MonomialMatrix, orbit) -> list[Fraction]:
+    values: set[Fraction] = set()
+    for x in orbit:
+        w = op.weight[x]
+        if op.target[x] == x:
+            values.add(w)
+        else:
+            values.add(w)
+            values.add(-w)
+    return sorted(values, reverse=True)
+
+
+def _project_eigenspace(op: MonomialMatrix, basis, eigenvalue, candidates):
+    projected = []
+    for v in basis:
+        u = dict(v)
+        for mu in candidates:
+            if mu == eigenvalue:
+                continue
+            u = _vec_scale(
+                _vec_add(op.apply(u), _vec_scale(u, -mu)), ONE / (eigenvalue - mu)
+            )
+        if u:
+            projected.append(u)
+    return _rref(projected)
+
+
+def simultaneous_eigenbasis(mats: list[MonomialMatrix]) -> tuple[JointEigenvector, ...]:
+    """Every joint eigenvector of commuting composite monomials, in order."""
+    if not mutually_commuting(mats):
+        raise ValueError("word set is not mutually commuting")
+    decomposition = OrbitDecomposition.from_targets(
+        mats[0].dim, [m.target for m in mats]
+    )
+    out = []
+    for orbit in decomposition.orbits:
+        spaces = [([{j: ONE} for j in orbit], ())]
+        for op in mats:
+            candidates = _eigenvalue_candidates(op, orbit)
+            refined = []
+            for basis, partial in spaces:
+                for lam in candidates:
+                    sub = _project_eigenspace(op, basis, lam, candidates)
+                    if sub:
+                        refined.append((sub, partial + (lam,)))
+            spaces = refined
+        for basis, tup in spaces:
+            for v in basis:
+                support, coeffs = _primitive(v)
+                out.append(JointEigenvector(tup, support, coeffs))
+    return tuple(out)

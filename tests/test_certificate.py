@@ -480,3 +480,28 @@ def test_json_is_sorted_and_newline_terminated(m3_doc):
     parsed = json.loads(text)
     assert parsed == m3_doc
     assert list(parsed) == sorted(parsed)
+
+
+def test_verifier_bound_is_the_callers():
+    # a document cannot lower the verifier's work limit: built past its
+    # bound, the LHV claim is analytic, and only a caller who passes the
+    # same bound accepts that
+    doc = build_ghz_document(PartySpec((3, 3, 3)), bound=100)
+    assert doc["lhv"]["method"] == "parity-analytic"
+    assert verify_document(doc) == (
+        False, "stored LHV report does not match re-derivation"
+    )
+    assert verify_document(doc, bound=100) == (True, "accept")
+
+
+def test_unsupported_site_factor_is_a_rejection(m3_doc, monkeypatch):
+    from ghzcert import spectral
+    from ghzcert.errors import ShapeError
+
+    def refuse(op):
+        raise ShapeError("spectrum requires a diagonal or involutive operator")
+
+    monkeypatch.setattr(spectral, "spectrum_of_monomial", refuse)
+    ok, reason = verify_ghz_document(copy.deepcopy(m3_doc))
+    assert not ok
+    assert reason.startswith("spectrum recomputation failed: ")

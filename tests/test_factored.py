@@ -1,0 +1,207 @@
+"""Factored operators against their expansions and the composite-dimension
+oracles of ``tests/oracles.py``."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from ghzcert import exact
+from ghzcert.certificate import build_ghz_document, verify_document
+from ghzcert.errors import ShapeError
+from ghzcert.exact import (
+    FactoredMonomial,
+    MonomialMatrix,
+    monomial_compose,
+    monomial_equal,
+    monomial_multiply,
+)
+from ghzcert.kochen_specker import build_ks
+from ghzcert.siteops import custom_site
+from ghzcert.spectral import (
+    check_mutually_commuting,
+    simultaneous_eigenbasis,
+    spectrum_of_factored,
+    spectrum_of_monomial,
+    spectrum_of_word,
+)
+from ghzcert.words import PartySpec, TensorWord, build_proof_set
+
+F = Fraction
+
+GRID = [(m,) * n for n in (3, 4, 5) for m in (2, 3, 4)] + [(3,) * 7, (12, 12, 12)]
+
+
+@pytest.mark.parametrize("levels", GRID, ids=str)
+def test_word_and_plan_spectra_match_expansion(levels):
+    ps = build_proof_set(PartySpec(levels))
+    ops = [w.factored() for w in ps.words]
+    for word, op in zip(ps.words, ops):
+        expanded = op.expand()
+        assert expanded == oracles.realize(
+            word.letters, ps.parties.canonical_pairs(), levels
+        )
+        assert spectrum_of_factored(op) == spectrum_of_monomial(expanded)
+    product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
+    dense_product = monomial_compose([ops[i].expand() for i in ps.product_plan])
+    assert monomial_equal(product.expand(), dense_product)
+    assert spectrum_of_factored(product) == spectrum_of_monomial(dense_product)
+
+
+@pytest.mark.parametrize("m", (2, 4, 6))
+def test_ks_observables_match_oracle(m):
+    cfg = build_ks(m)
+    pairs = cfg.pairs()
+    for obs in cfg.observables:
+        assert obs.realize(pairs) == oracles.realize(obs.letters, pairs, (m,) * 3)
+
+
+@pytest.mark.parametrize(
+    "levels", [(m,) * n for n in (3, 4) for m in (2, 3, 4)] + [(3,) * 5], ids=str
+)
+def test_eigenbasis_matches_oracle(levels):
+    ps = build_proof_set(PartySpec(levels))
+    assert simultaneous_eigenbasis(ps) == oracles.simultaneous_eigenbasis(
+        [w.realize() for w in ps.words]
+    )
+
+
+def test_unsupported_site_factor_raises():
+    three_cycle = MonomialMatrix(3, (1, 2, 0), (F(1),) * 3)
+    op = FactoredMonomial((MonomialMatrix.identity(2), three_cycle))
+    with pytest.raises(ShapeError):
+        spectrum_of_factored(op)
+
+
+def test_build_and_verify_never_expand_a_word(monkeypatch):
+    calls = []
+    tensor, realize = exact.monomial_tensor, TensorWord.realize
+
+    def counting_tensor(a, b):
+        calls.append("monomial_tensor")
+        return tensor(a, b)
+
+    def counting_realize(self, pairs=None):
+        calls.append("realize")
+        return realize(self, pairs)
+
+    monkeypatch.setattr(exact, "monomial_tensor", counting_tensor)
+    monkeypatch.setattr(TensorWord, "realize", counting_realize)
+    doc = build_ghz_document(PartySpec((2,) * 11), bound=5000)
+    assert verify_document(doc, 5000) == (True, "accept")
+    assert calls == []
+
+
+# -- properties --------------------------------------------------------------
+
+# zero, negative and mixed-denominator values
+RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 6)))
+
+
+@st.composite
+def site_pairs(draw, m):
+    """A custom A/B pair on m levels; it need not anticommute."""
+    a = draw(st.lists(RATIONALS, min_size=m, max_size=m))
+    half = draw(st.lists(RATIONALS, min_size=(m + 1) // 2, max_size=(m + 1) // 2))
+    b = half + half[: m // 2][::-1]
+    return custom_site("A", a), custom_site("B", b)
+
+
+@st.composite
+def custom_systems(draw, max_parties=5):
+    n = draw(st.integers(3, max_parties))
+    levels = tuple(draw(st.lists(st.integers(2, 3), min_size=n, max_size=n)))
+    pairs = tuple(draw(site_pairs(m)) for m in levels)
+    return PartySpec(levels, allow_mixed_parity=True), pairs
+
+
+@given(custom_systems(), st.data())
+def test_custom_pair_spectra_match_expansion(system, data):
+    spec, pairs = system
+    letters = data.draw(st.text("AB", min_size=spec.n, max_size=spec.n))
+    word = TensorWord(letters, spec)
+    assert spectrum_of_word(word, pairs) == spectrum_of_monomial(word.realize(pairs))
+    ps = build_proof_set(spec)
+    ops = [w.factored(pairs) for w in ps.words]
+    product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
+    assert spectrum_of_factored(product) == spectrum_of_monomial(product.expand())
+
+
+@given(custom_systems(max_parties=4), st.data())
+def test_custom_pair_commutation_matches_oracle(system, data):
+    spec, pairs = system
+    letter_words = data.draw(
+        st.lists(st.text("AB", min_size=spec.n, max_size=spec.n), min_size=2, max_size=3)
+    )
+    words = [TensorWord(w, spec) for w in letter_words]
+    assert check_mutually_commuting(
+        [w.factored(pairs) for w in words]
+    ) == oracles.mutually_commuting([w.realize(pairs) for w in words])
+
+
+@st.composite
+def site_matrices(draw, dim):
+    target = tuple(draw(st.permutations(range(dim))))
+    weights = tuple(draw(st.lists(RATIONALS, min_size=dim, max_size=dim)))
+    return MonomialMatrix(dim, target, weights)
+
+
+@st.composite
+def factored_pairs(draw):
+    """Two factored operators on the same sites: independent, sitewise
+    proportional (with or without a unit product of the scales), or with
+    zero factors whose targets differ."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    x = [draw(site_matrices(d)) for d in dims]
+    mode = draw(st.sampled_from(("independent", "scaled", "unit-scaled", "zeroed")))
+    if mode == "independent":
+        y = [draw(site_matrices(d)) for d in dims]
+    elif mode in ("scaled", "unit-scaled"):
+        scales = [draw(RATIONALS.filter(bool)) for _ in dims]
+        if mode == "unit-scaled":
+            rest = Fraction(1)
+            for c in scales[:-1]:
+                rest *= c
+            scales[-1] = 1 / rest
+        y = [
+            MonomialMatrix(f.dim, f.target, tuple(c * w for w in f.weight))
+            for f, c in zip(x, scales)
+        ]
+    else:
+        y = list(x)
+        for ops in (x, y):
+            if draw(st.booleans()):
+                k = draw(st.integers(0, len(dims) - 1))
+                target = tuple(draw(st.permutations(range(dims[k]))))
+                ops[k] = MonomialMatrix(dims[k], target, (F(0),) * dims[k])
+    return FactoredMonomial(tuple(x)), FactoredMonomial(tuple(y))
+
+
+@given(factored_pairs())
+def test_equality_matches_expansion(pair):
+    x, y = pair
+    assert x.equals(y) == monomial_equal(x.expand(), y.expand())
+    assert y.equals(x) == x.equals(y)
+
+
+@given(factored_pairs())
+def test_multiply_matches_expansion(pair):
+    x, y = pair
+    assert monomial_equal(
+        x.multiply(y).expand(), monomial_multiply(x.expand(), y.expand())
+    )
+
+
+@given(factored_pairs(), st.data())
+def test_apply_matches_expansion(pair, data):
+    x, _ = pair
+    vector = data.draw(
+        st.dictionaries(st.integers(0, x.dim - 1), RATIONALS, max_size=x.dim)
+    )
+    expanded = x.expand()
+    assert x.apply(vector) == expanded.apply(vector)
+    assert [x.entry(j) for j in range(x.dim)] == list(
+        zip(expanded.target, expanded.weight)
+    )
