@@ -41,7 +41,6 @@ from .words import (
     RequirementFlags,
     TensorWord,
     build_proof_set,
-    exhaustive_no_4set,
     extend_even_set,
     generate_odd_set,
     validate_requirements,
@@ -104,7 +103,7 @@ __all__ = [
     # words
     "PartySpec", "TensorWord", "ProofSet", "RequirementFlags",
     "words_commute", "validate_requirements", "generate_odd_set",
-    "extend_even_set", "build_proof_set", "exhaustive_no_4set",
+    "extend_even_set", "build_proof_set",
     # spectral
     "Spectrum", "OrbitDecomposition", "JointEigenvector", "GhzState",
     "spectrum_of_word", "spectrum_of_factored", "spectrum_of_monomial",

@@ -161,6 +161,9 @@ def _pairs_from_doc(doc: list) -> SitePairs:
     return tuple(pairs)
 
 
+_NOT_AN_OBJECT = "malformed certificate: certificate root must be an object"
+
+
 def _check_format_version(doc: dict) -> None:
     if _exact_int(doc["format_version"], "format_version") != FORMAT_VERSION:
         raise CertificateError(f"unsupported format version {doc['format_version']!r}")
@@ -327,6 +330,8 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
     ``bound`` caps the LHV enumeration (``DEFAULT_BOUND`` when omitted); the
     document's own ``lhv.bound`` never sets how much work the check does.
     """
+    if not isinstance(doc, dict):
+        return False, _NOT_AN_OBJECT
     try:
         for key in _GHZ_REQUIRED_KEYS:
             if key not in doc:
@@ -482,6 +487,8 @@ def build_ks_document(m: int, mode: str = SIGN_ONLY) -> dict:
 
 
 def verify_ks_document(doc: dict) -> tuple[bool, str]:
+    if not isinstance(doc, dict):
+        return False, _NOT_AN_OBJECT
     try:
         if doc.get("kind") != KS_KIND:
             raise CertificateError(f"not a KS certificate: kind {doc.get('kind')!r}")
@@ -536,6 +543,8 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
 def verify_document(doc: dict, bound: int | None = None) -> tuple[bool, str]:
     """Dispatch on the certificate kind; ``bound`` is the caller's LHV
     enumeration cap, as in ``verify_ghz_document``."""
+    if not isinstance(doc, dict):
+        return False, _NOT_AN_OBJECT
     kind = doc.get("kind")
     if kind == GHZ_KIND:
         return verify_ghz_document(doc, bound)

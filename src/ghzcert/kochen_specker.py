@@ -14,8 +14,10 @@ contexts of four mutually commuting observables each are formed:
 Each observable sits in exactly two contexts, so the product of all five
 context value-products is a product of squares -- positive -- while the sign
 targets demand four positive contexts and one negative. No assignment of
-eigenvalues can satisfy all five functional relations at once; the search
-routines confirm this by exhaustive enumeration.
+eigenvalues can satisfy all five functional relations at once. The search
+routines confirm this through the search kernel, which finds exactly this
+sign contradiction by elimination over GF(2) and reports the size of the
+pattern space without visiting each pattern.
 
 Even level counts are essential: they keep every eigenvalue away from zero,
 which is what makes the context products definite.
@@ -179,14 +181,15 @@ def plan_product_spectrum(cfg: KsConfiguration) -> Spectrum:
 def ks_color_search(cfg: KsConfiguration, mode: str = SIGN_ONLY) -> KsReport:
     """Search for a noncontextual value assignment.
 
-    Sign-only mode scans all 2^10 sign patterns against the context sign
-    targets. Full-spectrum mode scans all assignments of one-party
-    eigenvalues, forces each composite's value to the product of its three
-    factor values, and additionally requires the product of the four
-    composite values to be an eigenvalue of their operator product.
-    Enumeration is exhaustive, in lexicographic order with refuted prefixes
-    counted whole, so ``patterns_checked`` is the complete count for UNSAT
-    and the 1-based position of the first witness for SAT. It prefers larger
+    Sign-only mode ranges over all 2^10 sign patterns against the context
+    sign targets. Full-spectrum mode ranges over all assignments of
+    one-party eigenvalues, forces each composite's value to the product of
+    its three factor values, and additionally requires the product of the
+    four composite values to be an eigenvalue of their operator product.
+    ``patterns_checked`` is the size of the pattern space for UNSAT --
+    certified by a sign refutation when there is one, otherwise by a walk in
+    lexicographic order with refuted prefixes counted whole -- and the
+    1-based position of the first witness for SAT. The walk prefers larger
     values first, so a satisfiable control case reports its all-positive
     witness.
     """

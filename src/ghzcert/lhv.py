@@ -7,9 +7,17 @@ word's eigenvalue. Unsatisfiability is established twice, independently:
 * analytically -- every one-particle observable occurs an even number of
   times across the product plan, so the left-hand side of the multiplied-out
   system is a product of squares, while the right-hand side is negative;
-* by exhaustive search -- every assignment drawing each value from the exact
-  spectrum of its site operator, walked in lexicographic order with refuted
-  prefixes counted whole (``ghzcert.search``).
+* by the search kernel (``ghzcert.search``) over every assignment drawing
+  each value from the exact spectrum of its site operator -- it refutes the
+  word equations' sign system by elimination over GF(2), trying every
+  combination of equations rather than just the plan, and reports the size
+  of the assignment space as the count without visiting each assignment; a
+  satisfiable sign system is walked in lexicographic order instead, with
+  refuted prefixes counted whole.
+
+The caller's bound still runs first, so a space past it gets the analytic
+verdict alone (method ``parity-analytic``) exactly as when every assignment
+was visited; it keeps certificate bytes stable and caps satisfiable walks.
 """
 
 from __future__ import annotations
@@ -135,14 +143,14 @@ def verify_witness(cs: ConstraintSystem, witness: dict[Slot, Fraction]) -> bool:
 def brute_force_lhv(
     cs: ConstraintSystem, bound: int = DEFAULT_BOUND, sign_only: bool = False
 ) -> LhvReport:
-    """Exhaustive search over all value assignments.
+    """Search over all value assignments.
 
     Values range over the exact site spectra (or over signs in the fast
     pre-check mode, where a sign refutation implies a full refutation).
-    Assignments are walked in lexicographic order under ascending domains,
-    with refuted prefixes counted whole, so ``assignments_checked`` is the
-    complete count for UNSAT and the 1-based position of the
-    lexicographically first witness for SAT.
+    ``assignments_checked`` is the size of the whole space for UNSAT --
+    certified by a sign refutation when there is one, otherwise by the walk
+    -- and for SAT the 1-based position of the lexicographically first
+    witness under ascending domains.
     """
     if sign_only:
         domains: tuple[tuple[Fraction, ...], ...] = tuple(

@@ -1,4 +1,4 @@
-"""Exhaustive search for the first value assignment that meets product checks.
+"""Search for the first value assignment that meets product checks.
 
 One kernel serves every enumeration in the package: the local-value
 assignments of a GHZ constraint system (full spectra or signs only) and the
@@ -7,7 +7,19 @@ spectra). Each problem is a list of finite value domains, one per slot, and a
 list of checks, each a condition on the exact product of the values at a
 multiset of slots.
 
-The walk is exhaustive, in the lexicographic order of
+Every search first decides the sign system of its checks by Gaussian
+elimination over GF(2) (``sign_refutation``). Each slot contributes one sign
+bit, a constant when all nonzero values of its domain share a sign and a
+free variable when they do not; each check whose allowed products are all
+nonzero and of one sign contributes the equation "the odd-multiplicity slot
+bits sum to the sign", and is refuted alone when one of its slots has no
+nonzero value. Checks that allow a zero product, or products of both signs,
+are left out, which only weakens the system. When the equations combine to
+0 = 1, no assignment meets the checks, and the count is the size of the
+whole space -- exactly what an exhaustive walk reports -- without visiting
+any assignment.
+
+Otherwise the depth-first walk runs, in the lexicographic order of
 ``itertools.product(*domains)`` (the last slot varies fastest), with refuted
 prefixes counted whole:
 
@@ -49,6 +61,72 @@ class Check:
     positive: bool | None = None
 
 
+def _sign_parity(check: Check, domains: Sequence[Sequence[Fraction]]) -> int | None:
+    """1 (negative) or 0 (positive) when every product the check allows is
+    nonzero and of that sign, otherwise None."""
+    if check.allowed is not None:
+        allowed = [
+            t for t in check.allowed
+            if check.positive is None or (t > 0) == check.positive
+        ]
+        signs = {t > 0 for t in allowed}
+        if 0 in allowed or len(signs) != 1:
+            return None
+        return 0 if True in signs else 1
+    if check.positive:
+        return 0
+    if check.positive is False and all(0 not in domains[k] for k in check.slots):
+        return 1
+    return None
+
+
+def sign_refutation(
+    domains: Sequence[Sequence[Fraction]], checks: Sequence[Check]
+) -> tuple[int, ...] | None:
+    """Indices of checks whose sign equations sum to 0 = 1 over GF(2).
+
+    Any assignment meeting the checks has nonzero values at every slot of a
+    sign-definite check, so its sign bits would solve the equations; a
+    refutation therefore proves that no assignment exists. A single index
+    may also name a sign-definite check over a slot with no nonzero value.
+    Returns None when the sign system is solvable.
+    """
+    free: dict[int, int] = {}  # slot -> its variable's bit
+    fixed: dict[int, int] = {}  # slot -> its constant sign bit
+    for k, d in enumerate(domains):
+        signs = {v > 0 for v in d if v}
+        if len(signs) == 2:
+            free[k] = 1 << len(free)
+        elif signs:
+            fixed[k] = 0 if True in signs else 1
+    # reduced rows keyed by their lowest variable bit: (row, rhs, checks used)
+    pivots: dict[int, tuple[int, int, int]] = {}
+    for c, check in enumerate(checks):
+        rhs = _sign_parity(check, domains)
+        if rhs is None:
+            continue
+        row, used = 0, 1 << c
+        for k, e in Counter(check.slots).items():
+            if k not in free and k not in fixed:
+                return (c,)
+            if e % 2:
+                if k in free:
+                    row ^= free[k]
+                else:
+                    rhs ^= fixed[k]
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = (row, rhs, used)
+                break
+            prow, prhs, pused = pivots[low]
+            row, rhs, used = row ^ prow, rhs ^ prhs, used ^ pused
+        else:
+            if rhs:
+                return tuple(i for i in range(len(checks)) if used >> i & 1)
+    return None
+
+
 def first_assignment(
     domains: Sequence[Sequence[Fraction]], checks: Sequence[Check]
 ) -> tuple[int, tuple | None]:
@@ -59,11 +137,21 @@ def first_assignment(
     Returns ``(checked, witness)``: ``witness`` is the assignment as a tuple
     of the original domain values, or None when there is none; ``checked``
     is the witness's 1-based position in ``itertools.product(*domains)``
-    order, or the size of the whole space when there is no witness.
+    order, or the size of the whole space when there is no witness. A
+    sign refutation settles the second case without walking the space.
     """
-    n = len(domains)
-    if n == 0:
+    if not domains:
         raise ValueError("the search needs at least one slot")
+    if sign_refutation(domains, checks) is not None:
+        return math.prod(len(d) for d in domains), None
+    return _walk(domains, checks)
+
+
+def _walk(
+    domains: Sequence[Sequence[Fraction]], checks: Sequence[Check]
+) -> tuple[int, tuple | None]:
+    """``first_assignment`` by the depth-first walk."""
+    n = len(domains)
     denominators = [math.lcm(*(Fraction(v).denominator for v in d)) for d in domains]
     values = [
         tuple(int(Fraction(v) * den) for v in d)

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidLevelsError, ShapeError
-from .exact import DenseMatrix, MonomialMatrix, as_rational, mat_multiply
+from .exact import (
+    DenseMatrix,
+    MonomialMatrix,
+    as_rational,
+    monomial_equal,
+    monomial_multiply,
+)
 
 A_KIND = "A"
 B_KIND = "B"
@@ -111,8 +117,15 @@ def canonical_pair(m: int) -> tuple[SiteOperator, SiteOperator]:
 
 
 def check_anticommute(a: SiteOperator, b: SiteOperator) -> bool:
-    """True iff a*b = -(b*a) exactly, checked on the dense representations."""
+    """True iff a*b = -(b*a) exactly.
+
+    Both operators are monomial, so both products are too, and they are
+    compared column by column. For diagonal a and anti-diagonal b this is
+    the row rule b_j * (a_j + a_{m-1-j}) = 0 for every row j.
+    """
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    da, db = a.to_dense(), b.to_dense()
-    return mat_multiply(da, db) == -mat_multiply(db, da)
+    ma, mb = a.to_monomial(), b.to_monomial()
+    ba = monomial_multiply(mb, ma)
+    minus_ba = MonomialMatrix(ba.dim, ba.target, tuple(-w for w in ba.weight))
+    return monomial_equal(monomial_multiply(ma, mb), minus_ba)

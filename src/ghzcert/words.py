@@ -36,7 +36,6 @@ from .errors import (
     InvalidLevelsError,
     ParityError,
     PartyMismatchError,
-    SearchBoundError,
 )
 from .exact import FactoredMonomial, MonomialMatrix
 from .siteops import SiteOperator, canonical_pair
@@ -304,10 +303,6 @@ def validate_requirements(ps: ProofSet) -> RequirementFlags:
     return _flags(ps.letter_words, ps.product_plan)
 
 
-def _all_words(n: int) -> list[str]:
-    return ["".join(c) for c in itertools.product(LETTERS, repeat=n)]
-
-
 # The six column types of a four-word set, each read top to bottom through
 # the four words, in lexicographic order: the pair of words carrying letter A.
 _COLUMN_TYPES = ("AABB", "ABAB", "ABBA", "BAAB", "BABA", "BBAA")
@@ -431,17 +426,3 @@ def build_proof_set(parties: PartySpec) -> ProofSet:
         return generate_odd_set(parties)
     return extend_even_set(parties)
 
-
-def exhaustive_no_4set(parties: PartySpec) -> bool:
-    """Confirm by enumeration that no four-word set meets all four
-    requirements. Only small party counts are searchable; n = 4 is the claim
-    of interest, n = 3 is the deliberate counterexample."""
-    if parties.n > 4:
-        raise SearchBoundError(
-            f"exhaustive four-word search is bounded to n <= 4, got {parties.n}"
-        )
-    plan = (0, 1, 2, 3)
-    for candidate in itertools.combinations(_all_words(parties.n), 4):
-        if _flags(tuple(candidate), plan).all_ok:
-            return False
-    return True

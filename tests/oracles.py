@@ -8,7 +8,8 @@ prefix refutation and counting.
 
 The second part holds the word-set searches the package used before proof
 sets were constructed from column-type counts: the lexicographic search over
-four-word sets and the loop over every candidate fifth word. They take time
+four-word sets and the loop over every candidate fifth word, plus the
+enumeration showing that no four-word set exists for four parties. They take time
 exponential in the party count, so they are the reference for small ``n``.
 
 The third part holds the orbit decomposition loop the package used before
@@ -58,7 +59,6 @@ from ghzcert.words import (
     PartySpec,
     ProofSet,
     TensorWord,
-    _all_words,
     _flags,
     _outlier_last,
     plan_product_sign,
@@ -203,6 +203,25 @@ def first_assignment(domains, checks: list[Check]) -> tuple[int, tuple | None]:
         if ok:
             return checked, assignment
     return checked, None
+
+
+def _all_words(n: int) -> list[str]:
+    return ["".join(c) for c in itertools.product(LETTERS, repeat=n)]
+
+
+def exhaustive_no_4set(parties: PartySpec) -> bool:
+    """Confirm by enumeration that no four-word set meets all four
+    requirements. Only small party counts are searchable; n = 4 is the claim
+    of interest, n = 3 is the deliberate counterexample."""
+    if parties.n > 4:
+        raise SearchBoundError(
+            f"exhaustive four-word search is bounded to n <= 4, got {parties.n}"
+        )
+    plan = (0, 1, 2, 3)
+    for candidate in itertools.combinations(_all_words(parties.n), 4):
+        if _flags(tuple(candidate), plan).all_ok:
+            return False
+    return True
 
 
 def search_four_sets(n: int):

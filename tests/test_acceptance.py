@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from oracles import exhaustive_no_4set
 
 from ghzcert.certificate import (
     StateVector,
@@ -46,7 +47,6 @@ from ghzcert.spectral import (
 from ghzcert.words import (
     PartySpec,
     TensorWord,
-    exhaustive_no_4set,
     extend_even_set,
     generate_odd_set,
     words_commute,

@@ -505,3 +505,13 @@ def test_unsupported_site_factor_is_a_rejection(m3_doc, monkeypatch):
     ok, reason = verify_ghz_document(copy.deepcopy(m3_doc))
     assert not ok
     assert reason.startswith("spectrum recomputation failed: ")
+
+
+@pytest.mark.parametrize("root", ([], "x", None, 3, True), ids=repr)
+@pytest.mark.parametrize(
+    "verify", (verify_document, verify_ghz_document, verify_ks_document)
+)
+def test_non_object_root_is_malformed(verify, root):
+    ok, reason = verify(root)
+    assert not ok
+    assert reason.startswith("malformed certificate: ")

@@ -3,10 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ghzcert.errors import InvalidLevelsError, ShapeError
 from ghzcert.exact import mat_multiply
 from ghzcert.siteops import (
+    A_KIND,
+    B_KIND,
+    SiteOperator,
     build_A,
     build_B,
     check_anticommute,
@@ -144,3 +149,36 @@ def test_anticommutator_is_zero_matrix():
         ab = mat_multiply(a, b)
         ba = mat_multiply(b, a)
         assert all(x + y == 0 for x, y in zip(ab.entries, ba.entries))
+
+
+def dense_anticommute(a, b):
+    da, db = a.to_dense(), b.to_dense()
+    return mat_multiply(da, db) == -mat_multiply(db, da)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_anticommute_matches_dense_on_canonical_pairs(m):
+    a, b = build_A(m), build_B(m)
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        assert check_anticommute(x, y) == dense_anticommute(x, y)
+
+
+@st.composite
+def site_operators(draw, m):
+    kind = draw(st.sampled_from((A_KIND, B_KIND)))
+    weight = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+    weights = draw(st.lists(weight, min_size=m, max_size=m))
+    if kind == B_KIND:
+        weights = [weights[min(j, m - 1 - j)] for j in range(m)]
+    return SiteOperator(m, kind, tuple(weights))
+
+
+@st.composite
+def operator_pairs(draw):
+    m = draw(st.integers(2, 6))
+    return draw(site_operators(m)), draw(site_operators(m))
+
+
+@given(operator_pairs())
+def test_anticommute_matches_dense_on_custom_pairs(pair):
+    assert check_anticommute(*pair) == dense_anticommute(*pair)

@@ -5,6 +5,7 @@ import time
 
 import oracles
 import pytest
+from oracles import exhaustive_no_4set
 from hypothesis import example, given, strategies as st
 
 from ghzcert.errors import (
@@ -19,7 +20,6 @@ from ghzcert.words import (
     ProofSet,
     TensorWord,
     build_proof_set,
-    exhaustive_no_4set,
     extend_even_set,
     generate_odd_set,
     plan_product_sign,
