@@ -20,19 +20,14 @@ from .errors import (
     ShapeError,
 )
 from .exact import (
-    DenseMatrix,
     FactoredMonomial,
     MonomialMatrix,
     Rational,
     format_rational,
-    mat_apply,
-    mat_multiply,
-    mat_tensor,
     monomial_compose,
     monomial_multiply,
     monomial_tensor,
     parse_rational,
-    sparsify,
 )
 from .siteops import SiteOperator, build_A, build_B, canonical_pair, check_anticommute, custom_site
 from .words import (
@@ -49,7 +44,6 @@ from .words import (
 from .spectral import (
     GhzState,
     JointEigenvector,
-    OrbitDecomposition,
     Spectrum,
     classify_definiteness,
     select_ghz,
@@ -93,10 +87,9 @@ __all__ = [
     "PartyMismatchError", "SearchBoundError", "NonCommutingSetError",
     "NoGhzStateError", "CertificateError",
     # exact core
-    "Rational", "DenseMatrix", "MonomialMatrix", "FactoredMonomial",
-    "mat_multiply", "mat_tensor",
-    "mat_apply", "monomial_multiply", "monomial_compose", "monomial_tensor",
-    "sparsify", "parse_rational", "format_rational",
+    "Rational", "MonomialMatrix", "FactoredMonomial",
+    "monomial_multiply", "monomial_compose", "monomial_tensor",
+    "parse_rational", "format_rational",
     # site operators
     "SiteOperator", "build_A", "build_B", "canonical_pair", "custom_site",
     "check_anticommute",
@@ -105,7 +98,7 @@ __all__ = [
     "words_commute", "validate_requirements", "generate_odd_set",
     "extend_even_set", "build_proof_set",
     # spectral
-    "Spectrum", "OrbitDecomposition", "JointEigenvector", "GhzState",
+    "Spectrum", "JointEigenvector", "GhzState",
     "spectrum_of_word", "spectrum_of_factored", "spectrum_of_monomial",
     "classify_definiteness",
     "simultaneous_eigenbasis", "select_ghz",

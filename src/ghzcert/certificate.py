@@ -183,8 +183,13 @@ def save_document(doc: dict, path: str) -> None:
 
 
 def load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read one JSON object; an unreadable, non-UTF-8 or non-JSON file, or a
+    root that is not an object, raises ``CertificateError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CertificateError(str(exc)) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -192,7 +197,7 @@ def load_document(path: str) -> dict:
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict):
-        raise CertificateError("certificate root must be an object")
+        raise CertificateError("document root must be an object")
     return doc
 
 

@@ -8,7 +8,6 @@ eligible eigenvector), 2 means a usage or input-validation error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -21,16 +20,10 @@ from .certificate import (
     load_document,
     save_document,
     verify_document,
+    _exact_int,
     _pairs_from_doc,
 )
-from .errors import (
-    CertificateError,
-    GhzError,
-    InvalidLevelsError,
-    NoGhzStateError,
-    ParityError,
-    SearchBoundError,
-)
+from .errors import CertificateError, GhzError, NoGhzStateError, UsageError
 from .exact import FactoredMonomial, format_rational, parse_rational
 from .lhv import (
     ConstraintSystem,
@@ -41,14 +34,27 @@ from .lhv import (
 )
 from .kochen_specker import FULL_SPECTRUM, SIGN_ONLY
 from .spectral import select_ghz, spectrum_of_factored, spectrum_of_word
-from .words import PartySpec, TensorWord, build_proof_set
+from .words import LETTERS, PartySpec, TensorWord, build_proof_set
 
 TEXT = "text"
 STRUCTURED = "structured"
 
 
-def _parse_tuple(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(","))
+def _parse_tuple(text: str, flag: str, count: int) -> tuple[Fraction, ...]:
+    """Comma-separated rationals given to ``flag``, one per word."""
+    try:
+        values = tuple(parse_rational(part) for part in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+    if len(values) != count:
+        raise UsageError(f"system has {count} words; {flag} needs that many entries")
+    return values
+
+
+def _letters(word: str, flag: str) -> str:
+    if set(word) - set(LETTERS):
+        raise UsageError(f"{flag}: word {word!r} has a letter outside {LETTERS!r}")
+    return word
 
 
 def _party_spec(args) -> PartySpec:
@@ -65,7 +71,10 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 def _cmd_build(args) -> int:
     parties = _party_spec(args)
-    hint = _parse_tuple(args.tuple_hint) if args.tuple_hint else None
+    hint = None
+    if args.tuple_hint:
+        count = len(build_proof_set(parties).words)
+        hint = _parse_tuple(args.tuple_hint, "--tuple-hint", count)
     doc = build_ghz_document(parties, hint, args.bound)
     if args.output:
         save_document(doc, args.output)
@@ -112,11 +121,7 @@ def _cmd_lhv(args) -> int:
     parties = _party_spec(args)
     ps = build_proof_set(parties)
     if args.rhs:
-        rhs = _parse_tuple(args.rhs)
-        if len(rhs) != len(ps.words):
-            raise InvalidLevelsError(
-                f"system has {len(ps.words)} words; --rhs needs that many entries"
-            )
+        rhs = _parse_tuple(args.rhs, "--rhs", len(ps.words))
     else:
         rhs = select_ghz(ps).eigen_tuple
     cs = ConstraintSystem.build(ps, rhs)
@@ -158,7 +163,7 @@ def _cmd_spectrum(args) -> int:
     doc: dict = {"levels": list(parties.levels)}
     lines: list[str] = []
     if args.word:
-        word = TensorWord(args.word, parties)
+        word = TensorWord(_letters(args.word, "--word"), parties)
         spectrum = spectrum_of_word(word)
         doc["word"] = args.word
         doc["spectrum"] = {format_rational(v): m for v, m in spectrum.entries}
@@ -188,21 +193,22 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    with open(args.state, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CertificateError(
-                f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    dims = tuple(int(m) for m in raw["dims"])
-    state = StateVector.from_doc(dims, raw)
+    raw = load_document(args.state)
+    try:
+        dims = tuple(_exact_int(m, "a level count") for m in raw["dims"])
+        state = StateVector.from_doc(dims, raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed state file: {exc}") from exc
     if args.pairs:
-        pairs = _pairs_from_doc(load_document(args.pairs)["site_operators"])
+        doc = load_document(args.pairs)
+        try:
+            pairs = _pairs_from_doc(doc["site_operators"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CertificateError(f"malformed pairs file: {exc}") from exc
     else:
         pairs = PartySpec(dims, allow_mixed_parity=True).canonical_pairs()
     if args.words:
-        words = tuple(args.words.split(","))
+        words = tuple(_letters(w, "--words") for w in args.words.split(","))
     else:
         spec = PartySpec(dims, allow_mixed_parity=True)
         words = build_proof_set(spec).letter_words
@@ -291,11 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoGhzStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidLevelsError, ParityError, SearchBoundError,
-            CertificateError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GhzError as exc:
+    except (GhzError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

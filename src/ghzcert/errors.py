@@ -34,5 +34,9 @@ class NoGhzStateError(GhzError):
     """No simultaneous eigenvector satisfies the eligibility conditions."""
 
 
+class UsageError(GhzError, ValueError):
+    """A command-line value is malformed or has the wrong length."""
+
+
 class CertificateError(GhzError, ValueError):
     """A certificate file is malformed or violates its schema."""

@@ -1,12 +1,9 @@
 """Exact rational scalars and the small matrix kernel everything else uses.
 
 Scalars are `fractions.Fraction` throughout; no floating point exists
-anywhere in the package. Matrices come in two forms:
-
-* `DenseMatrix` -- row-major dense storage, used as the independent oracle
-  for products, tensor products, and vector application.
-* `MonomialMatrix` -- generalized permutation form (one nonzero per row and
-  column), which realizes every tensor-word operator exactly and cheaply.
+anywhere in the package. Matrices are kept in `MonomialMatrix` form:
+generalized permutations (one nonzero per row and column), which realize
+every tensor-word operator exactly and cheaply.
 
 A tensor word, and any product of words, is kept as a `FactoredMonomial`:
 the tuple of its per-site monomial factors. It applies to sparse vectors,
@@ -71,113 +68,6 @@ def as_rational(value: int | Fraction | str) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DenseMatrix:
-    """Immutable dense matrix with row-major rational entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int | Fraction | str]]) -> DenseMatrix:
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Fraction] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ShapeError("ragged row lengths")
-            flat.extend(as_rational(v) for v in row)
-        return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> DenseMatrix:
-        ent = [ZERO] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = ONE
-        return cls(n, n, tuple(ent))
-
-    @classmethod
-    def diagonal(cls, weights: Sequence[Fraction]) -> DenseMatrix:
-        n = len(weights)
-        ent = [ZERO] * (n * n)
-        for i, w in enumerate(weights):
-            ent[i * n + i] = w
-        return cls(n, n, tuple(ent))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __neg__(self) -> DenseMatrix:
-        return DenseMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
-
-
-def mat_multiply(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Exact matrix product. Skips zero entries, so structured operators
-    (diagonal, monomial) multiply in near-linear time."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    # nonzero (column, value) pairs per row of b, computed once
-    b_nonzero: list[list[tuple[int, Fraction]]] = [
-        [(j, v) for j, v in enumerate(b.row(k)) if v] for k in range(b.rows)
-    ]
-    out: list[Fraction] = [ZERO] * (a.rows * b.cols)
-    for i in range(a.rows):
-        arow = a.row(i)
-        base = i * b.cols
-        for k, aik in enumerate(arow):
-            if not aik:
-                continue
-            for j, bkj in b_nonzero[k]:
-                out[base + j] += aik * bkj
-    return DenseMatrix(a.rows, b.cols, tuple(out))
-
-
-def mat_tensor(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Kronecker product with the left factor as the most significant index:
-    composite row i1*b.rows + i2, column j1*b.cols + j2."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out: list[Fraction] = [ZERO] * (rows * cols)
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            av = a.at(i1, j1)
-            if not av:
-                continue
-            for i2 in range(b.rows):
-                base = (i1 * b.rows + i2) * cols + j1 * b.cols
-                brow = b.row(i2)
-                for j2, bv in enumerate(brow):
-                    if bv:
-                        out[base + j2] = av * bv
-    return DenseMatrix(rows, cols, tuple(out))
-
-
-def mat_apply(a: DenseMatrix, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact matrix-vector product (dense oracle path)."""
-    if a.cols != len(vector):
-        raise ShapeError(f"cannot apply {a.rows}x{a.cols} to length-{len(vector)} vector")
-    out = []
-    for i in range(a.rows):
-        acc = ZERO
-        for j, v in enumerate(a.row(i)):
-            if v and vector[j]:
-                acc += v * vector[j]
-        out.append(acc)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class MonomialMatrix:
     """Matrix with at most one nonzero entry per row and column.
 
@@ -221,11 +111,27 @@ class MonomialMatrix:
     def is_diagonal(self) -> bool:
         return all(t == j for j, t in enumerate(self.target))
 
-    def is_involution(self) -> bool:
-        return all(self.target[t] == j for j, t in enumerate(self.target))
+    def eigenvalue_counts(self) -> dict[Fraction, int]:
+        """Eigenvalue multiplicities of a diagonal or involutive
+        symmetric-weight monomial, the one orbit/spectrum rule.
 
-    def has_symmetric_weights(self) -> bool:
-        return all(self.weight[t] == self.weight[j] for j, t in enumerate(self.target))
+        Each column j is paired with ``target[j]``: a fixed point contributes
+        its weight, a 2-cycle its weight with both signs. Any other shape (a
+        longer cycle, or a 2-cycle with unequal weights) raises ``ShapeError``.
+        """
+        counts: dict[Fraction, int] = {}
+        for j, t in enumerate(self.target):
+            w = self.weight[j]
+            if t == j:
+                counts[w] = counts.get(w, 0) + 1
+            elif self.target[t] != j or self.weight[t] != w:
+                raise ShapeError(
+                    "spectrum requires a diagonal or involutive symmetric-weight operator"
+                )
+            elif j < t:
+                counts[w] = counts.get(w, 0) + 1
+                counts[-w] = counts.get(-w, 0) + 1
+        return counts
 
     def apply(self, vector: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """Apply to a sparse vector {index: coefficient}; zero results dropped."""
@@ -235,41 +141,6 @@ class MonomialMatrix:
             if w and c:
                 out[self.target[j]] = w * c
         return out
-
-    def densify(self) -> DenseMatrix:
-        ent = [ZERO] * (self.dim * self.dim)
-        for j in range(self.dim):
-            if self.weight[j]:
-                ent[self.target[j] * self.dim + j] = self.weight[j]
-        return DenseMatrix(self.dim, self.dim, tuple(ent))
-
-
-def sparsify(dense: DenseMatrix) -> MonomialMatrix:
-    """Recover the monomial form of a dense matrix; error if not monomial."""
-    if dense.rows != dense.cols:
-        raise ShapeError("only square matrices can be monomial")
-    n = dense.rows
-    target = [-1] * n
-    weight = [ZERO] * n
-    rows_used: set[int] = set()
-    for j in range(n):
-        hits = [i for i in range(n) if dense.at(i, j)]
-        if len(hits) > 1:
-            raise ShapeError(f"column {j} has {len(hits)} nonzero entries")
-        if hits:
-            i = hits[0]
-            if i in rows_used:
-                raise ShapeError(f"row {i} has more than one nonzero entry")
-            rows_used.add(i)
-            target[j] = i
-            weight[j] = dense.at(i, j)
-    # zero columns keep no row constraint; fill the free slots so target is
-    # a permutation (zero weight makes the choice immaterial)
-    free_rows = sorted(set(range(n)) - rows_used)
-    for j in range(n):
-        if target[j] < 0:
-            target[j] = free_rows.pop(0)
-    return MonomialMatrix(n, tuple(target), tuple(weight))
 
 
 def monomial_multiply(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
@@ -285,7 +156,7 @@ def monomial_compose(words: Iterable[MonomialMatrix]) -> MonomialMatrix:
     """Left-to-right product of monomial matrices.
 
     The monomial family is closed under products, so the result is always
-    returned in monomial form (densify it if a dense oracle view is needed).
+    returned in monomial form.
     """
     mats = list(words)
     if not mats:
@@ -297,8 +168,8 @@ def monomial_compose(words: Iterable[MonomialMatrix]) -> MonomialMatrix:
 
 
 def monomial_tensor(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    """Kronecker product in monomial form, same index convention as
-    `mat_tensor` (left factor most significant)."""
+    """Kronecker product in monomial form: composite column
+    j1 * b.dim + j2 (left factor most significant)."""
     dim = a.dim * b.dim
     target = []
     weight = []

@@ -88,9 +88,6 @@ class ConstraintSystem:
             size *= len(d)
         return size
 
-    def slot_index(self, slot: Slot) -> int:
-        return self.slots.index(slot)
-
     def word_slot_indices(self) -> tuple[tuple[int, ...], ...]:
         index = {slot: k for k, slot in enumerate(self.slots)}
         return tuple(

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidLevelsError, ShapeError
-from .exact import (
-    DenseMatrix,
-    MonomialMatrix,
-    as_rational,
-    monomial_equal,
-    monomial_multiply,
-)
+from .exact import MonomialMatrix, as_rational, monomial_equal, monomial_multiply
 
 A_KIND = "A"
 B_KIND = "B"
@@ -63,28 +57,14 @@ class SiteOperator:
             return MonomialMatrix.diagonal(self.weights)
         return MonomialMatrix.anti_diagonal(self.weights)
 
-    def to_dense(self) -> DenseMatrix:
-        return self.to_monomial().densify()
-
     def spectrum_values(self) -> tuple[Fraction, ...]:
-        """Distinct eigenvalues, ascending.
-
-        A-kind is diagonal, so the eigenvalues are its weights. B-kind pairs
-        rows j and m-1-j into blocks [[0, w], [w, 0]] with eigenvalues +-w;
-        an odd-m center row contributes its own weight.
+        """Distinct eigenvalues, ascending, by the orbit/spectrum rule of
+        `MonomialMatrix.eigenvalue_counts`: A-kind is diagonal, so the
+        eigenvalues are its weights; B-kind pairs rows j and m-1-j into
+        blocks [[0, w], [w, 0]] with eigenvalues +-w, and an odd-m center row
+        contributes its own weight.
         """
-        values: set[Fraction] = set()
-        if self.kind == A_KIND:
-            values.update(self.weights)
-        else:
-            for j in range(self.dim):
-                mirror = self.dim - 1 - j
-                if j == mirror:
-                    values.add(self.weights[j])
-                else:
-                    values.add(self.weights[j])
-                    values.add(-self.weights[j])
-        return tuple(sorted(values))
+        return tuple(sorted(self.to_monomial().eigenvalue_counts()))
 
 
 def spin(m: int) -> Fraction:

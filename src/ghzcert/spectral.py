@@ -4,8 +4,9 @@ Everything here exploits one structural fact: a tensor word acts on the
 composite basis by an index involution with symmetric weights. The spectrum
 of one such monomial reads off directly from the orbits of its involution
 (a fixed point contributes its weight; a 2-cycle contributes the weight with
-both signs), and a commuting set of words is diagonalized orbit by orbit of
-the abelian group their involutions generate.
+both signs; `MonomialMatrix.eigenvalue_counts` is that rule), and a
+commuting set of words is diagonalized orbit by orbit of the abelian group
+their involutions generate.
 
 Words and their products stay factored (`FactoredMonomial`), and their
 spectra follow the Kronecker rule: the spectrum of x_1 (x) ... (x) x_n is
@@ -18,16 +19,26 @@ of those bases are a basis of eigenvectors of the product. A plan product
 whose one-particle operators all occur an even number of times has a
 diagonal factor at every site. Any other site factor is rejected.
 
-The simultaneous eigenbasis is computed by sequential eigenspace refinement:
-within an orbit's coordinate subspace, each word in turn splits the current
-subspaces into exact eigencomponents via Lagrange projectors built from the
-word's possible eigenvalues on that orbit. Subspaces are kept in reduced row
-echelon form, so the output is canonical: orbits ascend by smallest index,
-eigenvalue branches descend, and each eigenvector is scaled to primitive
-integer coefficients with a positive leading entry.
+The simultaneous eigenbasis is read off in closed form. An orbit splits into
+components that join x to t_k(x) wherever word k has a nonzero weight at x.
+Each W_k^2 is diagonal and commutes with every word, so on a component each
+word is 0 or a constant |w_k| times a signed permutation; those signed
+permutations commute and square to one, and the joint eigenvectors are the
+characters of the group they generate (the stabilizer picture). One walk
+from the component's smallest index x0 records, per index, the sign and the
+word parity of the path product that carries e_x0 there; every edge the walk
+meets again ties a product of eigenvalue signs to a sign. Each sign vector
+that meets all ties gives one eigenvector with coefficients +-1, +1 at x0,
+and eigenvalue +-|w_k| for word k.
 
-Orbits are refined one at a time, in that order. ``simultaneous_eigenbasis``
-refines them all; ``select_ghz`` stops at the orbit that holds the vector it
+The output is canonical: orbits ascend by smallest index, eigenvalue tuples
+descend within an orbit, and equal tuples ascend by smallest index. Vectors
+of different components have disjoint supports, so this is the reduced row
+echelon basis of each joint eigenspace, scaled to primitive integers with a
+positive leading entry.
+
+Orbits are diagonalized one at a time, in that order. ``simultaneous_eigenbasis``
+diagonalizes them all; ``select_ghz`` stops at the orbit that holds the vector it
 picks, so a build never computes the rest of the basis.
 """
 
@@ -37,9 +48,9 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .errors import NoGhzStateError, NonCommutingSetError, ShapeError
+from .errors import NoGhzStateError, NonCommutingSetError
 from .exact import FactoredMonomial, MonomialMatrix, ONE, ZERO
 from .words import ProofSet, SitePairs
 
@@ -94,31 +105,11 @@ class Spectrum:
         return POSITIVE_SEMIDEFINITE
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """Partition of the composite indices under one or several index maps."""
-
-    dim: int
-    orbits: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen = sorted(i for orbit in self.orbits for i in orbit)
-        if seen != list(range(self.dim)):
-            raise ShapeError("orbits do not partition the index range")
-
-    @classmethod
-    def from_targets(cls, dim: int, targets: list[tuple[int, ...]]) -> OrbitDecomposition:
-        return cls(dim, tuple(_orbit_walk(dim, lambda x: (t[x] for t in targets))))
-
-    @classmethod
-    def from_involution(cls, target: tuple[int, ...]) -> OrbitDecomposition:
-        return cls.from_targets(len(target), [target])
-
-
 def _orbit_walk(dim: int, images) -> Iterator[tuple[int, ...]]:
     """Yield the orbits of the index maps, each sorted, as they are reached.
 
-    ``images(x)`` gives the image of index ``x`` under every map. Seeds
+    ``images(x)`` gives the image of index ``x`` under every map; it is
+    called once for each index, when the walk reaches it. Seeds
     ascend and each one is the smallest index left, so the orbits come out
     ordered by their smallest index.
     """
@@ -144,26 +135,10 @@ def spectrum_of_monomial(op: MonomialMatrix) -> Spectrum:
     """Exact spectrum of a diagonal or involutive symmetric-weight monomial.
 
     Other monomial shapes (longer cycles) fall outside the structured family
-    this engine supports and are rejected.
+    this engine supports and raise ``ShapeError``; see
+    `MonomialMatrix.eigenvalue_counts`.
     """
-    counts: dict[Fraction, int] = {}
-    if op.is_diagonal():
-        for w in op.weight:
-            counts[w] = counts.get(w, 0) + 1
-        return Spectrum.from_counts(counts)
-    if not (op.is_involution() and op.has_symmetric_weights()):
-        raise ShapeError(
-            "spectrum requires a diagonal or involutive symmetric-weight operator"
-        )
-    for orbit in OrbitDecomposition.from_involution(op.target).orbits:
-        if len(orbit) == 1:
-            w = op.weight[orbit[0]]
-            counts[w] = counts.get(w, 0) + 1
-        else:
-            w = op.weight[orbit[0]]
-            counts[w] = counts.get(w, 0) + 1
-            counts[-w] = counts.get(-w, 0) + 1
-    return Spectrum.from_counts(counts)
+    return Spectrum.from_counts(op.eigenvalue_counts())
 
 
 def spectrum_of_factored(op: FactoredMonomial) -> Spectrum:
@@ -201,65 +176,9 @@ def classify_definiteness(op: MonomialMatrix | Spectrum) -> str:
     return spectrum.classify()
 
 
-# -- sparse rational vectors -------------------------------------------------
+# -- joint eigenvectors ------------------------------------------------------
 
 Vec = dict[int, Fraction]
-
-
-def _vec_add(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, ZERO) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _vec_scale(u: Vec, c: Fraction) -> Vec:
-    if not c:
-        return {}
-    return {k: c * v for k, v in u.items()}
-
-
-def _rref(vectors: list[Vec]) -> list[Vec]:
-    """Reduced row echelon basis (unique per subspace), pivots ascending."""
-    basis: list[tuple[int, Vec]] = []
-    for vec in vectors:
-        v = dict(vec)
-        for pivot, row in basis:
-            coeff = v.get(pivot)
-            if coeff:
-                v = _vec_add(v, _vec_scale(row, -coeff))
-        if not v:
-            continue
-        pivot = min(v)
-        v = _vec_scale(v, ONE / v[pivot])
-        basis = [
-            (p, _vec_add(row, _vec_scale(v, -row.get(pivot, ZERO))))
-            for p, row in basis
-        ]
-        basis.append((pivot, v))
-        basis.sort(key=lambda item: item[0])
-    return [row for _, row in basis]
-
-
-def _primitive(v: Vec) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """Scale to coprime integer coefficients with positive leading entry."""
-    support = tuple(sorted(v))
-    denom_lcm = 1
-    for k in support:
-        d = v[k].denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(v[k] * denom_lcm) for k in support]
-    g = 0
-    for value in ints:
-        g = gcd(g, abs(value))
-    ints = [value // g for value in ints]
-    if ints[0] < 0:
-        ints = [-value for value in ints]
-    return support, tuple(Fraction(value) for value in ints)
 
 
 @dataclass(frozen=True)
@@ -293,47 +212,6 @@ class GhzState:
         return dict(zip(self.support, self.coefficients))
 
 
-# A word's action on one orbit: orbit index -> (target index, weight).
-OrbitAction = dict[int, tuple[int, Fraction]]
-
-
-def _eigenvalue_candidates(action: OrbitAction) -> list[Fraction]:
-    """Possible eigenvalues of a word restricted to one orbit subspace."""
-    values: set[Fraction] = set()
-    for x, (t, w) in action.items():
-        values.add(w)
-        if t != x:
-            values.add(-w)
-    return sorted(values, reverse=True)
-
-
-def _act(action: OrbitAction, u: Vec) -> Vec:
-    out: Vec = {}
-    for j, c in u.items():
-        t, w = action[j]
-        if w:
-            out[t] = w * c
-    return out
-
-
-def _project_eigenspace(
-    action: OrbitAction, basis: list[Vec], eigenvalue: Fraction, candidates: list[Fraction]
-) -> list[Vec]:
-    """Lagrange projector onto one eigenvalue, applied to a subspace basis."""
-    projected = []
-    for v in basis:
-        u = dict(v)
-        for mu in candidates:
-            if mu == eigenvalue:
-                continue
-            u = _vec_scale(
-                _vec_add(_act(action, u), _vec_scale(u, -mu)), ONE / (eigenvalue - mu)
-            )
-        if u:
-            projected.append(u)
-    return _rref(projected)
-
-
 def check_mutually_commuting(ops: list[FactoredMonomial]) -> bool:
     """True iff every pair satisfies UV == VU, decided site by site."""
     return all(
@@ -342,37 +220,76 @@ def check_mutually_commuting(ops: list[FactoredMonomial]) -> bool:
     )
 
 
+# Every word's entry at one index: (target index, weight) per word.
+Row = tuple[tuple[int, Fraction], ...]
+
+
 def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvector]:
     """Yield the simultaneous eigenbasis orbit by orbit, in canonical order.
 
-    An orbit is found and refined only when the caller asks for its first
-    vector, so a caller that stops early never pays for the orbits after it.
+    An orbit is found and diagonalized only when the caller asks for its
+    first vector, so a caller that stops early never pays for the orbits
+    after it. Each word's entry at an index is read once, by the orbit walk.
     """
     if not check_mutually_commuting(ops):
         raise NonCommutingSetError("word set is not mutually commuting")
-    for orbit in _orbit_walk(ops[0].dim, lambda x: (op.entry(x)[0] for op in ops)):
-        spaces: list[tuple[list[Vec], tuple[Fraction, ...]]] = [
-            ([{j: ONE} for j in orbit], ())
-        ]
-        for op in ops:
-            # each word's entries on the orbit, computed once per orbit
-            action = {x: op.entry(x) for x in orbit}
-            candidates = _eigenvalue_candidates(action)
-            refined: list[tuple[list[Vec], tuple[Fraction, ...]]] = []
-            for basis, partial in spaces:
-                found = 0
-                for lam in candidates:
-                    sub = _project_eigenspace(action, basis, lam, candidates)
-                    if sub:
-                        refined.append((sub, partial + (lam,)))
-                        found += len(sub)
-                if found != len(basis):
-                    raise AssertionError("eigenspace refinement lost dimensions")
-            spaces = refined
-        for basis, tup in spaces:
-            for v in basis:
-                support, coeffs = _primitive(v)
-                yield JointEigenvector(tup, support, coeffs)
+    rows: dict[int, Row] = {}
+
+    def images(x: int) -> list[int]:
+        row = rows[x] = tuple(op.entry(x) for op in ops)
+        return [t for t, _ in row]
+
+    for orbit in _orbit_walk(ops[0].dim, images):
+        found: list[JointEigenvector] = []
+        for x0 in orbit:
+            if x0 in rows:
+                found += _component_eigenvectors(x0, rows)
+        if len(found) != len(orbit):
+            raise AssertionError("an orbit did not yield one eigenvector per index")
+        found.sort(key=lambda v: v.eigen_tuple, reverse=True)
+        yield from found
+
+
+def _component_eigenvectors(x0: int, rows: dict[int, Row]) -> list[JointEigenvector]:
+    """The joint eigenvectors on the component of ``x0`` (see the module
+    docstring); the rows of the component's indices are consumed.
+
+    ``paths`` maps each index x to (sign bit, word mask) with
+    S_mask e_x0 = (-1)^bit e_x. A tie (h, b) asks that the eigenvalue signs
+    of the words in mask h multiply to (-1)^b; a word that is zero on the
+    component is tied to +1, so its entry in the tuple is 0.
+    """
+    scale = [abs(w) for _, w in rows[x0]]
+    ties = {(1 << k, 0) for k, a in enumerate(scale) if not a}
+    paths = {x0: (0, 0)}
+    frontier = [x0]
+    for x in frontier:
+        bit, mask = paths[x]
+        for k, (t, w) in enumerate(rows.pop(x)):
+            if abs(w) != scale[k]:
+                raise AssertionError("a word's weight magnitude varies on a component")
+            if not w:
+                continue
+            step = (bit ^ (w < 0), mask ^ (1 << k))
+            seen = paths.get(t)
+            if seen is None:
+                paths[t] = step
+                frontier.append(t)
+            else:
+                ties.add((step[1] ^ seen[1], step[0] ^ seen[0]))
+    support = tuple(sorted(paths))
+    return [
+        JointEigenvector(
+            tuple(-a if signs >> k & 1 else a for k, a in enumerate(scale)),
+            support,
+            tuple(
+                -ONE if ((signs & paths[x][1]).bit_count() ^ paths[x][0]) & 1 else ONE
+                for x in support
+            ),
+        )
+        for signs in range(1 << len(scale))
+        if not any(((signs & h).bit_count() ^ b) & 1 for h, b in ties)
+    ]
 
 
 def simultaneous_eigenbasis(

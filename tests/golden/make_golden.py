@@ -8,19 +8,24 @@ It records, for every party count from 3 to 12, the letter words and product
 plan that the exponential word-set search in ``tests/oracles.py`` selects, and
 the sha256 of the certificate bytes that ``ghzcert build`` and ``ghzcert ks``
 write for a fixed grid, with that same search standing in for
-``build_proof_set``. ``tests/test_golden.py`` asserts that the package
-reproduces every entry byte for byte. The whole run takes about a minute on a
-2-vCPU machine, nearly all of it in the three 11-party searches.
+``build_proof_set``. It also records the stdout and exit code of every command
+line example in the README, run by the package as it stands inside a scratch
+directory that holds the README's W state as ``w.json`` and a ``3 3 3``
+certificate as ``cert.json``, so the output paths are the relative names the
+README uses. ``tests/test_golden.py`` asserts that the package reproduces
+every entry byte for byte. The whole run takes about a minute on a 2-vCPU
+machine, nearly all of it in the three 11-party searches.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import chdir, redirect_stdout
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
@@ -48,7 +53,43 @@ COMMANDS = (
     ["build", *["2"] * 10, "--bound", "5000"],
     *(["ks", str(m), "--mode", mode]
       for m in (2, 4, 6) for mode in ("sign-only", "full-spectrum")),
+    ["build", "3", "3", "3", "--tuple-hint", "1,1,1,-1"],
+    # an eligible tuple that no vector of the first orbit carries
+    ["build", *["4"] * 4, "--tuple-hint=-1/16,-1/16,-1/16,1/16,-1/16"],
+    ["build", "2", "3", "2", "--allow-mixed-parity"],
+    ["build", "3", "2", "4", "--allow-mixed-parity"],
 )
+# the command line examples of the README, in the order it lists them
+README_EXAMPLES = (
+    ["build", "3", "3", "3", "--output", "cert.json"],
+    ["build", "3", "3", "3", "--tuple-hint", "1,1,1,-1"],
+    ["verify", "cert.json"],
+    ["ks", "4", "--mode", "full-spectrum", "--output", "ks.json"],
+    ["lhv", "3", "3", "3"],
+    ["lhv", "3", "3", "3", "--rhs", "1,1,1,1"],
+    ["spectrum", "3", "3", "3", "--word", "ABB", "--product"],
+    ["criteria", "--state", "w.json", "--words", "ABB,BAB,BBA,AAA"],
+)
+W_STATE = {
+    "dims": [2, 2, 2],
+    "support": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    "coefficients": ["1", "1", "1"],
+    "norm_sq": "3",
+}
+
+
+def run_example(command: list[str]) -> dict:
+    """Run one README example in a fresh scratch directory that holds the
+    files the examples read."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
+        with open("w.json", "w", encoding="utf-8") as fh:
+            json.dump(W_STATE, fh)
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            main(["build", "3", "3", "3", "--output", "cert.json"])
+        with redirect_stdout(out):
+            status = main(command)
+    return {"command": command, "exit": status, "stdout": out.getvalue()}
 
 
 def certificate_sha256(command: list[str], directory: str) -> str:
@@ -83,7 +124,13 @@ def write_corpus() -> None:
     finally:
         certificate.build_proof_set = original
 
-    corpus = {"proof_sets": proof_sets, "certificates": certificates}
+    examples = [run_example(command) for command in README_EXAMPLES]
+
+    corpus = {
+        "proof_sets": proof_sets,
+        "certificates": certificates,
+        "cli_examples": examples,
+    }
     with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump(corpus, fh, indent=2)
         fh.write("\n")

@@ -13,24 +13,37 @@ enumeration showing that no four-word set exists for four parties. They take tim
 exponential in the party count, so they are the reference for small ``n``.
 
 The third part holds the orbit decomposition loop the package used before
-``OrbitDecomposition.from_targets`` took its seeds in one pass over the
+its orbit walk (``spectral._orbit_walk``) took its seeds in one pass over the
 indices: it seeds each orbit with ``min`` of the unvisited set.
 
 The fourth part holds the composite-dimension path the package used before
 words stayed factored: realization as a fold of ``monomial_tensor``, the
 pairwise commutation check on full products, and the simultaneous
-eigenbasis refined over the orbits of full index maps.
+eigenbasis the package computed before it read the joint eigenvectors off in
+closed form: each word in turn splits an orbit's subspaces by Lagrange
+projectors onto its possible eigenvalues, with every subspace kept in
+reduced row echelon form and every vector scaled to primitive integers.
+
+The fifth part holds the dense matrices the package shipped before only the
+monomial form was left in it: products, Kronecker products and vector
+application entry by entry, the conversions to and from monomial form, and
+the dense view of a site operator.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
-from ghzcert.errors import InvalidLevelsError, ParityError, SearchBoundError
+from ghzcert.errors import InvalidLevelsError, ParityError, SearchBoundError, ShapeError
 from ghzcert.exact import (
     ONE,
+    ZERO,
     MonomialMatrix,
+    as_rational,
     monomial_equal,
     monomial_multiply,
     monomial_tensor,
@@ -46,14 +59,8 @@ from ghzcert.kochen_specker import (
 )
 from ghzcert.lhv import DEFAULT_BOUND, SAT, UNSAT, ConstraintSystem, LhvReport
 from ghzcert.search import Check
-from ghzcert.spectral import (
-    JointEigenvector,
-    OrbitDecomposition,
-    _primitive,
-    _rref,
-    _vec_add,
-    _vec_scale,
-)
+from ghzcert.siteops import SiteOperator
+from ghzcert.spectral import JointEigenvector
 from ghzcert.words import (
     LETTERS,
     PartySpec,
@@ -345,6 +352,65 @@ def mutually_commuting(mats: list[MonomialMatrix]) -> bool:
     return True
 
 
+Vec = dict[int, Fraction]
+
+
+def _vec_add(u: Vec, v: Vec) -> Vec:
+    out = dict(u)
+    for k, c in v.items():
+        s = out.get(k, ZERO) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _vec_scale(u: Vec, c: Fraction) -> Vec:
+    if not c:
+        return {}
+    return {k: c * v for k, v in u.items()}
+
+
+def _rref(vectors: list[Vec]) -> list[Vec]:
+    """Reduced row echelon basis (unique per subspace), pivots ascending."""
+    basis: list[tuple[int, Vec]] = []
+    for vec in vectors:
+        v = dict(vec)
+        for pivot, row in basis:
+            coeff = v.get(pivot)
+            if coeff:
+                v = _vec_add(v, _vec_scale(row, -coeff))
+        if not v:
+            continue
+        pivot = min(v)
+        v = _vec_scale(v, ONE / v[pivot])
+        basis = [
+            (p, _vec_add(row, _vec_scale(v, -row.get(pivot, ZERO))))
+            for p, row in basis
+        ]
+        basis.append((pivot, v))
+        basis.sort(key=lambda item: item[0])
+    return [row for _, row in basis]
+
+
+def _primitive(v: Vec) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """Scale to coprime integer coefficients with positive leading entry."""
+    support = tuple(sorted(v))
+    denom_lcm = 1
+    for k in support:
+        d = v[k].denominator
+        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
+    ints = [int(v[k] * denom_lcm) for k in support]
+    g = 0
+    for value in ints:
+        g = gcd(g, abs(value))
+    ints = [value // g for value in ints]
+    if ints[0] < 0:
+        ints = [-value for value in ints]
+    return support, tuple(Fraction(value) for value in ints)
+
+
 def _eigenvalue_candidates(op: MonomialMatrix, orbit) -> list[Fraction]:
     values: set[Fraction] = set()
     for x in orbit:
@@ -376,11 +442,8 @@ def simultaneous_eigenbasis(mats: list[MonomialMatrix]) -> tuple[JointEigenvecto
     """Every joint eigenvector of commuting composite monomials, in order."""
     if not mutually_commuting(mats):
         raise ValueError("word set is not mutually commuting")
-    decomposition = OrbitDecomposition.from_targets(
-        mats[0].dim, [m.target for m in mats]
-    )
     out = []
-    for orbit in decomposition.orbits:
+    for orbit in orbit_decomposition(mats[0].dim, [m.target for m in mats]):
         spaces = [([{j: ONE} for j in orbit], ())]
         for op in mats:
             candidates = _eigenvalue_candidates(op, orbit)
@@ -396,3 +459,150 @@ def simultaneous_eigenbasis(mats: list[MonomialMatrix]) -> tuple[JointEigenvecto
                 support, coeffs = _primitive(v)
                 out.append(JointEigenvector(tup, support, coeffs))
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class DenseMatrix:
+    """Immutable dense matrix with row-major rational entries."""
+
+    rows: int
+    cols: int
+    entries: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise ShapeError("matrix dimensions must be nonnegative")
+        if len(self.entries) != self.rows * self.cols:
+            raise ShapeError(
+                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
+            )
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int | Fraction | str]]) -> DenseMatrix:
+        nrows = len(rows)
+        ncols = len(rows[0]) if nrows else 0
+        flat: list[Fraction] = []
+        for row in rows:
+            if len(row) != ncols:
+                raise ShapeError("ragged row lengths")
+            flat.extend(as_rational(v) for v in row)
+        return cls(nrows, ncols, tuple(flat))
+
+    @classmethod
+    def identity(cls, n: int) -> DenseMatrix:
+        ent = [ZERO] * (n * n)
+        for i in range(n):
+            ent[i * n + i] = ONE
+        return cls(n, n, tuple(ent))
+
+    @classmethod
+    def diagonal(cls, weights: Sequence[Fraction]) -> DenseMatrix:
+        n = len(weights)
+        ent = [ZERO] * (n * n)
+        for i, w in enumerate(weights):
+            ent[i * n + i] = w
+        return cls(n, n, tuple(ent))
+
+    def at(self, i: int, j: int) -> Fraction:
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def __neg__(self) -> DenseMatrix:
+        return DenseMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+
+
+def mat_multiply(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """Exact matrix product. Skips zero entries, so structured operators
+    (diagonal, monomial) multiply in near-linear time."""
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    # nonzero (column, value) pairs per row of b, computed once
+    b_nonzero: list[list[tuple[int, Fraction]]] = [
+        [(j, v) for j, v in enumerate(b.row(k)) if v] for k in range(b.rows)
+    ]
+    out: list[Fraction] = [ZERO] * (a.rows * b.cols)
+    for i in range(a.rows):
+        arow = a.row(i)
+        base = i * b.cols
+        for k, aik in enumerate(arow):
+            if not aik:
+                continue
+            for j, bkj in b_nonzero[k]:
+                out[base + j] += aik * bkj
+    return DenseMatrix(a.rows, b.cols, tuple(out))
+
+
+def mat_tensor(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """Kronecker product with the left factor as the most significant index:
+    composite row i1*b.rows + i2, column j1*b.cols + j2."""
+    rows = a.rows * b.rows
+    cols = a.cols * b.cols
+    out: list[Fraction] = [ZERO] * (rows * cols)
+    for i1 in range(a.rows):
+        for j1 in range(a.cols):
+            av = a.at(i1, j1)
+            if not av:
+                continue
+            for i2 in range(b.rows):
+                base = (i1 * b.rows + i2) * cols + j1 * b.cols
+                brow = b.row(i2)
+                for j2, bv in enumerate(brow):
+                    if bv:
+                        out[base + j2] = av * bv
+    return DenseMatrix(rows, cols, tuple(out))
+
+
+def mat_apply(a: DenseMatrix, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Exact matrix-vector product (dense oracle path)."""
+    if a.cols != len(vector):
+        raise ShapeError(f"cannot apply {a.rows}x{a.cols} to length-{len(vector)} vector")
+    out = []
+    for i in range(a.rows):
+        acc = ZERO
+        for j, v in enumerate(a.row(i)):
+            if v and vector[j]:
+                acc += v * vector[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def densify(m: MonomialMatrix) -> DenseMatrix:
+    ent = [ZERO] * (m.dim * m.dim)
+    for j in range(m.dim):
+        if m.weight[j]:
+            ent[m.target[j] * m.dim + j] = m.weight[j]
+    return DenseMatrix(m.dim, m.dim, tuple(ent))
+
+
+def sparsify(dense: DenseMatrix) -> MonomialMatrix:
+    """Recover the monomial form of a dense matrix; error if not monomial."""
+    if dense.rows != dense.cols:
+        raise ShapeError("only square matrices can be monomial")
+    n = dense.rows
+    target = [-1] * n
+    weight = [ZERO] * n
+    rows_used: set[int] = set()
+    for j in range(n):
+        hits = [i for i in range(n) if dense.at(i, j)]
+        if len(hits) > 1:
+            raise ShapeError(f"column {j} has {len(hits)} nonzero entries")
+        if hits:
+            i = hits[0]
+            if i in rows_used:
+                raise ShapeError(f"row {i} has more than one nonzero entry")
+            rows_used.add(i)
+            target[j] = i
+            weight[j] = dense.at(i, j)
+    # zero columns keep no row constraint; fill the free slots so target is
+    # a permutation (zero weight makes the choice immaterial)
+    free_rows = sorted(set(range(n)) - rows_used)
+    for j in range(n):
+        if target[j] < 0:
+            target[j] = free_rows.pop(0)
+    return MonomialMatrix(n, tuple(target), tuple(weight))
+
+
+def to_dense(op: SiteOperator) -> DenseMatrix:
+    return densify(op.to_monomial())

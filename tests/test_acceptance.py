@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from oracles import exhaustive_no_4set
+from oracles import densify, exhaustive_no_4set, mat_apply, mat_multiply, to_dense
 
 from ghzcert.certificate import (
     StateVector,
@@ -23,7 +23,7 @@ from ghzcert.certificate import (
     verify_document,
     verify_ghz_document,
 )
-from ghzcert.exact import mat_multiply, monomial_compose
+from ghzcert.exact import monomial_compose
 from ghzcert.kochen_specker import (
     FULL_SPECTRUM,
     KS_UNSAT,
@@ -81,8 +81,8 @@ def test_criterion_01_anticommutation():
     with criterion(1, "A(m) and B(m) anticommute exactly for m = 2..8"):
         started = time.monotonic()
         for m in range(2, 9):
-            a = build_A(m).to_dense()
-            b = build_B(m).to_dense()
+            a = to_dense(build_A(m))
+            b = to_dense(build_B(m))
             assert mat_multiply(a, b) == -mat_multiply(b, a)
         assert time.monotonic() - started < 1.0
 
@@ -228,7 +228,7 @@ def test_criterion_11a_commutation_oracle_sweep():
             for m in (2, 3, 4):
                 spec = PartySpec((m,) * n)
                 all_words = ["".join(c) for c in itertools.product("AB", repeat=n)]
-                dense = {w: TensorWord(w, spec).realize().densify() for w in all_words}
+                dense = {w: densify(TensorWord(w, spec).realize()) for w in all_words}
                 for x, y in itertools.combinations(all_words, 2):
                     lhs = mat_multiply(dense[x], dense[y])
                     rhs = mat_multiply(dense[y], dense[x])
@@ -239,13 +239,11 @@ def test_criterion_11a_commutation_oracle_sweep():
 
 def test_criterion_11b_eigenbasis_completeness():
     with criterion(11, "eigenbasis complete, exact, and orthogonal for n=3, m in {2,3,4}"):
-        from ghzcert.exact import mat_apply
-
         for m in (2, 3, 4):
             ps = canonical((m, m, m))
             basis = simultaneous_eigenbasis(ps)
             assert len(basis) == m**3
-            dense = [w.realize().densify() for w in ps.words]
+            dense = [densify(w.realize()) for w in ps.words]
             vectors = []
             for vec in basis:
                 full = [F(0)] * (m**3)

@@ -160,3 +160,78 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["build"])
     assert err.value.code == 2
+
+
+W_STATE = {
+    "dims": [2, 2, 2],
+    "support": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    "coefficients": ["1", "1", "1"],
+    "norm_sq": "3",
+}
+HALF_PAIR = {"a_weights": ["1/2", "-1/2"], "b_weights": ["1/2", "1/2"]}
+
+
+def _json(value):
+    return json.dumps(value).encode()
+
+
+BAD_INPUTS = [
+    pytest.param(["build", "3", "3", "3", "--tuple-hint", "1,x,1,1"], {},
+                 id="tuple-hint-junk"),
+    pytest.param(["build", "3", "3", "3", "--tuple-hint", "1,1,1"], {},
+                 id="tuple-hint-length"),
+    pytest.param(["lhv", "3", "3", "3", "--rhs", "1,x,1,1"], {}, id="rhs-junk"),
+    pytest.param(["spectrum", "3", "3", "3", "--word", "ABC"], {}, id="word-letter"),
+    pytest.param(["criteria", "--state", "w.json", "--words", "ABC,BAB,BBA,AAA"],
+                 {"w.json": _json(W_STATE)}, id="words-letter"),
+    pytest.param(["criteria", "--state", "s.json"],
+                 {"s.json": _json({k: v for k, v in W_STATE.items() if k != "dims"})},
+                 id="state-without-dims"),
+    pytest.param(["criteria", "--state", "s.json"], {"s.json": _json([W_STATE])},
+                 id="state-list-root"),
+    pytest.param(["criteria", "--state", "s.json"],
+                 {"s.json": _json({**W_STATE, "coefficients": ["1", "x", "1"]})},
+                 id="state-junk-coefficient"),
+    pytest.param(["criteria", "--state", "s.json"],
+                 {"s.json": _json({**W_STATE, "dims": [2.7, 2, 2]})},
+                 id="state-float-dims"),
+    pytest.param(["criteria", "--state", "w.json", "--pairs", "p.json"],
+                 {"w.json": _json(W_STATE), "p.json": _json({"pairs": []})},
+                 id="pairs-without-site-operators"),
+    pytest.param(["criteria", "--state", "w.json", "--pairs", "p.json"],
+                 {"w.json": _json(W_STATE),
+                  "p.json": _json({"site_operators": [{"b_weights": ["1/2", "1/2"]}] * 3})},
+                 id="pairs-without-a-weights"),
+    pytest.param(["criteria", "--state", "w.json", "--pairs", "p.json"],
+                 {"w.json": _json(W_STATE),
+                  "p.json": _json({"site_operators": [
+                      {**HALF_PAIR, "a_weights": ["1/2", "y"]}, HALF_PAIR, HALF_PAIR]})},
+                 id="pairs-junk-weight"),
+    pytest.param(["verify", "."], {}, id="verify-directory"),
+    pytest.param(["verify", "bin.json"], {"bin.json": b"\xff\xfe{}"},
+                 id="verify-non-utf8"),
+]
+
+
+@pytest.mark.parametrize("argv,files", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line(argv, files, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_criteria_with_custom_pairs_file(tmp_path, capsys):
+    # the well-formed twin of the pairs cases above: canonical m = 2 weights
+    state = tmp_path / "w.json"
+    state.write_text(json.dumps(W_STATE))
+    pairs = tmp_path / "p.json"
+    pairs.write_text(json.dumps({"site_operators": [HALF_PAIR] * 3}))
+    code, out, _ = run(capsys, "criteria", "--state", str(state), "--pairs", str(pairs),
+                       "--words", "ABB,BAB,BBA,AAA")
+    assert code == 1
+    assert "not an eigenvector of word ABB" in out

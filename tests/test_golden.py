@@ -2,18 +2,23 @@
 
 ``tests/golden/corpus.json`` was written by ``tests/golden/make_golden.py``
 with the exponential word-set searches of ``tests/oracles.py``: the proof
-set for every party count from 3 to 12, and the sha256 of the certificate
-bytes for a fixed grid of ``ghzcert build`` and ``ghzcert ks`` commands.
+set for every party count from 3 to 12, the sha256 of the certificate
+bytes for a fixed grid of ``ghzcert build`` and ``ghzcert ks`` commands, and
+the stdout and exit code of the README's command line examples.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from ghzcert.cli import main
 from ghzcert.words import PartySpec, build_proof_set
+
+sys.path.insert(0, str(Path(__file__).parent / "golden"))
+import make_golden  # noqa: E402
 
 CORPUS = json.loads(
     (Path(__file__).parent / "golden" / "corpus.json").read_text(encoding="utf-8")
@@ -35,3 +40,10 @@ def test_certificate_bytes_match_corpus(entry, tmp_path):
     path = tmp_path / "cert.json"
     assert main([*entry["command"], "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
+
+
+@pytest.mark.parametrize(
+    "entry", CORPUS["cli_examples"], ids=lambda e: " ".join(e["command"])
+)
+def test_readme_example_matches_corpus(entry):
+    assert make_golden.run_example(entry["command"]) == entry

@@ -5,9 +5,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import densify, mat_multiply
 
 from ghzcert.errors import ParityError
-from ghzcert.exact import mat_multiply, monomial_compose, monomial_equal
+from ghzcert.exact import monomial_compose, monomial_equal
 from ghzcert.kochen_specker import (
     FULL_SPECTRUM,
     KS_SAT,
@@ -49,7 +50,7 @@ def test_structure(m):
 @pytest.mark.parametrize("m", (2, 4))
 def test_context_commutation_dense_oracle(m):
     cfg = build_ks(m)
-    mats = [obs.realize(cfg.pairs()).densify() for obs in cfg.observables]
+    mats = [densify(obs.realize(cfg.pairs())) for obs in cfg.observables]
     for ctx in cfg.contexts:
         for i, j in itertools.combinations(ctx, 2):
             assert mat_multiply(mats[i], mats[j]) == mat_multiply(mats[j], mats[i])

@@ -1,26 +1,22 @@
 """Spectra, definiteness, simultaneous eigenbases, and state selection."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import DenseMatrix, densify, mat_apply, mat_multiply
 from ghzcert import spectral
 from ghzcert.errors import NoGhzStateError, NonCommutingSetError
-from ghzcert.exact import (
-    DenseMatrix,
-    mat_apply,
-    mat_multiply,
-    monomial_compose,
-)
+from ghzcert.exact import FactoredMonomial, monomial_compose
 from ghzcert.spectral import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
     NEGATIVE_SEMIDEFINITE,
-    OrbitDecomposition,
     POSITIVE_DEFINITE,
     Spectrum,
     classify_definiteness,
@@ -30,7 +26,15 @@ from ghzcert.spectral import (
     spectrum_of_monomial,
     spectrum_of_word,
 )
-from ghzcert.words import PartySpec, ProofSet, TensorWord, extend_even_set, generate_odd_set
+from ghzcert.siteops import check_anticommute, custom_site
+from ghzcert.words import (
+    PartySpec,
+    ProofSet,
+    TensorWord,
+    build_proof_set,
+    extend_even_set,
+    generate_odd_set,
+)
 
 F = Fraction
 
@@ -43,7 +47,7 @@ def canonical(levels):
 def moments_match(word, spectrum):
     """Moment oracle: the claimed multiset must reproduce tr(W^p) computed
     on the dense side for enough powers to pin the multiplicities."""
-    dense = word.realize().densify()
+    dense = densify(word.realize())
     dim = dense.rows
     assert spectrum.total == dim
     values = [v for v, _ in spectrum.entries]
@@ -88,7 +92,7 @@ def test_zero_count_law(m, k):
     assert spect.positive_count == (m**3 - k) // 2
     assert spect.negative_count == (m**3 - k) // 2
     # independent count: zero columns of the dense realization
-    dense = word.realize().densify()
+    dense = densify(word.realize())
     zero_cols = sum(
         1 for j in range(m**3) if all(dense.at(i, j) == 0 for i in range(m**3))
     )
@@ -122,7 +126,7 @@ def test_classify_even_m_product(m):
     product = monomial_compose([mats[i] for i in ps.product_plan])
     assert classify_definiteness(product) == NEGATIVE_DEFINITE
     # dense oracle: diagonal with strictly negative entries
-    dense = product.densify()
+    dense = densify(product)
     assert all(dense.at(i, i) < 0 for i in range(dense.rows))
 
 
@@ -142,10 +146,12 @@ def test_classify_positive_definite():
 def test_orbit_decomposition_partitions():
     spec = PartySpec((3, 3, 3))
     mats = [w.realize() for w in canonical((3, 3, 3)).words]
-    dec = OrbitDecomposition.from_targets(27, [m.target for m in mats])
-    flat = sorted(i for orbit in dec.orbits for i in orbit)
+    targets = [m.target for m in mats]
+    orbits = tuple(spectral._orbit_walk(27, lambda x: (t[x] for t in targets)))
+    assert orbits == oracles.orbit_decomposition(27, targets)
+    flat = sorted(i for orbit in orbits for i in orbit)
     assert flat == list(range(27))
-    assert all(len(orbit) in (1, 2, 4) for orbit in dec.orbits)
+    assert all(len(orbit) in (1, 2, 4) for orbit in orbits)
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
@@ -154,7 +160,7 @@ def test_eigenbasis_complete_exact_orthogonal(m):
     ps = canonical((m, m, m))
     basis = simultaneous_eigenbasis(ps)
     assert len(basis) == m**3
-    dense = [w.realize().densify() for w in ps.words]
+    dense = [densify(w.realize()) for w in ps.words]
     for vec in basis:
         full = [F(0)] * (m**3)
         for idx, c in zip(vec.support, vec.coefficients):
@@ -258,7 +264,7 @@ def _fields(vec):
 
 def _orbits(ps):
     mats = [w.realize() for w in ps.words]
-    return OrbitDecomposition.from_targets(mats[0].dim, [m.target for m in mats]).orbits
+    return oracles.orbit_decomposition(mats[0].dim, [m.target for m in mats])
 
 
 SELECTION_GRID = [(m,) * n for n in (3, 4, 5) for m in (2, 3, 4)] + [(3,) * 7]
@@ -295,14 +301,13 @@ def test_select_ghz_hint_from_later_orbit(levels):
 def test_select_ghz_refines_only_the_first_orbit(monkeypatch):
     ps = canonical((3,) * 7)
     projected: set[int] = set()
-    original = spectral._project_eigenspace
+    original = FactoredMonomial.entry
 
-    def counting(op, basis, eigenvalue, candidates):
-        for v in basis:
-            projected.update(v)
-        return original(op, basis, eigenvalue, candidates)
+    def counting(op, j):
+        projected.add(j)
+        return original(op, j)
 
-    monkeypatch.setattr(spectral, "_project_eigenspace", counting)
+    monkeypatch.setattr(FactoredMonomial, "entry", counting)
     state = select_ghz(ps)
     first_orbit = _orbits(ps)[0]
     assert set(state.support) <= set(first_orbit)
@@ -320,9 +325,98 @@ def permutation_sets(draw):
 def test_orbit_decomposition_matches_oracle(problem):
     dim, targets = problem
     assert (
-        OrbitDecomposition.from_targets(dim, targets).orbits
+        tuple(spectral._orbit_walk(dim, lambda x: (t[x] for t in targets)))
         == oracles.orbit_decomposition(dim, targets)
     )
+
+
+def _matches_oracle(levels, pairs=None):
+    """The closed-form basis equals the projector refinement of the oracle,
+    vector for vector and in the same order."""
+    spec = PartySpec(levels, allow_mixed_parity=True)
+    ps = build_proof_set(spec)
+    if pairs is None:
+        pairs = spec.canonical_pairs()
+    mats = [oracles.realize(w.letters, pairs, levels) for w in ps.words]
+    return simultaneous_eigenbasis(ps, pairs) == oracles.simultaneous_eigenbasis(mats)
+
+
+def _level_lists(max_dim, mixed):
+    """Every ordered level list of three or more parties with the given
+    parity mix and at most ``max_dim`` composite dimension."""
+    out = []
+    for n in itertools.count(3):
+        if 2**n > max_dim:
+            return out
+        for levels in itertools.product(range(2, max_dim // 2 ** (n - 1) + 1), repeat=n):
+            dim = 1
+            for m in levels:
+                dim *= m
+            if dim <= max_dim and (len({m % 2 for m in levels}) > 1) == mixed:
+                out.append(levels)
+
+
+@pytest.mark.parametrize(
+    "levels", [(m,) * n for n in (3, 4, 5) for m in (2, 3, 4)], ids=str
+)
+def test_eigenbasis_matches_oracle_on_grid(levels):
+    assert _matches_oracle(levels)
+
+
+@pytest.mark.parametrize("levels", _level_lists(100, mixed=False), ids=str)
+def test_eigenbasis_matches_oracle_same_parity(levels):
+    assert _matches_oracle(levels)
+
+
+@pytest.mark.parametrize("levels", _level_lists(64, mixed=True), ids=str)
+def test_eigenbasis_matches_oracle_mixed_parity(levels):
+    assert _matches_oracle(levels)
+
+
+WEIGHTS = st.sampled_from(
+    [F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4)]
+)
+
+
+@st.composite
+def anticommuting_pairs(draw, m):
+    """A custom (A, B) pair on m levels: symmetric B weights, zeros allowed,
+    and A weights tied by b_j (a_j + a_{m-1-j}) = 0, so they are free where
+    B is zero and the squares of a word can vary along an orbit."""
+    half = m // 2
+    b_half = [draw(WEIGHTS) for _ in range(half)]
+    center = [draw(WEIGHTS)] if m % 2 else []
+    b = b_half + center + b_half[::-1]
+    a = [F(0)] * m
+    for j in range(half):
+        a[j] = draw(WEIGHTS)
+        a[m - 1 - j] = -a[j] if b[j] else draw(WEIGHTS)
+    if m % 2 and not center[0]:
+        a[half] = draw(WEIGHTS)
+    return custom_site("A", a), custom_site("B", b)
+
+
+@st.composite
+def custom_systems(draw):
+    levels = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=4)))
+    pairs = tuple(draw(anticommuting_pairs(m)) for m in levels)
+    return levels, pairs
+
+
+@settings(max_examples=60)
+@given(custom_systems())
+def test_eigenbasis_matches_oracle_on_custom_pairs(problem):
+    levels, pairs = problem
+    assert all(check_anticommute(a, b) for a, b in pairs)
+    assert _matches_oracle(levels, pairs)
+
+
+def test_two_level_ten_party_basis_is_fast():
+    ps = canonical((2,) * 10)
+    started = time.monotonic()
+    basis = simultaneous_eigenbasis(ps)
+    assert time.monotonic() - started < 0.6
+    assert len(basis) == 2**10
 
 
 def test_spectrum_classify_spectrum_input():

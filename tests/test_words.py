@@ -5,7 +5,7 @@ import time
 
 import oracles
 import pytest
-from oracles import exhaustive_no_4set
+from oracles import densify, exhaustive_no_4set, mat_multiply
 from hypothesis import example, given, strategies as st
 
 from ghzcert.errors import (
@@ -14,7 +14,6 @@ from ghzcert.errors import (
     PartyMismatchError,
     SearchBoundError,
 )
-from ghzcert.exact import mat_multiply
 from ghzcert.words import (
     PartySpec,
     ProofSet,
@@ -77,7 +76,7 @@ def test_commute_matches_dense_commutator(n, m):
     # the even-distance rule must agree with the exact matrix commutator
     spec = PartySpec((m,) * n)
     all_words = ["".join(c) for c in itertools.product("AB", repeat=n)]
-    dense = {w: TensorWord(w, spec).realize().densify() for w in all_words}
+    dense = {w: densify(TensorWord(w, spec).realize()) for w in all_words}
     for x, y in itertools.combinations(all_words, 2):
         lhs = mat_multiply(dense[x], dense[y])
         rhs = mat_multiply(dense[y], dense[x])
