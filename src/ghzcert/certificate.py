@@ -7,8 +7,9 @@ produce byte-identical files.
 
 Verification trusts nothing derived: site-pair anticommutation, pairwise
 word commutation, requirement flags, the eigenvector equations, eligibility
-of the eigenvalue tuple, all spectra, and the unsatisfiability report are
-recomputed from the raw weights and compared against the stored values.
+of the eigenvalue tuple, all spectra, and the unsatisfiability report with its
+explanation are recomputed from the raw weights and compared against the
+stored values. Integer and boolean fields must have exactly those types.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .kochen_specker import (
     SIGN_ONLY,
     build_ks,
     ks_color_search,
-    plan_product_spectrum,
     render_contexts,
-    side_product_spectrum,
 )
 from .lhv import (
     ConstraintSystem,
@@ -74,6 +73,13 @@ def _exact_int(value, what: str) -> int:
     """An integer field; bools and floats are not integers here."""
     if type(value) is not int:
         raise CertificateError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _exact_bool(value, what: str) -> bool:
+    """A boolean field; 0 and 1 are not booleans here."""
+    if type(value) is not bool:
+        raise CertificateError(f"{what} must be a boolean, got {value!r}")
     return value
 
 
@@ -345,14 +351,20 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
             raise CertificateError(f"not a GHZ certificate: kind {doc['kind']!r}")
         _check_format_version(doc)
         levels = tuple(_exact_int(m, "a level count") for m in doc["parties"]["levels"])
-        mixed_marker = doc["parties"]["mixed_parity_experimental"]
+        mixed_marker = _exact_bool(
+            doc["parties"]["mixed_parity_experimental"], "mixed_parity_experimental"
+        )
         parties = PartySpec(levels, allow_mixed_parity=True)
         pairs = _pairs_from_doc(doc["site_operators"])
         word_strings = tuple(str(w) for w in doc["words"])
         plan = tuple(_exact_int(i, "a plan index") for i in doc["product_plan"])
         eigen_tuple = tuple(parse_rational(t) for t in doc["eigen_tuple"])
         state = StateVector.from_doc(levels, doc["state"])
-        stored_flags = dict(doc["requirement_flags"])
+        stored_flags = doc["requirement_flags"]
+        if not isinstance(stored_flags, dict):
+            raise CertificateError("requirement_flags must be an object")
+        for name, value in stored_flags.items():
+            _exact_bool(value, f"requirement flag {name!r}")
     except (CertificateError, KeyError, TypeError, ValueError, GhzError) as exc:
         return False, f"malformed certificate: {exc}"
 
@@ -434,6 +446,8 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         stored_checked = _exact_int(lhv_doc["assignments_checked"], "assignments_checked")
         # recorded for the reader; the caller's bound sets the work done
         _exact_int(lhv_doc["bound"], "bound")
+        stored_witness = lhv_doc["witness"]
+        stored_explanation = lhv_doc["explanation"]
     except (CertificateError, KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
     try:
@@ -444,6 +458,10 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         return False, "stored LHV status does not match re-derivation"
     if report.method != stored_method or report.assignments_checked != stored_checked:
         return False, "stored LHV report does not match re-derivation"
+    if stored_witness is not None:
+        return False, "stored LHV witness must be null for an UNSAT claim"
+    if stored_explanation != explain_parity(cs):
+        return False, "stored LHV explanation does not match re-derivation"
 
     return True, "accept"
 
@@ -454,8 +472,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
 def build_ks_document(m: int, mode: str = SIGN_ONLY) -> dict:
     cfg = build_ks(m)
     report = ks_color_search(cfg, mode)
-    side = side_product_spectrum(cfg)
-    horizontal = plan_product_spectrum(cfg)
+    horizontal, side = cfg.horizontal_spectrum, cfg.side_spectrum
     doc = {
         "kind": KS_KIND,
         "format_version": FORMAT_VERSION,
@@ -502,9 +519,13 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         mode = doc["search"]["mode"]
         stored_status = doc["search"]["status"]
         stored_checked = _exact_int(doc["search"]["patterns_checked"], "patterns_checked")
+        stored_witness = doc["search"]["witness"]
         observables = doc["observables"]
-        contexts = doc["contexts"]
-        sign_targets = doc["sign_targets"]
+        contexts = [
+            [_exact_int(i, "a context index") for i in ctx] for ctx in doc["contexts"]
+        ]
+        sign_targets = [_exact_int(t, "a sign target") for t in doc["sign_targets"]]
+        rendered = doc["contexts_rendered"]
         structure = doc["structure"]
         if not isinstance(structure, dict):
             raise CertificateError("structure must be an object")
@@ -525,8 +546,9 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         return False, "stored contexts do not match the rebuilt configuration"
     if sign_targets != list(cfg.sign_targets):
         return False, "stored sign targets do not match the rebuilt configuration"
-    horizontal = plan_product_spectrum(cfg)
-    side = side_product_spectrum(cfg)
+    if rendered != render_contexts(cfg).split("\n"):
+        return False, "stored rendered contexts do not match the rebuilt configuration"
+    horizontal, side = cfg.horizontal_spectrum, cfg.side_spectrum
     if structure.get("horizontal_classification") != horizontal.classify():
         return False, "stored horizontal classification does not match recomputation"
     if structure.get("side_classification") != side.classify():
@@ -542,6 +564,8 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         return False, "stored search status does not match re-derivation"
     if report.patterns_checked != stored_checked:
         return False, "stored pattern count does not match re-derivation"
+    if stored_witness is not None:
+        return False, "stored search witness must be null for an UNSAT claim"
     return True, "accept"
 
 

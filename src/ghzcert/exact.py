@@ -6,9 +6,10 @@ generalized permutations (one nonzero per row and column), which realize
 every tensor-word operator exactly and cheaply.
 
 A tensor word, and any product of words, is kept as a `FactoredMonomial`:
-the tuple of its per-site monomial factors. It applies to sparse vectors,
-multiplies and compares site by site, so nothing of composite dimension is
-ever formed; `expand()` gives the `MonomialMatrix` of the whole operator.
+the tuple of its per-site monomial factors. It applies to sparse vectors and
+multiplies site by site, so nothing of composite dimension is ever formed;
+`expand()` gives the `MonomialMatrix` of the whole operator. Factored
+operators are never compared: `words.letters_commute` decides commutation.
 
 All forms are immutable; every operation is a pure function.
 """
@@ -200,7 +201,7 @@ class FactoredMonomial:
     Composite indices use the mixed-radix order of `monomial_tensor` (left
     factor most significant), so ``expand()`` equals the fold of
     `monomial_tensor` over ``factors``. ``==`` is identity; compare operators
-    with ``equals``.
+    by their expansions with `monomial_equal`.
     """
 
     factors: tuple[MonomialMatrix, ...]
@@ -252,38 +253,7 @@ class FactoredMonomial:
             raise ShapeError("cannot compose an empty sequence")
         return reduce(cls.multiply, ops)
 
-    def equals(self, other: FactoredMonomial) -> bool:
-        """Equality as linear maps, decided site by site.
-
-        A Kronecker product is zero exactly when one factor is. Two nonzero
-        products are equal exactly when every site pair is proportional,
-        x_i = c_i y_i, with the product of the c_i equal to one.
-        """
-        if [f.dim for f in self.factors] != [f.dim for f in other.factors]:
-            raise ShapeError("operators act on different site dimensions")
-        x_zero = any(not any(f.weight) for f in self.factors)
-        y_zero = any(not any(f.weight) for f in other.factors)
-        if x_zero or y_zero:
-            return x_zero and y_zero
-        scale = ONE
-        for x, y in zip(self.factors, other.factors):
-            c = _proportion(x, y)
-            if c is None:
-                return False
-            scale *= c
-        return scale == ONE
-
     def expand(self) -> MonomialMatrix:
         """The operator as one monomial matrix on the composite space."""
         return reduce(monomial_tensor, self.factors)
 
-
-def _proportion(x: MonomialMatrix, y: MonomialMatrix) -> Fraction | None:
-    """The scalar c with x = c*y as linear maps, for nonzero x and y."""
-    j = next(j for j, w in enumerate(y.weight) if w)
-    c = x.weight[j] / y.weight[j]
-    for j in range(x.dim):
-        wx, wy = x.weight[j], y.weight[j]
-        if wx != c * wy or (wx and x.target[j] != y.target[j]):
-            return None
-    return c

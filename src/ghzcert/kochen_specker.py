@@ -21,26 +21,29 @@ pattern space without visiting each pattern.
 
 Even level counts are essential: they keep every eigenvalue away from zero,
 which is what makes the context products definite.
+
+`build_ks` derives each fact once: the contexts commute by the letter rule
+(`words.letters_commute`), and every side context multiplies out to the
+squares of its composite word's letters, one operator for all four since
+A^2 = B^2. The configuration carries the spectra of that product and of the
+horizontal one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParityError
-from .exact import FactoredMonomial, MonomialMatrix, ONE
-from .search import Check, first_assignment
-from .siteops import SiteOperator, canonical_pair
-from .spectral import (
-    NEGATIVE_DEFINITE,
-    POSITIVE_DEFINITE,
-    Spectrum,
-    check_mutually_commuting,
-    spectrum_of_factored,
+from .exact import (
+    ONE, FactoredMonomial, MonomialMatrix, monomial_equal, monomial_multiply,
 )
-from .words import factor_letters
+from .search import Check, first_assignment
+from .siteops import SiteOperator, canonical_pair, check_anticommute
+from .spectral import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, Spectrum, spectrum_of_factored
+from .words import factor_letters, letters_commute
 
 COMPOSITE_WORDS = ("ABB", "BAB", "BBA", "AAA")
 
@@ -74,27 +77,22 @@ class KsObservable:
 
 @dataclass(frozen=True)
 class KsConfiguration:
-    """The ten observables, five contexts, and required product signs."""
+    """The ten observables, five contexts, required product signs, and the
+    spectra of the horizontal product and of the one side product."""
 
     levels: int
     observables: tuple[KsObservable, ...]
     contexts: tuple[tuple[int, int, int, int], ...]
     sign_targets: tuple[int, ...]
+    horizontal_spectrum: Spectrum
+    side_spectrum: Spectrum
 
     def pairs(self) -> tuple[tuple[SiteOperator, SiteOperator], ...]:
         return tuple(canonical_pair(self.levels) for _ in range(3))
 
-    def factored(self) -> list[FactoredMonomial]:
-        pairs = self.pairs()
-        return [obs.factored(pairs) for obs in self.observables]
-
     def realized(self) -> list[MonomialMatrix]:
-        return [op.expand() for op in self.factored()]
-
-    def context_products(self) -> list[FactoredMonomial]:
-        """The operator product of each context, in context order."""
-        ops = self.factored()
-        return [FactoredMonomial.product(ops[i] for i in ctx) for ctx in self.contexts]
+        pairs = self.pairs()
+        return [obs.realize(pairs) for obs in self.observables]
 
 
 @dataclass(frozen=True)
@@ -105,10 +103,6 @@ class KsReport:
     mode: str
 
 
-def _one_party_label(letter: str, party: int) -> str:
-    return f"{letter}{party + 1}"
-
-
 def build_ks(m: int) -> KsConfiguration:
     """Construct and structurally verify the configuration for even m."""
     if m < 2:
@@ -117,65 +111,61 @@ def build_ks(m: int) -> KsConfiguration:
         raise ParityError(
             f"the noncontextuality construction needs even levels, got {m}"
         )
-    observables = [
-        KsObservable(word, tuple(word)) for word in COMPOSITE_WORDS
+    observables = [KsObservable(word, tuple(word)) for word in COMPOSITE_WORDS]
+    observables += [
+        KsObservable(f"{c}{p + 1}", tuple(c if q == p else "I" for q in range(3)))
+        for p in range(3)
+        for c in "AB"
     ]
-    one_party_index: dict[str, int] = {}
-    for party in range(3):
-        for letter in "AB":
-            letters = tuple(
-                letter if p == party else "I" for p in range(3)
-            )
-            label = _one_party_label(letter, party)
-            one_party_index[label] = len(observables)
-            observables.append(KsObservable(label, letters))
-    contexts = [(0, 1, 2, 3)]
-    sign_targets = [-1]
-    for k, word in enumerate(COMPOSITE_WORDS):
-        factors = tuple(
-            one_party_index[_one_party_label(letter, party)]
-            for party, letter in enumerate(word)
-        )
-        contexts.append((k,) + factors)
-        sign_targets.append(1)
-    cfg = KsConfiguration(m, tuple(observables), tuple(contexts), tuple(sign_targets))
+    index = {obs.label: i for i, obs in enumerate(observables)}
+    contexts = [(0, 1, 2, 3)] + [
+        (k,) + tuple(index[f"{letter}{p + 1}"] for p, letter in enumerate(word))
+        for k, word in enumerate(COMPOSITE_WORDS)
+    ]
+    sign_targets = [-1] + [1] * len(COMPOSITE_WORDS)
+    ops = [obs.factored((canonical_pair(m),) * 3) for obs in observables]
+    horizontal, side = (
+        spectrum_of_factored(FactoredMonomial.product(ops[i] for i in ctx))
+        for ctx in contexts[:2]
+    )
+    cfg = KsConfiguration(
+        m, tuple(observables), tuple(contexts), tuple(sign_targets), horizontal, side
+    )
     _verify_structure(cfg)
     return cfg
 
 
 def _verify_structure(cfg: KsConfiguration) -> None:
-    ops = cfg.factored()
+    a_op, b_op = canonical_pair(cfg.levels)
+    if not check_anticommute(a_op, b_op):
+        raise AssertionError("the site pair does not anticommute")
+    letters = [obs.letters for obs in cfg.observables]
     appearances = [0] * len(cfg.observables)
     for ctx in cfg.contexts:
         for i in ctx:
             appearances[i] += 1
-        if not check_mutually_commuting([ops[i] for i in ctx]):
+        members = itertools.combinations(ctx, 2)
+        if not all(letters_commute(letters[i], letters[j]) for i, j in members):
             raise AssertionError(f"context {ctx} is not mutually commuting")
     if any(count != 2 for count in appearances):
         raise AssertionError("every observable must sit in exactly two contexts")
-    horizontal, side, *others = cfg.context_products()
-    if spectrum_of_factored(horizontal).classify() != NEGATIVE_DEFINITE:
+    if cfg.horizontal_spectrum.classify() != NEGATIVE_DEFINITE:
         raise AssertionError("the composite-context product must be negative-definite")
-    if spectrum_of_factored(side).classify() != POSITIVE_DEFINITE:
+    if cfg.side_spectrum.classify() != POSITIVE_DEFINITE:
         raise AssertionError("side-context products must be positive-definite")
-    for other in others:
-        if not side.equals(other):
-            raise AssertionError("side-context products must all be the same operator")
+    for ctx in cfg.contexts[1:]:
+        squares = [[c, c, "I", "I"] for c in letters[ctx[0]]]
+        if [sorted(letters[i][p] for i in ctx) for p in range(3)] != squares:
+            raise AssertionError(f"context {ctx} does not square its word's letters")
+    a, b = a_op.to_monomial(), b_op.to_monomial()
+    if not monomial_equal(monomial_multiply(a, a), monomial_multiply(b, b)):
+        raise AssertionError("side-context products must all be the same operator")
 
 
 def shared_side_product(cfg: KsConfiguration) -> MonomialMatrix:
     """The one operator every non-horizontal context multiplies out to."""
-    return cfg.context_products()[1].expand()
-
-
-def side_product_spectrum(cfg: KsConfiguration) -> Spectrum:
-    """Spectrum of the shared side-context product."""
-    return spectrum_of_factored(cfg.context_products()[1])
-
-
-def plan_product_spectrum(cfg: KsConfiguration) -> Spectrum:
-    """Spectrum of the product of the four composite observables."""
-    return spectrum_of_factored(cfg.context_products()[0])
+    ops = [cfg.observables[i].factored(cfg.pairs()) for i in cfg.contexts[1]]
+    return FactoredMonomial.product(ops).expand()
 
 
 def ks_color_search(cfg: KsConfiguration, mode: str = SIGN_ONLY) -> KsReport:
@@ -230,7 +220,7 @@ def _search_full(cfg: KsConfiguration) -> KsReport:
         domains.append(tuple(sorted(op.spectrum_values(), reverse=True)))
     for ctx in cfg.contexts[1:]:
         slot_of[ctx[0]] = tuple(k for i in ctx[1:] for k in slot_of[i])
-    allowed_products = frozenset(plan_product_spectrum(cfg).as_dict())
+    allowed_products = frozenset(cfg.horizontal_spectrum.as_dict())
 
     checks = [
         Check(

@@ -6,7 +6,9 @@ of one such monomial reads off directly from the orbits of its involution
 (a fixed point contributes its weight; a 2-cycle contributes the weight with
 both signs; `MonomialMatrix.eigenvalue_counts` is that rule), and a
 commuting set of words is diagonalized orbit by orbit of the abelian group
-their involutions generate.
+their involutions generate. A set commutes when every site pair
+anticommutes and every two words pass the letter rule
+(`words.letters_commute`); operators are never multiplied to decide it.
 
 Words and their products stay factored (`FactoredMonomial`), and their
 spectra follow the Kronecker rule: the spectrum of x_1 (x) ... (x) x_n is
@@ -52,7 +54,8 @@ from math import lcm
 
 from .errors import NoGhzStateError, NonCommutingSetError
 from .exact import FactoredMonomial, MonomialMatrix, ONE, ZERO
-from .words import ProofSet, SitePairs
+from .siteops import check_anticommute
+from .words import ProofSet, SitePairs, words_commute
 
 NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
@@ -212,12 +215,15 @@ class GhzState:
         return dict(zip(self.support, self.coefficients))
 
 
-def check_mutually_commuting(ops: list[FactoredMonomial]) -> bool:
-    """True iff every pair satisfies UV == VU, decided site by site."""
-    return all(
-        a.multiply(b).equals(b.multiply(a))
-        for a, b in itertools.combinations(ops, 2)
-    )
+def _commuting_operators(ps: ProofSet, pairs: SitePairs | None) -> list[FactoredMonomial]:
+    """The words' operators, once they are known to commute (module docstring)."""
+    ops = [w.factored(pairs) for w in ps.words]
+    site_pairs = ps.parties.canonical_pairs() if pairs is None else pairs
+    if not all(check_anticommute(a, b) for a, b in site_pairs) or not all(
+        words_commute(u, v) for u, v in itertools.combinations(ps.words, 2)
+    ):
+        raise NonCommutingSetError("word set is not mutually commuting")
+    return ops
 
 
 # Every word's entry at one index: (target index, weight) per word.
@@ -230,9 +236,8 @@ def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvecto
     An orbit is found and diagonalized only when the caller asks for its
     first vector, so a caller that stops early never pays for the orbits
     after it. Each word's entry at an index is read once, by the orbit walk.
+    The words must commute (see ``_commuting_operators``).
     """
-    if not check_mutually_commuting(ops):
-        raise NonCommutingSetError("word set is not mutually commuting")
     rows: dict[int, Row] = {}
 
     def images(x: int) -> list[int]:
@@ -303,7 +308,7 @@ def simultaneous_eigenbasis(
     ``select_ghz`` walks the same vectors in the same order but stops at the
     one it picks.
     """
-    ops = [w.factored(pairs) for w in ps.words]
+    ops = _commuting_operators(ps, pairs)
     out = tuple(_joint_eigenvectors(ops))
     if len(out) != ops[0].dim:
         raise AssertionError("eigenbasis is incomplete")
@@ -353,7 +358,7 @@ def select_ghz(
             )
         wanted = tuple(tuple_hint).__eq__
         missing = "no simultaneous eigenvector carries the requested eigen-tuple"
-    ops = [w.factored(pairs) for w in ps.words]
+    ops = _commuting_operators(ps, pairs)
     chosen = next(
         (v for v in _joint_eigenvectors(ops) if wanted(v.eigen_tuple)), None
     )

@@ -3,7 +3,8 @@
 A word assigns one letter per party; letter A selects the diagonal site
 operator and letter B the anti-diagonal one. Two words commute exactly when
 their letters differ at an even number of positions (sitewise anticommutation
-turns each differing position into one sign flip).
+turns each differing position into one sign flip). `letters_commute`, the
+only commutation rule, also takes the identity letter I.
 
 A usable four-word set must satisfy four combinatorial requirements:
 
@@ -58,7 +59,9 @@ class PartySpec:
     allow_mixed_parity: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(int(m) for m in self.levels))
+        object.__setattr__(self, "levels", tuple(self.levels))
+        if any(type(m) is not int for m in self.levels):
+            raise InvalidLevelsError(f"level counts must be integers, got {self.levels}")
         if len(self.levels) < 3:
             raise InvalidLevelsError(
                 f"need at least 3 parties, got {len(self.levels)}"
@@ -159,12 +162,18 @@ def factor_letters(
     return FactoredMonomial(tuple(factors))
 
 
+def letters_commute(x: Sequence[str], y: Sequence[str]) -> bool:
+    """The letter rule: two letter strings over {A, B, I} commute iff they
+    hold different letters from {A, B} at an even number of parties. It
+    holds when every party's A and B anticommute."""
+    return sum(1 for p, q in zip(x, y) if p != q and "I" not in (p, q)) % 2 == 0
+
+
 def words_commute(u: TensorWord, v: TensorWord) -> bool:
-    """True iff the realized operators commute: even letter Hamming distance."""
+    """True iff the realized operators commute, by `letters_commute`."""
     if u.parties != v.parties:
         raise PartyMismatchError("words belong to different party specs")
-    distance = sum(1 for x, y in zip(u.letters, v.letters) if x != y)
-    return distance % 2 == 0
+    return letters_commute(u.letters, v.letters)
 
 
 @dataclass(frozen=True)

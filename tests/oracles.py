@@ -44,6 +44,7 @@ from ghzcert.exact import (
     ZERO,
     MonomialMatrix,
     as_rational,
+    monomial_compose,
     monomial_equal,
     monomial_multiply,
     monomial_tensor,
@@ -55,12 +56,11 @@ from ghzcert.kochen_specker import (
     SIGN_ONLY,
     KsConfiguration,
     KsReport,
-    plan_product_spectrum,
 )
 from ghzcert.lhv import DEFAULT_BOUND, SAT, UNSAT, ConstraintSystem, LhvReport
 from ghzcert.search import Check
 from ghzcert.siteops import SiteOperator
-from ghzcert.spectral import JointEigenvector
+from ghzcert.spectral import JointEigenvector, spectrum_of_monomial
 from ghzcert.words import (
     LETTERS,
     PartySpec,
@@ -149,7 +149,12 @@ def ks_search_full(cfg: KsConfiguration) -> KsReport:
     composite_factors = {
         ctx[0]: tuple(factor_of[i] for i in ctx[1:]) for ctx in cfg.contexts[1:]
     }
-    allowed_products = set(plan_product_spectrum(cfg).as_dict())
+    # the horizontal spectrum on the composite path, not the one the
+    # configuration carries
+    horizontal = monomial_compose(
+        cfg.observables[i].realize(pairs) for i in cfg.contexts[0]
+    )
+    allowed_products = set(spectrum_of_monomial(horizontal).as_dict())
 
     labels = [obs.label for obs in cfg.observables]
     checked = 0

@@ -279,6 +279,90 @@ def test_ks_patterns_checked_must_be_int(change):
     _assert_malformed(tampered)
 
 
+@pytest.fixture(scope="module")
+def mixed_doc():
+    return build_ghz_document(PartySpec((2, 3, 2), allow_mixed_parity=True))
+
+
+def _flags_as_pairs(flags):
+    return [[name, value] for name, value in flags.items()]
+
+
+def _flags_as_ints(flags):
+    return {name: int(value) for name, value in flags.items()}
+
+
+def _one_flag_zero(flags):
+    return {**flags, "even_slot_usage": 0}
+
+
+@pytest.mark.parametrize(
+    "change", (_flags_as_pairs, _flags_as_ints, _one_flag_zero), ids=lambda f: f.__name__
+)
+def test_requirement_flags_must_be_booleans(m3_doc, change):
+    tampered = copy.deepcopy(m3_doc)
+    _replace_at(tampered, ("requirement_flags",), change)
+    _assert_malformed(tampered)
+
+
+@pytest.mark.parametrize(
+    "doc_name, marker", (("m3_doc", 0), ("mixed_doc", "no"), ("mixed_doc", 1))
+)
+def test_mixed_parity_marker_must_be_boolean(request, doc_name, marker):
+    tampered = copy.deepcopy(request.getfixturevalue(doc_name))
+    tampered["parties"]["mixed_parity_experimental"] = marker
+    _assert_malformed(tampered)
+
+
+KS_INTEGER_FIELDS = {
+    "context index": ("contexts", 0, 3),
+    "context index one": ("contexts", 1, 1),
+    "sign target": ("sign_targets", 1),
+}
+
+
+@pytest.mark.parametrize("change", (float, bool), ids=("float", "bool"))
+@pytest.mark.parametrize("field", sorted(KS_INTEGER_FIELDS))
+def test_ks_context_fields_must_be_int(field, change):
+    tampered = build_ks_document(2, SIGN_ONLY)
+    _replace_at(tampered, KS_INTEGER_FIELDS[field], change)
+    _assert_malformed(tampered)
+
+
+def test_lhv_explanation_is_rederived(m3_doc):
+    ok, reason = _verify_copy(
+        m3_doc, lambda d: d["lhv"].__setitem__("explanation", "LHV models exist")
+    )
+    assert (ok, reason) == (
+        False, "stored LHV explanation does not match re-derivation"
+    )
+
+
+@pytest.mark.parametrize("witness", ({}, {"A1": "1"}, "none"), ids=repr)
+def test_lhv_witness_must_be_null(m3_doc, witness):
+    ok, reason = _verify_copy(m3_doc, lambda d: d["lhv"].__setitem__("witness", witness))
+    assert (ok, reason) == (
+        False, "stored LHV witness must be null for an UNSAT claim"
+    )
+
+
+def test_ks_rendered_contexts_are_rederived():
+    tampered = build_ks_document(2, SIGN_ONLY)
+    tampered["contexts_rendered"][0] = "ABB, BAB, BBA, AAA  (value product must be positive)"
+    assert verify_ks_document(tampered) == (
+        False, "stored rendered contexts do not match the rebuilt configuration"
+    )
+
+
+@pytest.mark.parametrize("witness", ({}, {"A1": "1"}, "none"), ids=repr)
+def test_ks_search_witness_must_be_null(witness):
+    tampered = build_ks_document(2, SIGN_ONLY)
+    tampered["search"]["witness"] = witness
+    assert verify_ks_document(tampered) == (
+        False, "stored search witness must be null for an UNSAT claim"
+    )
+
+
 @pytest.mark.parametrize("party", range(3))
 def test_short_b_weights_rejected(m3_doc, party):
     tampered = copy.deepcopy(m3_doc)

@@ -4,10 +4,11 @@ oracles of ``tests/oracles.py``."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
+from test_spectral import anticommuting_pairs
 from ghzcert import exact
 from ghzcert.certificate import build_ghz_document, verify_document
 from ghzcert.errors import ShapeError
@@ -19,15 +20,15 @@ from ghzcert.exact import (
     monomial_multiply,
 )
 from ghzcert.kochen_specker import build_ks
-from ghzcert.siteops import custom_site
+from ghzcert.siteops import check_anticommute, custom_site
 from ghzcert.spectral import (
-    check_mutually_commuting,
+    select_ghz,
     simultaneous_eigenbasis,
     spectrum_of_factored,
     spectrum_of_monomial,
     spectrum_of_word,
 )
-from ghzcert.words import PartySpec, TensorWord, build_proof_set
+from ghzcert.words import PartySpec, TensorWord, build_proof_set, letters_commute
 
 F = Fraction
 
@@ -94,6 +95,25 @@ def test_build_and_verify_never_expand_a_word(monkeypatch):
     assert calls == []
 
 
+def test_only_context_products_multiply(monkeypatch):
+    # commutation is decided by the letter rule, so the only factored
+    # products left are the KS horizontal and side context products, three
+    # multiplications each
+    calls = []
+    multiply = FactoredMonomial.multiply
+
+    def counting_multiply(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(FactoredMonomial, "multiply", counting_multiply)
+    build_ks(4)
+    assert len(calls) == 6
+    calls.clear()
+    select_ghz(build_proof_set(PartySpec((3, 3, 3))))
+    assert calls == []
+
+
 # -- properties --------------------------------------------------------------
 
 # zero, negative and mixed-denominator values
@@ -129,16 +149,22 @@ def test_custom_pair_spectra_match_expansion(system, data):
     assert spectrum_of_factored(product) == spectrum_of_monomial(product.expand())
 
 
-@given(custom_systems(max_parties=4), st.data())
-def test_custom_pair_commutation_matches_oracle(system, data):
-    spec, pairs = system
+@given(st.lists(st.integers(2, 3), min_size=3, max_size=4), st.data())
+def test_custom_pair_commutation_matches_oracle(levels, data):
+    # one direction only: zero weights can make words commute that the
+    # letter rule rejects
+    spec = PartySpec(tuple(levels), allow_mixed_parity=True)
+    pairs = tuple(data.draw(anticommuting_pairs(m)) for m in levels)
+    assert all(check_anticommute(a, b) for a, b in pairs)
     letter_words = data.draw(
         st.lists(st.text("AB", min_size=spec.n, max_size=spec.n), min_size=2, max_size=3)
     )
+    assume(all(
+        letters_commute(x, y) for i, x in enumerate(letter_words)
+        for y in letter_words[i + 1:]
+    ))
     words = [TensorWord(w, spec) for w in letter_words]
-    assert check_mutually_commuting(
-        [w.factored(pairs) for w in words]
-    ) == oracles.mutually_commuting([w.realize(pairs) for w in words])
+    assert oracles.mutually_commuting([w.realize(pairs) for w in words])
 
 
 @st.composite
@@ -177,13 +203,6 @@ def factored_pairs(draw):
                 target = tuple(draw(st.permutations(range(dims[k]))))
                 ops[k] = MonomialMatrix(dims[k], target, (F(0),) * dims[k])
     return FactoredMonomial(tuple(x)), FactoredMonomial(tuple(y))
-
-
-@given(factored_pairs())
-def test_equality_matches_expansion(pair):
-    x, y = pair
-    assert x.equals(y) == monomial_equal(x.expand(), y.expand())
-    assert y.equals(x) == x.equals(y)
 
 
 @given(factored_pairs())

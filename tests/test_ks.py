@@ -16,7 +16,6 @@ from ghzcert.kochen_specker import (
     SIGN_ONLY,
     build_ks,
     ks_color_search,
-    plan_product_spectrum,
     render_contexts,
     shared_side_product,
 )
@@ -119,7 +118,7 @@ def test_parity_identity_over_contexts():
 
 def test_horizontal_spectrum_all_negative():
     for m in (2, 4):
-        spect = plan_product_spectrum(build_ks(m))
+        spect = build_ks(m).horizontal_spectrum
         assert spect.positive_count == 0
         assert spect.zero_count == 0
         assert spect.negative_count == m**3

@@ -212,6 +212,18 @@ def test_eigenbasis_rejects_non_commuting():
         simultaneous_eigenbasis(ps)
 
 
+def test_commuting_site_pairs_rejected():
+    # A = diag(1, 1) and B = antidiag(1, 1) commute, so the letter rule does
+    # not hold for them
+    pair = (custom_site("A", [1, 1]), custom_site("B", [1, 1]))
+    pairs = (pair,) * 3
+    ps = build_proof_set(PartySpec((2, 2, 2)))
+    with pytest.raises(NonCommutingSetError):
+        simultaneous_eigenbasis(ps, pairs)
+    with pytest.raises(NonCommutingSetError):
+        select_ghz(ps, None, pairs)
+
+
 def test_select_ghz_m3_reproduces_displayed_state():
     ps = canonical((3, 3, 3))
     state = select_ghz(ps, (F(1), F(1), F(1), F(-1)))

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from fractions import Fraction
 
 import oracles
 import pytest
@@ -42,6 +43,14 @@ def test_party_spec_validation():
     assert PartySpec((3, 5, 3)).dim == 45
     # explicit override allows mixed parity
     assert PartySpec((2, 3, 2), allow_mixed_parity=True).mixed_parity
+
+
+@pytest.mark.parametrize(
+    "levels", ((3.9, 3, 3), (3.0, 3, 3), ("3", "3", "3"), (3, 3, Fraction(3))), ids=repr
+)
+def test_party_spec_levels_must_be_int(levels):
+    with pytest.raises(InvalidLevelsError):
+        PartySpec(levels)
 
 
 def test_flat_index_round_trip():
