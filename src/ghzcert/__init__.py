@@ -42,7 +42,6 @@ from .words import (
     words_commute,
 )
 from .spectral import (
-    GhzState,
     JointEigenvector,
     Spectrum,
     classify_definiteness,
@@ -98,7 +97,7 @@ __all__ = [
     "words_commute", "validate_requirements", "generate_odd_set",
     "extend_even_set", "build_proof_set",
     # spectral
-    "Spectrum", "JointEigenvector", "GhzState",
+    "Spectrum", "JointEigenvector",
     "spectrum_of_word", "spectrum_of_factored", "spectrum_of_monomial",
     "classify_definiteness",
     "simultaneous_eigenbasis", "select_ghz",

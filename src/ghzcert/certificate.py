@@ -5,11 +5,11 @@ trailing newline) whose rationals are written as ``num`` or ``num/den``
 strings. Being plain text it diffs and audits cleanly, and identical inputs
 produce byte-identical files.
 
-Verification trusts nothing derived: site-pair anticommutation, pairwise
-word commutation, requirement flags, the eigenvector equations, eligibility
-of the eigenvalue tuple, all spectra, and the unsatisfiability report with its
-explanation are recomputed from the raw weights and compared against the
-stored values. Integer and boolean fields must have exactly those types.
+Each certificate kind has one derivation: it checks every claim of the input
+sections and returns the derived ones in document form. Building fills the
+document with it; verifying compares each stored section with it as strings
+and exact integers. Integer and boolean fields must have exactly those types,
+and rationals must be spelled as ``format_rational`` writes them.
 """
 
 from __future__ import annotations
@@ -83,6 +83,16 @@ def _exact_bool(value, what: str) -> bool:
     return value
 
 
+def _read_rational(text) -> Fraction:
+    """A rational field, in the one spelling ``format_rational`` writes."""
+    value = parse_rational(text)
+    if format_rational(value) != text:
+        raise CertificateError(
+            f"rational {text!r} is not written as {format_rational(value)!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Sparse state with exact coefficients and a separate squared norm."""
@@ -132,20 +142,21 @@ class StateVector:
             tuple(_exact_int(x, "a support digit") for x in entry)
             for entry in doc["support"]
         )
-        coeffs = tuple(parse_rational(c) for c in doc["coefficients"])
-        return cls(dims, support, coeffs, parse_rational(doc["norm_sq"]))
+        coeffs = tuple(_read_rational(c) for c in doc["coefficients"])
+        return cls(dims, support, coeffs, _read_rational(doc["norm_sq"]))
 
 
 def _spectrum_to_doc(spectrum: Spectrum) -> dict:
     return {format_rational(v): m for v, m in spectrum.entries}
 
 
-def _spectrum_from_doc(doc: dict) -> Spectrum:
-    if not isinstance(doc, dict):
-        raise CertificateError("a spectrum must be an object")
-    return Spectrum.from_counts(
-        {parse_rational(k): _exact_int(v, "a multiplicity") for k, v in doc.items()}
-    )
+def _stored_spectrum(doc) -> dict:
+    """A stored spectrum, type-checked but kept in document form."""
+    if not isinstance(doc, dict) or not all(isinstance(k, str) for k in doc):
+        raise CertificateError("a spectrum must be an object with string keys")
+    for value in doc.values():
+        _exact_int(value, "a multiplicity")
+    return doc
 
 
 def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
@@ -161,8 +172,8 @@ def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
 def _pairs_from_doc(doc: list) -> SitePairs:
     pairs = []
     for entry in doc:
-        a_op = custom_site("A", [parse_rational(w) for w in entry["a_weights"]])
-        b_op = custom_site("B", [parse_rational(w) for w in entry["b_weights"]])
+        a_op = custom_site("A", [_read_rational(w) for w in entry["a_weights"]])
+        b_op = custom_site("B", [_read_rational(w) for w in entry["b_weights"]])
         pairs.append((a_op, b_op))
     return tuple(pairs)
 
@@ -265,42 +276,83 @@ def check_ghz_criteria(
 # -- GHZ certificates --------------------------------------------------------
 
 
-def build_ghz_document(
-    parties: PartySpec,
-    tuple_hint: tuple[Fraction, ...] | None = None,
-    bound: int = DEFAULT_BOUND,
-) -> dict:
-    """Run the whole pipeline and emit a verifiable certificate document."""
-    ps = build_proof_set(parties)
-    pairs = parties.canonical_pairs()
-    state = select_ghz(ps, tuple_hint, pairs)
-    cs = ConstraintSystem.for_state(ps, state, pairs)
-    report = analyze_lhv(cs, bound)
+class _Rejected(Exception):
+    """A failed claim; the message is the verifier's reason."""
 
-    ops = [w.factored(pairs) for w in ps.words]
-    word_spectra = [spectrum_of_factored(op) for op in ops]
-    product_spectrum = spectrum_of_factored(
-        FactoredMonomial.product(ops[i] for i in ps.product_plan)
-    )
 
-    doc = {
-        "kind": GHZ_KIND,
-        "format_version": FORMAT_VERSION,
-        "parties": {
-            "levels": list(parties.levels),
-            "mixed_parity_experimental": parties.mixed_parity,
-        },
-        "site_operators": _pairs_to_doc(pairs),
-        "words": list(ps.letter_words),
-        "product_plan": list(ps.product_plan),
+def _ghz_sections(doc: dict, bound: int) -> dict:
+    """Check the claims of the input sections, from ``parties`` to ``state``,
+    and return ``requirement_flags``, ``spectra`` and ``lhv`` in document
+    form; ``bound`` caps the LHV enumeration and is recorded in ``lhv``."""
+    try:
+        levels = tuple(_exact_int(m, "a level count") for m in doc["parties"]["levels"])
+        mixed_marker = _exact_bool(
+            doc["parties"]["mixed_parity_experimental"], "mixed_parity_experimental"
+        )
+        parties = PartySpec(levels, allow_mixed_parity=True)
+        pairs = _pairs_from_doc(doc["site_operators"])
+        word_strings = tuple(str(w) for w in doc["words"])
+        plan = tuple(_exact_int(i, "a plan index") for i in doc["product_plan"])
+        eigen_tuple = tuple(_read_rational(t) for t in doc["eigen_tuple"])
+        state = StateVector.from_doc(levels, doc["state"])
+    except (KeyError, TypeError, ValueError, GhzError) as exc:
+        raise _Rejected(f"malformed certificate: {exc}") from None
+
+    if len(pairs) != parties.n:
+        raise _Rejected("malformed certificate: one site pair per party required")
+    if len(eigen_tuple) != len(word_strings):
+        raise _Rejected("malformed certificate: eigen_tuple length mismatch")
+    if not parties.mixed_parity and mixed_marker:
+        raise _Rejected("mixed-parity marker set on a uniform-parity certificate")
+    if parties.mixed_parity and not mixed_marker:
+        raise _Rejected("mixed-parity certificate must carry the experimental marker")
+
+    # structural: anticommutation, word commutation, flags
+    for party, (a_op, b_op) in enumerate(pairs):
+        if a_op.dim != levels[party] or b_op.dim != levels[party]:
+            raise _Rejected(f"site operators for party {party + 1} have the wrong dimension")
+        if not check_anticommute(a_op, b_op):
+            raise _Rejected(f"site operators for party {party + 1} do not anticommute")
+    try:
+        words = tuple(TensorWord(w, parties) for w in word_strings)
+        ps = ProofSet.assemble(words, plan)
+    except (GhzError, ValueError) as exc:
+        raise _Rejected(f"invalid word set: {exc}") from None
+    if not ps.requirement_flags.all_ok:
+        raise _Rejected("requirement flags are not all satisfied")
+
+    # criterion III before the eigenvector equations, so a zeroed tuple is
+    # reported for what it is rather than as an equation failure
+    if any(not t for t in eigen_tuple):
+        raise _Rejected("criterion III: zero eigenvalue")
+    if eigen_tuple_plan_product(eigen_tuple, plan) >= 0:
+        raise _Rejected("criterion III: plan product of eigenvalues is not negative")
+
+    vec = state.flat_vec()
+    ops = [w.factored(pairs) for w in words]
+    for i, (op, lam) in enumerate(zip(ops, eigen_tuple), start=1):
+        if eigenvalue_of(op, vec) != lam:
+            raise _Rejected(f"eigenvector equation fails for word {i}")
+
+    try:
+        word_spectra = [spectrum_of_factored(op) for op in ops]
+        product_spectrum = spectrum_of_factored(FactoredMonomial.product(ops[i] for i in plan))
+    except ShapeError as exc:
+        raise _Rejected(f"spectrum recomputation failed: {exc}") from None
+    if product_spectrum.positive_count:
+        raise _Rejected("plan product has a positive eigenvalue")
+
+    # the unsatisfiability claim, derived from the stored tuple
+    cs = ConstraintSystem.build(ps, eigen_tuple, pairs)
+    if not parity_unsat(cs):
+        raise _Rejected("parity obstruction does not hold for the stored system")
+    try:
+        report = analyze_lhv(cs, bound)
+    except GhzError as exc:
+        raise _Rejected(f"unsatisfiability re-derivation failed: {exc}") from None
+
+    return {
         "requirement_flags": ps.requirement_flags.as_dict(),
-        "eigen_tuple": [format_rational(t) for t in state.eigen_tuple],
-        "state": StateVector(
-            parties.levels,
-            tuple(parties.digits(i) for i in state.support),
-            state.coefficients,
-            state.norm_sq,
-        ).to_doc(),
         "spectra": {
             "words": [_spectrum_to_doc(s) for s in word_spectra],
             "plan_product": _spectrum_to_doc(product_spectrum),
@@ -314,17 +366,41 @@ def build_ghz_document(
             "witness": None,
             "explanation": explain_parity(cs),
         },
+    }
+
+
+def build_ghz_document(
+    parties: PartySpec,
+    tuple_hint: tuple[Fraction, ...] | None = None,
+    bound: int = DEFAULT_BOUND,
+) -> dict:
+    """Run the whole pipeline and emit a verifiable certificate document."""
+    ps = build_proof_set(parties)
+    pairs = parties.canonical_pairs()
+    state = select_ghz(ps, tuple_hint, pairs)
+    doc = {
+        "kind": GHZ_KIND,
+        "format_version": FORMAT_VERSION,
+        "parties": {
+            "levels": list(parties.levels),
+            "mixed_parity_experimental": parties.mixed_parity,
+        },
+        "site_operators": _pairs_to_doc(pairs),
+        "words": list(ps.letter_words),
+        "product_plan": list(ps.product_plan),
+        "eigen_tuple": [format_rational(t) for t in state.eigen_tuple],
+        "state": StateVector(parties.levels, tuple(map(parties.digits, state.support)),
+                             state.coefficients, state.norm_sq).to_doc(),
         "provenance": {
             "tool": f"ghzcert {_tool_version}",
             "state_selection": STATE_SELECTION_NOTE,
-            "tuple_hint": (
-                [format_rational(t) for t in tuple_hint] if tuple_hint else None
-            ),
+            "tuple_hint": [format_rational(t) for t in tuple_hint] if tuple_hint else None,
         },
     }
-    ok, reason = verify_ghz_document(doc, bound)
-    if not ok:
-        raise AssertionError(f"freshly built certificate failed to verify: {reason}")
+    try:
+        doc.update(_ghz_sections(doc, bound))
+    except _Rejected as exc:
+        raise AssertionError(f"freshly built certificate failed to verify: {exc}") from None
     return doc
 
 
@@ -350,139 +426,67 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         if doc["kind"] != GHZ_KIND:
             raise CertificateError(f"not a GHZ certificate: kind {doc['kind']!r}")
         _check_format_version(doc)
-        levels = tuple(_exact_int(m, "a level count") for m in doc["parties"]["levels"])
-        mixed_marker = _exact_bool(
-            doc["parties"]["mixed_parity_experimental"], "mixed_parity_experimental"
-        )
-        parties = PartySpec(levels, allow_mixed_parity=True)
-        pairs = _pairs_from_doc(doc["site_operators"])
-        word_strings = tuple(str(w) for w in doc["words"])
-        plan = tuple(_exact_int(i, "a plan index") for i in doc["product_plan"])
-        eigen_tuple = tuple(parse_rational(t) for t in doc["eigen_tuple"])
-        state = StateVector.from_doc(levels, doc["state"])
-        stored_flags = doc["requirement_flags"]
-        if not isinstance(stored_flags, dict):
+        derived = _ghz_sections(doc, DEFAULT_BOUND if bound is None else bound)
+        flags, spectra, lhv = doc["requirement_flags"], doc["spectra"], doc["lhv"]
+        if not isinstance(flags, dict):
             raise CertificateError("requirement_flags must be an object")
-        for name, value in stored_flags.items():
+        for name, value in flags.items():
             _exact_bool(value, f"requirement flag {name!r}")
-    except (CertificateError, KeyError, TypeError, ValueError, GhzError) as exc:
-        return False, f"malformed certificate: {exc}"
-
-    if len(pairs) != parties.n:
-        return False, "malformed certificate: one site pair per party required"
-    if len(eigen_tuple) != len(word_strings):
-        return False, "malformed certificate: eigen_tuple length mismatch"
-    if not parties.mixed_parity and mixed_marker:
-        return False, "mixed-parity marker set on a uniform-parity certificate"
-    if parties.mixed_parity and not mixed_marker:
-        return False, "mixed-parity certificate must carry the experimental marker"
-
-    # structural: anticommutation, word commutation, flags
-    for party, (a_op, b_op) in enumerate(pairs):
-        if a_op.dim != levels[party] or b_op.dim != levels[party]:
-            return False, f"site operators for party {party + 1} have the wrong dimension"
-        if not check_anticommute(a_op, b_op):
-            return False, f"site operators for party {party + 1} do not anticommute"
-    try:
-        words = tuple(TensorWord(w, parties) for w in word_strings)
-        ps = ProofSet.assemble(words, plan)
-    except (GhzError, ValueError) as exc:
-        return False, f"invalid word set: {exc}"
-    flags = ps.requirement_flags
-    if flags.as_dict() != stored_flags:
-        return False, "stored requirement flags do not match recomputation"
-    if not flags.all_ok:
-        return False, "requirement flags are not all satisfied"
-
-    # criterion III before the eigenvector equations, so a zeroed tuple is
-    # reported for what it is rather than as an equation failure
-    if any(not t for t in eigen_tuple):
-        return False, "criterion III: zero eigenvalue"
-    if eigen_tuple_plan_product(eigen_tuple, plan) >= 0:
-        return False, "criterion III: plan product of eigenvalues is not negative"
-
-    vec = state.flat_vec()
-    ops = [w.factored(pairs) for w in words]
-    for i, (op, lam) in enumerate(zip(ops, eigen_tuple), start=1):
-        if eigenvalue_of(op, vec) != lam:
-            return False, f"eigenvector equation fails for word {i}"
-
-    # spectra are advisory in the file; recompute and insist they match
-    try:
-        stored_word_spectra = [
-            _spectrum_from_doc(d) for d in doc["spectra"]["words"]
+        word_spectra = [_stored_spectrum(s) for s in spectra["words"]]
+        expected, expected_lhv = derived["spectra"], derived["lhv"]
+        if len(word_spectra) != len(expected["words"]):
+            raise CertificateError("one spectrum per word required")
+        # lhv.bound is recorded for the reader; the caller's bound sets the work done
+        _exact_int(lhv["bound"], "bound")
+        comparisons = [
+            (flags, derived["requirement_flags"],
+             "stored requirement flags do not match recomputation"),
+            *(
+                (stored, spectrum, f"stored spectrum for word {i} does not match recomputation")
+                for i, (stored, spectrum) in enumerate(zip(word_spectra, expected["words"]), 1)
+            ),
+            (_stored_spectrum(spectra["plan_product"]), expected["plan_product"],
+             "stored plan-product spectrum does not match recomputation"),
+            (spectra["plan_product_classification"], expected["plan_product_classification"],
+             "stored plan-product classification does not match recomputation"),
+            ((lhv["status"], expected_lhv["status"]), (UNSAT, UNSAT),
+             "stored LHV status does not match re-derivation"),
+            ((lhv["method"], _exact_int(lhv["assignments_checked"], "assignments_checked")),
+             (expected_lhv["method"], expected_lhv["assignments_checked"]),
+             "stored LHV report does not match re-derivation"),
+            (lhv["witness"], None, "stored LHV witness must be null for an UNSAT claim"),
+            (lhv["explanation"], expected_lhv["explanation"],
+             "stored LHV explanation does not match re-derivation"),
         ]
-        stored_product = _spectrum_from_doc(doc["spectra"]["plan_product"])
-        stored_class = doc["spectra"]["plan_product_classification"]
-    except (CertificateError, KeyError, TypeError, ValueError) as exc:
+    except (CertificateError, KeyError, TypeError) as exc:
         return False, f"malformed certificate: {exc}"
-    if len(stored_word_spectra) != len(words):
-        return False, "malformed certificate: one spectrum per word required"
-    try:
-        word_spectra = [spectrum_of_factored(op) for op in ops]
-        product_spectrum = spectrum_of_factored(
-            FactoredMonomial.product(ops[i] for i in plan)
-        )
-    except ShapeError as exc:
-        return False, f"spectrum recomputation failed: {exc}"
-    for i, (spectrum, stored) in enumerate(zip(word_spectra, stored_word_spectra), start=1):
-        if spectrum != stored:
-            return False, f"stored spectrum for word {i} does not match recomputation"
-    if product_spectrum != stored_product:
-        return False, "stored plan-product spectrum does not match recomputation"
-    if product_spectrum.classify() != stored_class:
-        return False, "stored plan-product classification does not match recomputation"
-    if product_spectrum.positive_count:
-        return False, "plan product has a positive eigenvalue"
+    except _Rejected as exc:
+        return False, str(exc)
+    return _first_mismatch(comparisons)
 
-    # the unsatisfiability claim, re-derived from scratch
-    cs = ConstraintSystem.build(ps, eigen_tuple, pairs)
-    if not parity_unsat(cs):
-        return False, "parity obstruction does not hold for the stored system"
-    lhv_doc = doc["lhv"]
-    try:
-        stored_status = lhv_doc["status"]
-        stored_method = lhv_doc["method"]
-        stored_checked = _exact_int(lhv_doc["assignments_checked"], "assignments_checked")
-        # recorded for the reader; the caller's bound sets the work done
-        _exact_int(lhv_doc["bound"], "bound")
-        stored_witness = lhv_doc["witness"]
-        stored_explanation = lhv_doc["explanation"]
-    except (CertificateError, KeyError, TypeError, ValueError) as exc:
-        return False, f"malformed certificate: {exc}"
-    try:
-        report = analyze_lhv(cs, DEFAULT_BOUND if bound is None else bound)
-    except GhzError as exc:
-        return False, f"unsatisfiability re-derivation failed: {exc}"
-    if report.status != UNSAT or stored_status != UNSAT:
-        return False, "stored LHV status does not match re-derivation"
-    if report.method != stored_method or report.assignments_checked != stored_checked:
-        return False, "stored LHV report does not match re-derivation"
-    if stored_witness is not None:
-        return False, "stored LHV witness must be null for an UNSAT claim"
-    if stored_explanation != explain_parity(cs):
-        return False, "stored LHV explanation does not match re-derivation"
 
+def _first_mismatch(comparisons) -> tuple[bool, str]:
+    """The reason of the first (stored, derived, reason) that differ, else accept."""
+    for stored, derived, reason in comparisons:
+        if stored != derived:
+            return False, reason
     return True, "accept"
 
 
 # -- KS certificates ---------------------------------------------------------
 
 
-def build_ks_document(m: int, mode: str = SIGN_ONLY) -> dict:
+def _ks_sections(m: int, mode: str) -> dict:
+    """Every section of a KS certificate from ``observables`` to ``search``,
+    derived from the level count and the search mode, in document form."""
     cfg = build_ks(m)
     report = ks_color_search(cfg, mode)
     horizontal, side = cfg.horizontal_spectrum, cfg.side_spectrum
-    doc = {
-        "kind": KS_KIND,
-        "format_version": FORMAT_VERSION,
-        "levels": m,
-        "observables": [
-            {"label": obs.label, "letters": list(obs.letters)}
-            for obs in cfg.observables
-        ],
+    return {
+        "observables": [{"label": o.label, "letters": list(o.letters)} for o in cfg.observables],
         "contexts": [list(ctx) for ctx in cfg.contexts],
         "sign_targets": list(cfg.sign_targets),
+        "contexts_rendered": render_contexts(cfg).split("\n"),
         "structure": {
             "horizontal_classification": horizontal.classify(),
             "side_classification": side.classify(),
@@ -499,13 +503,16 @@ def build_ks_document(m: int, mode: str = SIGN_ONLY) -> dict:
                 else {label: format_rational(v) for label, v in report.witness}
             ),
         },
-        "provenance": {"tool": f"ghzcert {_tool_version}"},
-        "contexts_rendered": render_contexts(cfg).split("\n"),
     }
-    ok, reason = verify_ks_document(doc)
-    if not ok:
-        raise AssertionError(f"freshly built certificate failed to verify: {reason}")
-    return doc
+
+
+def build_ks_document(m: int, mode: str = SIGN_ONLY) -> dict:
+    sections = _ks_sections(m, mode)
+    if sections["search"]["status"] != KS_UNSAT:
+        raise AssertionError("freshly built certificate failed to verify: "
+                             "stored search status does not match re-derivation")
+    return {"kind": KS_KIND, "format_version": FORMAT_VERSION, "levels": m, **sections,
+            "provenance": {"tool": f"ghzcert {_tool_version}"}}
 
 
 def verify_ks_document(doc: dict) -> tuple[bool, str]:
@@ -516,57 +523,48 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
             raise CertificateError(f"not a KS certificate: kind {doc.get('kind')!r}")
         _check_format_version(doc)
         m = _exact_int(doc["levels"], "levels")
-        mode = doc["search"]["mode"]
-        stored_status = doc["search"]["status"]
-        stored_checked = _exact_int(doc["search"]["patterns_checked"], "patterns_checked")
-        stored_witness = doc["search"]["witness"]
-        observables = doc["observables"]
-        contexts = [
-            [_exact_int(i, "a context index") for i in ctx] for ctx in doc["contexts"]
-        ]
+        search, structure = doc["search"], doc["structure"]
+        mode, status, witness = search["mode"], search["status"], search["witness"]
+        checked = _exact_int(search["patterns_checked"], "patterns_checked")
+        observables, rendered = doc["observables"], doc["contexts_rendered"]
+        contexts = [[_exact_int(i, "a context index") for i in ctx] for ctx in doc["contexts"]]
         sign_targets = [_exact_int(t, "a sign target") for t in doc["sign_targets"]]
-        rendered = doc["contexts_rendered"]
-        structure = doc["structure"]
         if not isinstance(structure, dict):
             raise CertificateError("structure must be an object")
-        stored_horizontal = _spectrum_from_doc(structure["horizontal_spectrum"])
-        stored_side = _spectrum_from_doc(structure["side_spectrum"])
-    except (CertificateError, KeyError, TypeError, ValueError) as exc:
+        _stored_spectrum(structure["horizontal_spectrum"])
+        _stored_spectrum(structure["side_spectrum"])
+    except (CertificateError, KeyError, TypeError) as exc:
         return False, f"malformed certificate: {exc}"
-    try:
-        cfg = build_ks(m)
-    except GhzError as exc:
-        return False, f"configuration rebuild failed: {exc}"
-    rebuilt_observables = [
-        {"label": obs.label, "letters": list(obs.letters)} for obs in cfg.observables
-    ]
-    if observables != rebuilt_observables:
-        return False, "stored observables do not match the rebuilt configuration"
-    if contexts != [list(ctx) for ctx in cfg.contexts]:
-        return False, "stored contexts do not match the rebuilt configuration"
-    if sign_targets != list(cfg.sign_targets):
-        return False, "stored sign targets do not match the rebuilt configuration"
-    if rendered != render_contexts(cfg).split("\n"):
-        return False, "stored rendered contexts do not match the rebuilt configuration"
-    horizontal, side = cfg.horizontal_spectrum, cfg.side_spectrum
-    if structure.get("horizontal_classification") != horizontal.classify():
-        return False, "stored horizontal classification does not match recomputation"
-    if structure.get("side_classification") != side.classify():
-        return False, "stored side classification does not match recomputation"
-    if stored_horizontal != horizontal:
-        return False, "stored horizontal spectrum does not match recomputation"
-    if stored_side != side:
-        return False, "stored side spectrum does not match recomputation"
     if mode not in (SIGN_ONLY, FULL_SPECTRUM):
         return False, f"unknown search mode {mode!r}"
-    report = ks_color_search(cfg, mode)
-    if report.status != stored_status or report.status != KS_UNSAT:
-        return False, "stored search status does not match re-derivation"
-    if report.patterns_checked != stored_checked:
-        return False, "stored pattern count does not match re-derivation"
-    if stored_witness is not None:
-        return False, "stored search witness must be null for an UNSAT claim"
-    return True, "accept"
+    try:
+        expected = _ks_sections(m, mode)
+    except GhzError as exc:
+        return False, f"configuration rebuild failed: {exc}"
+    rebuilt = expected["structure"]
+    return _first_mismatch([
+        (observables, expected["observables"],
+         "stored observables do not match the rebuilt configuration"),
+        (contexts, expected["contexts"],
+         "stored contexts do not match the rebuilt configuration"),
+        (sign_targets, expected["sign_targets"],
+         "stored sign targets do not match the rebuilt configuration"),
+        (rendered, expected["contexts_rendered"],
+         "stored rendered contexts do not match the rebuilt configuration"),
+        (structure.get("horizontal_classification"), rebuilt["horizontal_classification"],
+         "stored horizontal classification does not match recomputation"),
+        (structure.get("side_classification"), rebuilt["side_classification"],
+         "stored side classification does not match recomputation"),
+        (structure["horizontal_spectrum"], rebuilt["horizontal_spectrum"],
+         "stored horizontal spectrum does not match recomputation"),
+        (structure["side_spectrum"], rebuilt["side_spectrum"],
+         "stored side spectrum does not match recomputation"),
+        ((status, expected["search"]["status"]), (KS_UNSAT, KS_UNSAT),
+         "stored search status does not match re-derivation"),
+        (checked, expected["search"]["patterns_checked"],
+         "stored pattern count does not match re-derivation"),
+        (witness, None, "stored search witness must be null for an UNSAT claim"),
+    ])
 
 
 def verify_document(doc: dict, bound: int | None = None) -> tuple[bool, str]:

@@ -8,6 +8,7 @@ eligible eigenvector), 2 means a usage or input-validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -219,6 +220,7 @@ def _cmd_criteria(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built on the first call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzcert",
@@ -233,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, output=True):
         p.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT,
                        help="stdout rendering (default: text)")
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                       help="cap on enumeration sizes")
         if output:
             p.add_argument("--output", help="path to write the certificate")
 
@@ -286,12 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_crit, output=False)
     p_crit.set_defaults(func=_cmd_criteria)
 
+    for p in (p_build, p_verify, p_lhv):
+        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                       help="cap on enumeration sizes")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NoGhzStateError as exc:

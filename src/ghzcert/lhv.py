@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import SearchBoundError
 from .exact import ONE, format_rational
 from .search import Check, first_assignment
-from .spectral import GhzState, eigen_tuple_plan_product
+from .spectral import JointEigenvector, eigen_tuple_plan_product
 from .words import LETTERS, ProofSet, SitePairs
 
 DEFAULT_BOUND = 10**8
@@ -77,7 +77,7 @@ class ConstraintSystem:
 
     @classmethod
     def for_state(
-        cls, ps: ProofSet, state: GhzState, pairs: SitePairs | None = None
+        cls, ps: ProofSet, state: JointEigenvector, pairs: SitePairs | None = None
     ) -> ConstraintSystem:
         return cls.build(ps, state.eigen_tuple, pairs)
 

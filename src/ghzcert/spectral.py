@@ -47,6 +47,7 @@ picks, so a build never computes the rest of the basis.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +67,8 @@ INDEFINITE = "indefinite"
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Exact eigenvalue multiset, stored sorted ascending."""
+    """Exact eigenvalue multiset, stored sorted ascending with positive
+    multiplicities."""
 
     entries: tuple[tuple[Fraction, int], ...]
 
@@ -82,7 +84,9 @@ class Spectrum:
         return sum(m for _, m in self.entries)
 
     def multiplicity(self, value: Fraction) -> int:
-        return self.as_dict().get(value, 0)
+        k = bisect_left(self.entries, (value,))
+        found = k < len(self.entries) and self.entries[k][0] == value
+        return self.entries[k][1] if found else 0
 
     @property
     def zero_count(self) -> int:
@@ -97,7 +101,10 @@ class Spectrum:
         return sum(m for v, m in self.entries if v < 0)
 
     def classify(self) -> str:
-        pos, neg, zero = self.positive_count, self.negative_count, self.zero_count
+        # entries ascend: the first and the last tell whether either sign occurs
+        neg = bool(self.entries) and self.entries[0][0] < 0
+        pos = bool(self.entries) and self.entries[-1][0] > 0
+        zero = self.zero_count
         if pos and neg:
             return INDEFINITE
         if neg:
@@ -186,7 +193,8 @@ Vec = dict[int, Fraction]
 
 @dataclass(frozen=True)
 class JointEigenvector:
-    """One simultaneous eigenvector with its per-word eigenvalues."""
+    """One simultaneous eigenvector with its per-word eigenvalues; the
+    coefficients are primitive integers and ``norm_sq`` stays a rational."""
 
     eigen_tuple: tuple[Fraction, ...]
     support: tuple[int, ...]
@@ -198,21 +206,6 @@ class JointEigenvector:
     @property
     def norm_sq(self) -> Fraction:
         return sum((c * c for c in self.coefficients), ZERO)
-
-
-@dataclass(frozen=True)
-class GhzState:
-    """A selected eligible eigenvector: nonzero eigenvalues whose planned
-    product is negative. Coefficients are primitive integers; the squared
-    norm is carried separately so nothing ever leaves rational arithmetic."""
-
-    support: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
-    norm_sq: Fraction
-    eigen_tuple: tuple[Fraction, ...]
-
-    def as_vec(self) -> Vec:
-        return dict(zip(self.support, self.coefficients))
 
 
 def _commuting_operators(ps: ProofSet, pairs: SitePairs | None) -> list[FactoredMonomial]:
@@ -335,8 +328,9 @@ def select_ghz(
     ps: ProofSet,
     tuple_hint: tuple[Fraction, ...] | None = None,
     pairs: SitePairs | None = None,
-) -> GhzState:
-    """Pick the entangled eigenvector the contradiction is built on.
+) -> JointEigenvector:
+    """Pick the entangled eigenvector the contradiction is built on: its
+    eigenvalues are nonzero and their planned product is negative.
 
     With a hint, returns the first eigenvector carrying exactly that
     eigenvalue tuple; otherwise the first eligible one in the deterministic
@@ -369,14 +363,11 @@ def select_ghz(
             "requested eigen-tuple is not eligible: it has a zero entry "
             "or a nonnegative plan product"
         )
-    state = GhzState(
-        chosen.support, chosen.coefficients, chosen.norm_sq, chosen.eigen_tuple
-    )
-    _check_state(state, ps, ops)
-    return state
+    _check_state(chosen, ps, ops)
+    return chosen
 
 
-def _check_state(state: GhzState, ps: ProofSet, ops: list[FactoredMonomial]) -> None:
+def _check_state(state: JointEigenvector, ps: ProofSet, ops: list[FactoredMonomial]) -> None:
     """Re-verify the eigenvector equations before handing the state out."""
     vec = state.as_vec()
     for word, op, lam in zip(ps.words, ops, state.eigen_tuple):

@@ -235,3 +235,19 @@ def test_criteria_with_custom_pairs_file(tmp_path, capsys):
                        "--words", "ABB,BAB,BBA,AAA")
     assert code == 1
     assert "not an eigenvector of word ABB" in out
+
+
+@pytest.mark.parametrize(
+    "argv", (["ks", "2"], ["spectrum", "3", "3", "3"], ["criteria", "--state", "w.json"])
+)
+def test_bound_is_only_taken_where_it_is_read(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--bound", "5"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --bound 5" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    from ghzcert.cli import build_parser
+
+    assert build_parser() is build_parser()

@@ -1,0 +1,183 @@
+"""One derivation per certificate kind: build runs it once, verify compares
+against it; document rationals have one spelling; the verifier is total
+under single mutations of real certificates."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from ghzcert import certificate
+from ghzcert.certificate import (
+    build_ghz_document,
+    build_ks_document,
+    dumps_document,
+    verify_document,
+)
+from ghzcert.kochen_specker import FULL_SPECTRUM, SIGN_ONLY
+from ghzcert.words import PartySpec
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(certificate, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(certificate, name, counted)
+    return counts
+
+
+def test_ghz_build_derives_each_section_once(monkeypatch):
+    counts = _count_calls(monkeypatch, ("analyze_lhv", "spectrum_of_factored"))
+    build_ghz_document(PartySpec((3, 3, 3)))
+    # four word spectra and one plan-product spectrum
+    assert counts == {"analyze_lhv": 1, "spectrum_of_factored": 5}
+
+
+def test_ks_build_derives_each_section_once(monkeypatch):
+    counts = _count_calls(monkeypatch, ("build_ks", "ks_color_search"))
+    build_ks_document(4, FULL_SPECTRUM)
+    assert counts == {"build_ks": 1, "ks_color_search": 1}
+
+
+# -- one spelling per rational ----------------------------------------------
+
+
+def _doubled(text):
+    value = Fraction(text)
+    return f"{2 * value.numerator}/{2 * value.denominator}"
+
+
+def _padded(text):
+    return f" {text}"
+
+
+def _set_item(path):
+    def mutate(doc, spell):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = spell(doc[last])
+    return mutate
+
+
+def _rename_key(path, key):
+    def mutate(doc, spell):
+        for step in path:
+            doc = doc[step]
+        doc[spell(key)] = doc.pop(key)
+    return mutate
+
+
+# (document, where the rational sits, expected reason prefix)
+NON_CANONICAL_FIELDS = {
+    "a weight": ("ghz", _set_item(("site_operators", 0, "a_weights", 2)), "malformed"),
+    "b weight": ("ghz", _set_item(("site_operators", 1, "b_weights", 0)), "malformed"),
+    "eigen tuple": ("ghz", _set_item(("eigen_tuple", 2)), "malformed"),
+    "coefficient": ("ghz", _set_item(("state", "coefficients", 3)), "malformed"),
+    "norm_sq": ("ghz", _set_item(("state", "norm_sq")), "malformed"),
+    "word spectrum key": (
+        "ghz", _rename_key(("spectra", "words", 0), "-1"), "stored spectrum for word 1"
+    ),
+    "plan-product key": (
+        "ghz", _rename_key(("spectra", "plan_product"), "-1"), "stored plan-product spectrum"
+    ),
+    "ks spectrum key": (
+        "ks", _rename_key(("structure", "horizontal_spectrum"), "-1/4096"),
+        "stored horizontal spectrum",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def docs():
+    return {"ghz": build_ghz_document(PartySpec((3, 3, 3))), "ks": build_ks_document(2)}
+
+
+@pytest.mark.parametrize("spell", (_doubled, _padded), ids=("doubled", "padded"))
+@pytest.mark.parametrize("field", sorted(NON_CANONICAL_FIELDS))
+def test_non_canonical_rational_rejected(docs, field, spell):
+    kind, mutate, reason = NON_CANONICAL_FIELDS[field]
+    tampered = json.loads(dumps_document(docs[kind]))
+    mutate(tampered, spell)
+    ok, got = verify_document(tampered)
+    assert not ok
+    assert got.startswith(reason), got
+
+
+# -- single mutations of whole documents -------------------------------------
+
+# Every value differs in JSON from some leaf it replaces; ints stay small, since
+# a large KS level count is work the verifier does not cap.
+JUNK = (True, 1, 12, 1.0, "1/1", " 1", "x", [], {}, None)
+NON_OBJECT_ROOTS = ([], "x", None, 3, 1.0, True, ["kind"])
+
+# Changing these never changes a verdict: the provenance is free text, and the
+# stored LHV bound is a record that the caller's bound overrides.
+UNCHECKED = (("provenance",), ("lhv", "bound"))
+
+MUTATED_DOCS = {
+    "3 3 3": lambda: build_ghz_document(PartySpec((3, 3, 3))),
+    "2 2 2 2": lambda: build_ghz_document(PartySpec((2, 2, 2, 2))),
+    "ks 2 sign-only": lambda: build_ks_document(2, SIGN_ONLY),
+    "ks 4 full-spectrum": lambda: build_ks_document(4, FULL_SPECTRUM),
+}
+
+
+def _nodes(value, path=()):
+    """Every (container, key, path) below ``value``, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in list(items):
+        yield value, key, path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _nodes(child, path + (key,))
+
+
+def _mutations(doc):
+    """Apply each single mutation in place, yield (path, new value or
+    "deleted"), then undo it."""
+    for parent, key, path in _nodes(doc):
+        original = parent[key]
+        if not isinstance(original, (dict, list)):
+            text = json.dumps(original)
+            for junk in JUNK:
+                if json.dumps(junk) != text:
+                    parent[key] = junk
+                    yield path, junk
+            parent[key] = original
+        if isinstance(parent, dict):
+            del parent[key]
+            yield path, "deleted"
+            parent[key] = original
+        else:
+            parent.pop(key)
+            yield path, "deleted"
+            parent.insert(key, original)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_DOCS))
+def test_every_single_mutation_is_rejected(name):
+    doc = MUTATED_DOCS[name]()
+    before = dumps_document(doc)
+    assert verify_document(doc) == (True, "accept")
+    accepted = []
+    for path, change in _mutations(doc):
+        result = verify_document(doc)
+        assert isinstance(result, tuple) and len(result) == 2, path
+        ok, reason = result
+        assert isinstance(ok, bool) and isinstance(reason, str), path
+        if ok and not any(path[:len(p)] == p for p in UNCHECKED):
+            accepted.append((path, change))
+    assert dumps_document(doc) == before
+    assert accepted == []
+
+
+@pytest.mark.parametrize("root", NON_OBJECT_ROOTS, ids=repr)
+def test_non_object_root_rejected(root):
+    ok, reason = verify_document(root)
+    assert not ok
+    assert reason.startswith("malformed certificate: ")

@@ -434,3 +434,24 @@ def test_two_level_ten_party_basis_is_fast():
 def test_spectrum_classify_spectrum_input():
     s = Spectrum.from_counts({F(-1): 3, F(-2): 5})
     assert classify_definiteness(s) == NEGATIVE_DEFINITE
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.fractions(max_denominator=4), st.integers(0, 3), max_size=6))
+def test_classify_and_multiplicity_match_a_full_count(counts):
+    spectrum = Spectrum.from_counts(counts)
+    pos = sum(m for v, m in counts.items() if v > 0)
+    neg = sum(m for v, m in counts.items() if v < 0)
+    zero = counts.get(Fraction(0), 0)
+    if pos and neg:
+        expected = INDEFINITE
+    elif neg:
+        expected = NEGATIVE_SEMIDEFINITE if zero else NEGATIVE_DEFINITE
+    elif pos and not zero:
+        expected = POSITIVE_DEFINITE
+    else:
+        expected = spectral.POSITIVE_SEMIDEFINITE
+    assert spectrum.classify() == expected
+    assert spectrum.zero_count == zero
+    for value, m in counts.items():
+        assert spectrum.multiplicity(value) == m
