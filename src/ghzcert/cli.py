@@ -34,7 +34,7 @@ from .lhv import (
     parity_unsat,
 )
 from .kochen_specker import FULL_SPECTRUM, SIGN_ONLY
-from .spectral import select_ghz, spectrum_of_factored, spectrum_of_word
+from .spectral import select_ghz, spectrum_of_factored
 from .words import LETTERS, PartySpec, TensorWord, build_proof_set
 
 TEXT = "text"
@@ -50,6 +50,17 @@ def _parse_tuple(text: str, flag: str, count: int) -> tuple[Fraction, ...]:
     if len(values) != count:
         raise UsageError(f"system has {count} words; {flag} needs that many entries")
     return values
+
+
+def _bound(text: str) -> int:
+    """A ``--bound`` value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _letters(word: str, flag: str) -> str:
@@ -163,16 +174,16 @@ def _cmd_spectrum(args) -> int:
     parties = _party_spec(args)
     doc: dict = {"levels": list(parties.levels)}
     lines: list[str] = []
-    if args.word:
+    if args.word is not None:
         word = TensorWord(_letters(args.word, "--word"), parties)
-        spectrum = spectrum_of_word(word)
+        spectrum = spectrum_of_factored(word.factored())
         doc["word"] = args.word
         doc["spectrum"] = {format_rational(v): m for v, m in spectrum.entries}
         doc["classification"] = spectrum.classify()
         lines.append(f"word {args.word}: " + ", ".join(
             f"{format_rational(v)} x{m}" for v, m in spectrum.entries))
         lines.append(f"classification: {spectrum.classify()}")
-    if args.product or not args.word:
+    if args.product or args.word is None:
         ps = build_proof_set(parties)
         ops = [w.factored() for w in ps.words]
         spectrum = spectrum_of_factored(
@@ -287,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.set_defaults(func=_cmd_criteria)
 
     for p in (p_build, p_verify, p_lhv):
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                       help="cap on enumeration sizes")
+        p.add_argument("--bound", type=_bound, default=DEFAULT_BOUND,
+                       help="cap on enumeration sizes (a non-negative integer)")
     return parser
 
 

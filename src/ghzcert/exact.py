@@ -24,8 +24,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ShapeError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -108,9 +106,6 @@ class MonomialMatrix:
         # weights[n-1-j]
         return cls(n, tuple(n - 1 - j for j in range(n)),
                    tuple(weights[n - 1 - j] for j in range(n)))
-
-    def is_diagonal(self) -> bool:
-        return all(t == j for j, t in enumerate(self.target))
 
     def eigenvalue_counts(self) -> dict[Fraction, int]:
         """Eigenvalue multiplicities of a diagonal or involutive

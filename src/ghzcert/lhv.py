@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SearchBoundError
-from .exact import ONE, format_rational
+from .exact import format_rational
 from .search import Check, first_assignment
-from .spectral import JointEigenvector, eigen_tuple_plan_product
+from .spectral import eigen_tuple_plan_product
 from .words import LETTERS, ProofSet, SitePairs
 
 DEFAULT_BOUND = 10**8
@@ -75,12 +75,6 @@ class ConstraintSystem:
         return cls(ps.letter_words, tuple(rhs), ps.product_plan,
                    tuple(slots), tuple(domains))
 
-    @classmethod
-    def for_state(
-        cls, ps: ProofSet, state: JointEigenvector, pairs: SitePairs | None = None
-    ) -> ConstraintSystem:
-        return cls.build(ps, state.eigen_tuple, pairs)
-
     @property
     def assignment_space(self) -> int:
         size = 1
@@ -124,17 +118,6 @@ def parity_unsat(cs: ConstraintSystem) -> bool:
     if any(m % 2 for m in counts.values()):
         return False
     return eigen_tuple_plan_product(cs.rhs, cs.plan) < 0
-
-
-def verify_witness(cs: ConstraintSystem, witness: dict[Slot, Fraction]) -> bool:
-    """Re-check a claimed satisfying assignment by direct substitution."""
-    for word, target in zip(cs.letter_words, cs.rhs):
-        prod = ONE
-        for party, letter in enumerate(word):
-            prod *= witness[(party, letter)]
-        if prod != target:
-            return False
-    return True
 
 
 def brute_force_lhv(

@@ -175,17 +175,6 @@ def spectrum_of_factored(op: FactoredMonomial) -> Spectrum:
     return Spectrum(tuple((Fraction(p, scale), m) for p, m in sorted(counts.items())))
 
 
-def spectrum_of_word(word, pairs: SitePairs | None = None) -> Spectrum:
-    """Exact spectrum of one tensor word."""
-    return spectrum_of_factored(word.factored(pairs))
-
-
-def classify_definiteness(op: MonomialMatrix | Spectrum) -> str:
-    """Definiteness class read off the exact spectrum sign pattern."""
-    spectrum = op if isinstance(op, Spectrum) else spectrum_of_monomial(op)
-    return spectrum.classify()
-
-
 # -- joint eigenvectors ------------------------------------------------------
 
 Vec = dict[int, Fraction]
@@ -199,9 +188,6 @@ class JointEigenvector:
     eigen_tuple: tuple[Fraction, ...]
     support: tuple[int, ...]
     coefficients: tuple[Fraction, ...]
-
-    def as_vec(self) -> Vec:
-        return dict(zip(self.support, self.coefficients))
 
     @property
     def norm_sq(self) -> Fraction:
@@ -363,16 +349,7 @@ def select_ghz(
             "requested eigen-tuple is not eligible: it has a zero entry "
             "or a nonnegative plan product"
         )
-    _check_state(chosen, ps, ops)
     return chosen
-
-
-def _check_state(state: JointEigenvector, ps: ProofSet, ops: list[FactoredMonomial]) -> None:
-    """Re-verify the eigenvector equations before handing the state out."""
-    vec = state.as_vec()
-    for word, op, lam in zip(ps.words, ops, state.eigen_tuple):
-        if eigenvalue_of(op, vec) != lam:
-            raise AssertionError(f"state fails the eigenvector equation for {word}")
 
 
 def eigenvalue_of(op: FactoredMonomial, vec: Vec) -> Fraction | None:

@@ -110,7 +110,7 @@ class PartySpec:
 
 @dataclass(frozen=True)
 class TensorWord:
-    """A letter per party; realized as a weighted involutive monomial matrix."""
+    """A letter per party; its operator is a weighted involutive monomial matrix."""
 
     letters: str
     parties: PartySpec
@@ -170,7 +170,7 @@ def letters_commute(x: Sequence[str], y: Sequence[str]) -> bool:
 
 
 def words_commute(u: TensorWord, v: TensorWord) -> bool:
-    """True iff the realized operators commute, by `letters_commute`."""
+    """True iff the words' operators commute, by `letters_commute`."""
     if u.parties != v.parties:
         raise PartyMismatchError("words belong to different party specs")
     return letters_commute(u.letters, v.letters)
@@ -303,13 +303,6 @@ class ProofSet:
 
     def product_sign(self) -> int:
         return plan_product_sign(self.letter_words, self.product_plan)
-
-
-def validate_requirements(ps: ProofSet) -> RequirementFlags:
-    """Recompute the four requirement flags for a proof set."""
-    if not ps.words:
-        raise ValueError("empty proof set")
-    return _flags(ps.letter_words, ps.product_plan)
 
 
 # The six column types of a four-word set, each read top to bottom through

@@ -4,7 +4,8 @@ The first part holds the plain ``itertools.product`` loops the package used
 before its searches moved onto ``ghzcert.search.first_assignment``. They
 visit every assignment one by one, with no pruning, scaling or division, so
 agreement with the kernel on status, count and witness checks the kernel's
-prefix refutation and counting.
+prefix refutation and counting. A claimed LHV witness is checked by direct
+substitution into the word equations.
 
 The second part holds the word-set searches the package used before proof
 sets were constructed from column-type counts: the lexicographic search over
@@ -17,8 +18,9 @@ its orbit walk (``spectral._orbit_walk``) took its seeds in one pass over the
 indices: it seeds each orbit with ``min`` of the unvisited set.
 
 The fourth part holds the composite-dimension path the package used before
-words stayed factored: realization as a fold of ``monomial_tensor``, the
-pairwise commutation check on full products, and the simultaneous
+words stayed factored: realization as a fold of ``monomial_tensor`` (for
+the KS observables and their shared side product too), the pairwise
+commutation check on full products, and the simultaneous
 eigenbasis the package computed before it read the joint eigenvectors off in
 closed form: each word in turn splits an orbit's subspaces by Lagrange
 projectors onto its possible eigenvalues, with every subspace kept in
@@ -112,6 +114,17 @@ def brute_force_lhv(
     return LhvReport(UNSAT, None, method, checked, sign_only)
 
 
+def verify_witness(cs: ConstraintSystem, witness: dict[tuple[int, str], Fraction]) -> bool:
+    """Re-check a claimed satisfying assignment by direct substitution."""
+    for word, target in zip(cs.letter_words, cs.rhs):
+        prod = ONE
+        for party, letter in enumerate(word):
+            prod *= witness[(party, letter)]
+        if prod != target:
+            return False
+    return True
+
+
 def ks_search_signs(cfg: KsConfiguration) -> KsReport:
     labels = [obs.label for obs in cfg.observables]
     checked = 0
@@ -151,9 +164,8 @@ def ks_search_full(cfg: KsConfiguration) -> KsReport:
     }
     # the horizontal spectrum on the composite path, not the one the
     # configuration carries
-    horizontal = monomial_compose(
-        cfg.observables[i].realize(pairs) for i in cfg.contexts[0]
-    )
+    mats = realized(cfg)
+    horizontal = monomial_compose(mats[i] for i in cfg.contexts[0])
     allowed_products = set(spectrum_of_monomial(horizontal).as_dict())
 
     labels = [obs.label for obs in cfg.observables]
@@ -348,6 +360,18 @@ def realize(letters, pairs, levels) -> MonomialMatrix:
     for mat in mats[1:]:
         acc = monomial_tensor(acc, mat)
     return acc
+
+
+def realized(cfg: KsConfiguration) -> list[MonomialMatrix]:
+    """The ten KS observables as composite monomials, in observable order."""
+    pairs = cfg.pairs()
+    return [realize(obs.letters, pairs, (cfg.levels,) * 3) for obs in cfg.observables]
+
+
+def shared_side_product(cfg: KsConfiguration) -> MonomialMatrix:
+    """The one operator every non-horizontal KS context multiplies out to."""
+    mats = realized(cfg)
+    return monomial_compose(mats[i] for i in cfg.contexts[1])
 
 
 def mutually_commuting(mats: list[MonomialMatrix]) -> bool:

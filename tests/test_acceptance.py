@@ -11,7 +11,16 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from oracles import densify, exhaustive_no_4set, mat_apply, mat_multiply, to_dense
+from oracles import (
+    densify,
+    exhaustive_no_4set,
+    mat_apply,
+    mat_multiply,
+    realized,
+    shared_side_product,
+    to_dense,
+    verify_witness,
+)
 
 from ghzcert.certificate import (
     StateVector,
@@ -30,19 +39,17 @@ from ghzcert.kochen_specker import (
     SIGN_ONLY,
     build_ks,
     ks_color_search,
-    shared_side_product,
 )
-from ghzcert.lhv import ConstraintSystem, SAT, UNSAT, brute_force_lhv, parity_unsat, verify_witness
+from ghzcert.lhv import ConstraintSystem, SAT, UNSAT, brute_force_lhv, parity_unsat
 from ghzcert.siteops import build_A, build_B
 from ghzcert.spectral import (
     NEGATIVE_DEFINITE,
     POSITIVE_DEFINITE,
-    classify_definiteness,
     is_eligible,
     select_ghz,
     simultaneous_eigenbasis,
+    spectrum_of_factored,
     spectrum_of_monomial,
-    spectrum_of_word,
 )
 from ghzcert.words import (
     PartySpec,
@@ -92,7 +99,7 @@ def test_criterion_02_three_level_spectra():
         started = time.monotonic()
         ps = canonical((3, 3, 3))
         for word in ps.words:
-            assert spectrum_of_word(word).as_dict() == {F(-1): 4, F(0): 19, F(1): 4}
+            assert spectrum_of_factored(word.factored()).as_dict() == {F(-1): 4, F(0): 19, F(1): 4}
         product_spectrum = spectrum_of_monomial(plan_product(ps))
         assert product_spectrum.as_dict() == {F(-1): 8, F(0): 19}
         assert time.monotonic() - started < 1.0
@@ -106,7 +113,7 @@ def test_criterion_03_zero_count_formula():
             assert k == 12 * s * s + 6 * s + 1
             ps = canonical((m, m, m))
             for word in ps.words:
-                spect = spectrum_of_word(word)
+                spect = spectrum_of_factored(word.factored())
                 assert spect.zero_count == k
                 assert spect.positive_count == (m**3 - k) // 2
             product_spectrum = spectrum_of_monomial(plan_product(ps))
@@ -131,7 +138,7 @@ def test_criterion_05_even_levels_definite():
     with criterion(5, "even m: plan product negative-definite, every eigenvector eligible"):
         for m in (2, 4):
             ps = canonical((m, m, m))
-            assert classify_definiteness(plan_product(ps)) == NEGATIVE_DEFINITE
+            assert spectrum_of_monomial(plan_product(ps)).classify() == NEGATIVE_DEFINITE
             basis = simultaneous_eigenbasis(ps)
             assert len(basis) == m**3
             assert all(is_eligible(v.eigen_tuple, ps.product_plan) for v in basis)
@@ -149,7 +156,7 @@ def test_criterion_06_lhv_impossibility(levels, space):
         started = time.monotonic()
         ps = canonical(levels)
         state = select_ghz(ps)
-        cs = ConstraintSystem.for_state(ps, state)
+        cs = ConstraintSystem.build(ps, state.eigen_tuple)
         assert cs.assignment_space == space
         assert parity_unsat(cs)
         report = brute_force_lhv(cs)
@@ -185,12 +192,12 @@ def test_criterion_08_no_four_word_set_for_four_parties():
 def test_criterion_09_ks_certification(m):
     with criterion(9, f"noncontextuality configuration at m={m}: structure and UNSAT"):
         started = time.monotonic()
-        cfg = build_ks(m)  # structural invariants re-verified on every build
-        mats = cfg.realized()
+        cfg = build_ks(m)  # the fixed structure is pinned by test_ks.py and test_siteops.py
+        mats = realized(cfg)
         horizontal = monomial_compose([mats[i] for i in cfg.contexts[0]])
-        assert classify_definiteness(horizontal) == NEGATIVE_DEFINITE
+        assert spectrum_of_monomial(horizontal).classify() == NEGATIVE_DEFINITE
         side = shared_side_product(cfg)
-        assert classify_definiteness(side) == POSITIVE_DEFINITE
+        assert spectrum_of_monomial(side).classify() == POSITIVE_DEFINITE
         sign_report = ks_color_search(cfg, SIGN_ONLY)
         assert sign_report.status == KS_UNSAT
         assert sign_report.patterns_checked == 1024

@@ -182,6 +182,7 @@ BAD_INPUTS = [
                  id="tuple-hint-length"),
     pytest.param(["lhv", "3", "3", "3", "--rhs", "1,x,1,1"], {}, id="rhs-junk"),
     pytest.param(["spectrum", "3", "3", "3", "--word", "ABC"], {}, id="word-letter"),
+    pytest.param(["spectrum", "3", "3", "3", "--word", ""], {}, id="word-empty"),
     pytest.param(["criteria", "--state", "w.json", "--words", "ABC,BAB,BBA,AAA"],
                  {"w.json": _json(W_STATE)}, id="words-letter"),
     pytest.param(["criteria", "--state", "s.json"],
@@ -245,6 +246,20 @@ def test_bound_is_only_taken_where_it_is_read(argv, capsys):
         main([*argv, "--bound", "5"])
     assert err.value.code == 2
     assert "unrecognized arguments: --bound 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", (["build", "3", "3", "3"], ["verify", "cert.json"], ["lhv", "3", "3", "3"]),
+    ids=("build", "verify", "lhv"),
+)
+def test_negative_bound_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "3", "3", "3", "--bound", "0", "--output", "cert.json"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--bound", "-1"])
+    assert err.value.code == 2
+    assert "argument --bound: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 def test_parser_is_built_once():

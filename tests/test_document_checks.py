@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghzcert import certificate
+from ghzcert import certificate, kochen_specker, siteops, spectral, words
 from ghzcert.certificate import (
     build_ghz_document,
     build_ks_document,
@@ -18,16 +18,19 @@ from ghzcert.kochen_specker import FULL_SPECTRUM, SIGN_ONLY
 from ghzcert.words import PartySpec
 
 
-def _count_calls(monkeypatch, names):
+def _count_calls(monkeypatch, names, modules=(certificate,)):
+    """Count calls to each name, wrapped wherever ``modules`` look it up."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(certificate, name)
+        original = next(vars(m)[name] for m in modules if name in vars(m))
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(certificate, name, counted)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -42,6 +45,23 @@ def test_ks_build_derives_each_section_once(monkeypatch):
     counts = _count_calls(monkeypatch, ("build_ks", "ks_color_search"))
     build_ks_document(4, FULL_SPECTRUM)
     assert counts == {"build_ks": 1, "ks_color_search": 1}
+
+
+def test_ghz_build_checks_each_eigenvector_equation_once(monkeypatch):
+    # the document check is the one eigenvector-equation check, once per word
+    counts = _count_calls(monkeypatch, ("eigenvalue_of",), (spectral, certificate))
+    build_ghz_document(PartySpec((3, 3, 3)))
+    assert counts == {"eigenvalue_of": 4}
+
+
+def test_ks_build_does_not_recheck_its_fixed_structure(monkeypatch):
+    # the fixed pair and contexts are pinned by test_siteops.py and test_ks.py
+    counts = _count_calls(
+        monkeypatch, ("check_anticommute", "letters_commute"),
+        (siteops, words, spectral, kochen_specker, certificate),
+    )
+    kochen_specker.build_ks(4)
+    assert counts == {"check_anticommute": 0, "letters_commute": 0}
 
 
 # -- one spelling per rational ----------------------------------------------

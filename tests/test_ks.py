@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import densify, mat_multiply
+from oracles import densify, mat_multiply, realized, shared_side_product
 
 from ghzcert.errors import ParityError
 from ghzcert.exact import monomial_compose, monomial_equal
@@ -17,9 +17,8 @@ from ghzcert.kochen_specker import (
     build_ks,
     ks_color_search,
     render_contexts,
-    shared_side_product,
 )
-from ghzcert.spectral import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, classify_definiteness
+from ghzcert.spectral import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, spectrum_of_monomial
 
 F = Fraction
 
@@ -49,7 +48,7 @@ def test_structure(m):
 @pytest.mark.parametrize("m", (2, 4))
 def test_context_commutation_dense_oracle(m):
     cfg = build_ks(m)
-    mats = [densify(obs.realize(cfg.pairs())) for obs in cfg.observables]
+    mats = [densify(mat) for mat in realized(cfg)]
     for ctx in cfg.contexts:
         for i, j in itertools.combinations(ctx, 2):
             assert mat_multiply(mats[i], mats[j]) == mat_multiply(mats[j], mats[i])
@@ -58,11 +57,11 @@ def test_context_commutation_dense_oracle(m):
 @pytest.mark.parametrize("m", (2, 4))
 def test_context_products(m):
     cfg = build_ks(m)
-    mats = cfg.realized()
+    mats = realized(cfg)
     horizontal = monomial_compose([mats[i] for i in cfg.contexts[0]])
-    assert classify_definiteness(horizontal) == NEGATIVE_DEFINITE
+    assert spectrum_of_monomial(horizontal).classify() == NEGATIVE_DEFINITE
     side = shared_side_product(cfg)
-    assert classify_definiteness(side) == POSITIVE_DEFINITE
+    assert spectrum_of_monomial(side).classify() == POSITIVE_DEFINITE
     for ctx in cfg.contexts[1:]:
         assert monomial_equal(monomial_compose([mats[i] for i in ctx]), side)
 
@@ -72,7 +71,7 @@ def test_side_product_m2_is_scaled_identity():
     # product is the identity scaled by 1/64
     cfg = build_ks(2)
     side = shared_side_product(cfg)
-    assert side.is_diagonal()
+    assert side.target == tuple(range(side.dim))
     assert all(w == F(1, 64) for w in side.weight)
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import verify_witness
 
 from ghzcert.errors import SearchBoundError
 from ghzcert.lhv import (
@@ -13,7 +14,6 @@ from ghzcert.lhv import (
     brute_force_lhv,
     explain_parity,
     parity_unsat,
-    verify_witness,
 )
 from ghzcert.spectral import select_ghz
 from ghzcert.words import PartySpec, ProofSet, TensorWord, extend_even_set, generate_odd_set

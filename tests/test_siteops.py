@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from oracles import mat_multiply, to_dense
 
 from ghzcert.errors import InvalidLevelsError, ShapeError
+from ghzcert.exact import monomial_equal, monomial_multiply
 from ghzcert.siteops import (
     A_KIND,
     B_KIND,
     SiteOperator,
     build_A,
     build_B,
+    canonical_pair,
     check_anticommute,
     custom_site,
     spin,
@@ -58,9 +60,12 @@ def test_invalid_levels():
             build_B(m)
 
 
-@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("m", range(2, 65))
 def test_anticommutation_all_levels(m):
     assert check_anticommute(build_A(m), build_B(m))
+    # A^2 = B^2, so every KS side context multiplies out to one operator
+    a, b = (op.to_monomial() for op in canonical_pair(m))
+    assert monomial_equal(monomial_multiply(a, a), monomial_multiply(b, b))
 
 
 def test_a_with_itself_does_not_anticommute():

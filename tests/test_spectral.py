@@ -19,12 +19,11 @@ from ghzcert.spectral import (
     NEGATIVE_SEMIDEFINITE,
     POSITIVE_DEFINITE,
     Spectrum,
-    classify_definiteness,
     is_eligible,
     select_ghz,
     simultaneous_eigenbasis,
+    spectrum_of_factored,
     spectrum_of_monomial,
-    spectrum_of_word,
 )
 from ghzcert.siteops import check_anticommute, custom_site
 from ghzcert.words import (
@@ -64,7 +63,7 @@ def moments_match(word, spectrum):
 def test_spectrum_word_m3():
     ps = canonical((3, 3, 3))
     for word in ps.words:
-        s = spectrum_of_word(word)
+        s = spectrum_of_factored(word.factored())
         assert s.as_dict() == {F(-1): 4, F(0): 19, F(1): 4}
         assert moments_match(word, s)
 
@@ -74,7 +73,7 @@ def test_spectrum_word_m2_diagonal():
     # triple tensor of diag(1/2, -1/2)
     spec = PartySpec((2, 2, 2))
     word = TensorWord("AAA", spec)
-    s = spectrum_of_word(word)
+    s = spectrum_of_factored(word.factored())
     assert s.as_dict() == {F(1, 8): 4, F(-1, 8): 4}
     assert moments_match(word, s)
 
@@ -87,7 +86,7 @@ def test_zero_count_law(m, k):
     assert k == 12 * s * s + 6 * s + 1
     spec = PartySpec((m, m, m))
     word = TensorWord("ABB", spec)
-    spect = spectrum_of_word(word)
+    spect = spectrum_of_factored(word.factored())
     assert spect.zero_count == k
     assert spect.positive_count == (m**3 - k) // 2
     assert spect.negative_count == (m**3 - k) // 2
@@ -116,7 +115,7 @@ def test_classify_m3_product():
     ps = canonical((3, 3, 3))
     mats = [w.realize() for w in ps.words]
     product = monomial_compose([mats[i] for i in ps.product_plan])
-    assert classify_definiteness(product) == NEGATIVE_SEMIDEFINITE
+    assert spectrum_of_monomial(product).classify() == NEGATIVE_SEMIDEFINITE
 
 
 @pytest.mark.parametrize("m", (2, 4))
@@ -124,7 +123,7 @@ def test_classify_even_m_product(m):
     ps = canonical((m, m, m))
     mats = [w.realize() for w in ps.words]
     product = monomial_compose([mats[i] for i in ps.product_plan])
-    assert classify_definiteness(product) == NEGATIVE_DEFINITE
+    assert spectrum_of_monomial(product).classify() == NEGATIVE_DEFINITE
     # dense oracle: diagonal with strictly negative entries
     dense = densify(product)
     assert all(dense.at(i, i) < 0 for i in range(dense.rows))
@@ -133,14 +132,14 @@ def test_classify_even_m_product(m):
 def test_classify_single_word_indefinite():
     spec = PartySpec((2, 2, 2))
     word = TensorWord("ABB", spec)
-    assert classify_definiteness(word.realize()) == INDEFINITE
+    assert spectrum_of_monomial(word.realize()).classify() == INDEFINITE
 
 
 def test_classify_positive_definite():
     spec = PartySpec((2, 2, 2))
     word = TensorWord("ABB", spec)
     square = monomial_compose([word.realize(), word.realize()])
-    assert classify_definiteness(square) == POSITIVE_DEFINITE
+    assert spectrum_of_monomial(square).classify() == POSITIVE_DEFINITE
 
 
 def test_orbit_decomposition_partitions():
@@ -433,7 +432,7 @@ def test_two_level_ten_party_basis_is_fast():
 
 def test_spectrum_classify_spectrum_input():
     s = Spectrum.from_counts({F(-1): 3, F(-2): 5})
-    assert classify_definiteness(s) == NEGATIVE_DEFINITE
+    assert s.classify() == NEGATIVE_DEFINITE
 
 
 @settings(max_examples=200, deadline=None)

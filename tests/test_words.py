@@ -23,7 +23,6 @@ from ghzcert.words import (
     extend_even_set,
     generate_odd_set,
     plan_product_sign,
-    validate_requirements,
     words_commute,
 )
 
@@ -95,21 +94,21 @@ def test_commute_matches_dense_commutator(n, m):
 def test_flags_canonical_three_party_set():
     spec = PartySpec((3, 3, 3))
     ps = ProofSet.assemble(make_words(spec, "ABB", "BAB", "BBA", "AAA"))
-    flags = validate_requirements(ps)
+    flags = ps.requirement_flags
     assert flags.all_ok
 
 
 def test_flags_five_party_display_set():
     spec = PartySpec((3, 3, 3, 3, 3))
     ps = ProofSet.assemble(make_words(spec, "ABBBB", "AAABB", "BBAAA", "BABAA"))
-    assert validate_requirements(ps).all_ok
+    assert ps.requirement_flags.all_ok
 
 
 def test_flags_four_party_without_coverage():
     # the fourth party never sees letter A, so the nontriviality flag fails
     spec = PartySpec((3, 3, 3, 3))
     ps = ProofSet.assemble(make_words(spec, "ABBB", "BABB", "BBAB", "AAAB"))
-    flags = validate_requirements(ps)
+    flags = ps.requirement_flags
     assert not flags.both_letters_per_party
     assert flags.equal_a_parity and flags.unique_count_outlier and flags.even_slot_usage
 
@@ -248,7 +247,7 @@ def test_construction_matches_oracle_search(n):
 def test_constructed_sets_are_proof_sets(half, even):
     n = 2 * half + 1 + even  # odd n up to 41, even n up to 42
     ps = build_proof_set(PartySpec((2,) * n))
-    assert validate_requirements(ps).all_ok
+    assert ps.requirement_flags.all_ok
     assert ps.product_sign() == -1
     assert len(set(ps.letter_words)) == len(ps.words) == 4 + even
     # the outlying A count sits on the last of the four base words; an even
