@@ -160,10 +160,12 @@ def _stored_spectrum(doc) -> dict:
 
 
 def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
+    # ``weight`` is indexed by column and the document stores row weights; they
+    # agree because anti-diagonal weights are symmetric under row reversal
     return [
         {
-            "a_weights": [format_rational(w) for w in a_op.weights],
-            "b_weights": [format_rational(w) for w in b_op.weights],
+            "a_weights": [format_rational(w) for w in a_op.weight],
+            "b_weights": [format_rational(w) for w in b_op.weight],
         }
         for a_op, b_op in pairs
     ]
@@ -437,7 +439,8 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         if len(word_spectra) != len(expected["words"]):
             raise CertificateError("one spectrum per word required")
         # lhv.bound is recorded for the reader; the caller's bound sets the work done
-        _exact_int(lhv["bound"], "bound")
+        if _exact_int(lhv["bound"], "bound") < 0:
+            raise CertificateError(f"bound must be non-negative, got {lhv['bound']}")
         comparisons = [
             (flags, derived["requirement_flags"],
              "stored requirement flags do not match recomputation"),

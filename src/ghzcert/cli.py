@@ -23,6 +23,7 @@ from .certificate import (
     verify_document,
     _exact_int,
     _pairs_from_doc,
+    _spectrum_to_doc,
 )
 from .errors import CertificateError, GhzError, NoGhzStateError, UsageError
 from .exact import FactoredMonomial, format_rational, parse_rational
@@ -178,7 +179,7 @@ def _cmd_spectrum(args) -> int:
         word = TensorWord(_letters(args.word, "--word"), parties)
         spectrum = spectrum_of_factored(word.factored())
         doc["word"] = args.word
-        doc["spectrum"] = {format_rational(v): m for v, m in spectrum.entries}
+        doc["spectrum"] = _spectrum_to_doc(spectrum)
         doc["classification"] = spectrum.classify()
         lines.append(f"word {args.word}: " + ", ".join(
             f"{format_rational(v)} x{m}" for v, m in spectrum.entries))
@@ -191,9 +192,7 @@ def _cmd_spectrum(args) -> int:
         )
         doc["plan_words"] = list(ps.letter_words)
         doc["plan"] = list(ps.product_plan)
-        doc["plan_product_spectrum"] = {
-            format_rational(v): m for v, m in spectrum.entries
-        }
+        doc["plan_product_spectrum"] = _spectrum_to_doc(spectrum)
         doc["plan_product_classification"] = spectrum.classify()
         lines.append(
             f"plan product over {' '.join(ps.letter_words)}: "

@@ -2,8 +2,8 @@
 
 Scalars are `fractions.Fraction` throughout; no floating point exists
 anywhere in the package. Matrices are kept in `MonomialMatrix` form:
-generalized permutations (one nonzero per row and column), which realize
-every tensor-word operator exactly and cheaply.
+generalized permutations (one nonzero per row and column). Each site
+operator is one (diagonal or anti-diagonal), and so is every tensor word.
 
 A tensor word, and any product of words, is kept as a `FactoredMonomial`:
 the tuple of its per-site monomial factors. It applies to sparse vectors and

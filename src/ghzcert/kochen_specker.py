@@ -40,9 +40,9 @@ from fractions import Fraction
 from .errors import ParityError
 from .exact import ONE, FactoredMonomial
 from .search import Check, first_assignment
-from .siteops import SiteOperator, canonical_pair
+from .siteops import canonical_pair
 from .spectral import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, Spectrum, spectrum_of_factored
-from .words import factor_letters
+from .words import SitePairs, factor_letters
 
 COMPOSITE_WORDS = ("ABB", "BAB", "BBA", "AAA")
 
@@ -61,9 +61,7 @@ class KsObservable:
     label: str
     letters: tuple[str, ...]  # per party: "A", "B", or "I"
 
-    def factored(
-        self, pairs: tuple[tuple[SiteOperator, SiteOperator], ...]
-    ) -> FactoredMonomial:
+    def factored(self, pairs: SitePairs) -> FactoredMonomial:
         return factor_letters(self.letters, pairs, tuple(a.dim for a, _ in pairs))
 
     @property
@@ -83,7 +81,7 @@ class KsConfiguration:
     horizontal_spectrum: Spectrum
     side_spectrum: Spectrum
 
-    def pairs(self) -> tuple[tuple[SiteOperator, SiteOperator], ...]:
+    def pairs(self) -> SitePairs:
         return tuple(canonical_pair(self.levels) for _ in range(3))
 
 
@@ -178,7 +176,7 @@ def _search_full(cfg: KsConfiguration) -> KsReport:
         a_op, b_op = pairs[party]
         op = a_op if obs.letters[party] == "A" else b_op
         slot_of[idx] = (len(domains),)
-        domains.append(tuple(sorted(op.spectrum_values(), reverse=True)))
+        domains.append(tuple(sorted(op.eigenvalue_counts(), reverse=True)))
     for ctx in cfg.contexts[1:]:
         slot_of[ctx[0]] = tuple(k for i in ctx[1:] for k in slot_of[i])
     allowed_products = frozenset(cfg.horizontal_spectrum.as_dict())

@@ -71,7 +71,7 @@ class ConstraintSystem:
         for party, (a_op, b_op) in enumerate(pairs):
             for letter, op in zip(LETTERS, (a_op, b_op)):
                 slots.append((party, letter))
-                domains.append(op.spectrum_values())
+                domains.append(tuple(sorted(op.eigenvalue_counts())))
         return cls(ps.letter_words, tuple(rhs), ps.product_plan,
                    tuple(slots), tuple(domains))
 

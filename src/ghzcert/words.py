@@ -39,11 +39,11 @@ from .errors import (
     PartyMismatchError,
 )
 from .exact import FactoredMonomial, MonomialMatrix
-from .siteops import SiteOperator, canonical_pair
+from .siteops import canonical_pair
 
 LETTERS = "AB"
 
-SitePairs = tuple[tuple[SiteOperator, SiteOperator], ...]
+SitePairs = tuple[tuple[MonomialMatrix, MonomialMatrix], ...]
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def factor_letters(
             raise PartyMismatchError(
                 f"site operator dimension {op.dim} does not match level {m}"
             )
-        factors.append(op.to_monomial())
+        factors.append(op)
     return FactoredMonomial(tuple(factors))
 
 

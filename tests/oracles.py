@@ -61,7 +61,6 @@ from ghzcert.kochen_specker import (
 )
 from ghzcert.lhv import DEFAULT_BOUND, SAT, UNSAT, ConstraintSystem, LhvReport
 from ghzcert.search import Check
-from ghzcert.siteops import SiteOperator
 from ghzcert.spectral import JointEigenvector, spectrum_of_monomial
 from ghzcert.words import (
     LETTERS,
@@ -156,7 +155,7 @@ def ks_search_full(cfg: KsConfiguration) -> KsReport:
         party = next(p for p, c in enumerate(obs.letters) if c != "I")
         a_op, b_op = pairs[party]
         op = a_op if obs.letters[party] == "A" else b_op
-        domains.append(tuple(sorted(op.spectrum_values(), reverse=True)))
+        domains.append(tuple(sorted(op.eigenvalue_counts(), reverse=True)))
     factor_of = {idx: k for k, (idx, _) in enumerate(one_party)}
     composite_ids = [i for i, obs in enumerate(cfg.observables) if obs.is_composite]
     composite_factors = {
@@ -355,7 +354,7 @@ def realize(letters, pairs, levels) -> MonomialMatrix:
         if letter == "I":
             mats.append(MonomialMatrix.identity(m))
         else:
-            mats.append((a_op if letter == "A" else b_op).to_monomial())
+            mats.append(a_op if letter == "A" else b_op)
     acc = mats[0]
     for mat in mats[1:]:
         acc = monomial_tensor(acc, mat)
@@ -631,7 +630,3 @@ def sparsify(dense: DenseMatrix) -> MonomialMatrix:
         if target[j] < 0:
             target[j] = free_rows.pop(0)
     return MonomialMatrix(n, tuple(target), tuple(weight))
-
-
-def to_dense(op: SiteOperator) -> DenseMatrix:
-    return densify(op.to_monomial())

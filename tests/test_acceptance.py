@@ -18,7 +18,6 @@ from oracles import (
     mat_multiply,
     realized,
     shared_side_product,
-    to_dense,
     verify_witness,
 )
 
@@ -88,8 +87,8 @@ def test_criterion_01_anticommutation():
     with criterion(1, "A(m) and B(m) anticommute exactly for m = 2..8"):
         started = time.monotonic()
         for m in range(2, 9):
-            a = to_dense(build_A(m))
-            b = to_dense(build_B(m))
+            a = densify(build_A(m))
+            b = densify(build_B(m))
             assert mat_multiply(a, b) == -mat_multiply(b, a)
         assert time.monotonic() - started < 1.0
 

@@ -168,6 +168,29 @@ def _assert_malformed(doc):
     assert reason.startswith("malformed certificate: ")
 
 
+@pytest.mark.parametrize(
+    "field, weights, reason",
+    (
+        ("a_weights", ["1"], "level count must be at least 2, got 1"),
+        ("b_weights", ["1", "0", "2"],
+         "anti-diagonal weights must be symmetric under row reversal"),
+    ),
+    ids=("one-level", "asymmetric-b"),
+)
+def test_bad_site_weights_rejected(m3_doc, field, weights, reason):
+    tampered = copy.deepcopy(m3_doc)
+    tampered["site_operators"][1][field] = weights
+    assert verify_document(tampered) == (False, f"malformed certificate: {reason}")
+
+
+def test_negative_stored_bound_rejected(m3_doc):
+    tampered = copy.deepcopy(m3_doc)
+    tampered["lhv"]["bound"] = -1
+    assert verify_document(tampered) == (
+        False, "malformed certificate: bound must be non-negative, got -1"
+    )
+
+
 def test_missing_mixed_parity_marker_rejected(m3_doc):
     tampered = copy.deepcopy(m3_doc)
     del tampered["parties"]["mixed_parity_experimental"]
@@ -542,8 +565,8 @@ def test_criteria_custom_scaled_pair_still_ghz():
 
     spec = PartySpec((2, 2, 2))
     scaled = tuple(
-        (custom_site("A", [2 * w for w in a.weights]),
-         custom_site("B", [2 * w for w in b.weights]))
+        (custom_site("A", [2 * w for w in a.weight]),
+         custom_site("B", [2 * w for w in b.weight]))
         for a, b in spec.canonical_pairs()
     )
     ps = generate_odd_set(spec)

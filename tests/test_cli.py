@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ghzcert.certificate import load_document
+from ghzcert.certificate import build_ghz_document, load_document
 from ghzcert.cli import main
+from ghzcert.words import PartySpec
 
 
 def run(capsys, *argv):
@@ -128,6 +129,17 @@ def test_spectrum_product_structured(capsys):
     doc = json.loads(out)
     assert doc["plan_product_spectrum"] == {"-1": 8, "0": 19}
     assert doc["plan_product_classification"] == "negative-semidefinite"
+
+
+def test_spectrum_structured_matches_certificate(capsys):
+    code, out, _ = run(capsys, "spectrum", "3", "3", "3", "--word", "ABB", "--product",
+                       "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    cert = build_ghz_document(PartySpec((3, 3, 3)))
+    assert cert["words"] == ["ABB", "BAB", "BBA", "AAA"]
+    assert doc["spectrum"] == cert["spectra"]["words"][0]
+    assert doc["plan_product_spectrum"] == cert["spectra"]["plan_product"]
 
 
 def test_criteria_w_state(tmp_path, capsys):

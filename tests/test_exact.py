@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import DenseMatrix, densify, mat_apply, mat_multiply, mat_tensor, sparsify, to_dense
+from oracles import DenseMatrix, densify, mat_apply, mat_multiply, mat_tensor, sparsify
 
 from ghzcert.errors import ShapeError
 from ghzcert.exact import (
@@ -47,15 +47,15 @@ def test_multiply_identity():
 def test_multiply_site_operators_by_hand():
     # A(3) * B(3) has +1 in the top-right corner and -1 in the bottom-left,
     # and equals the negated reverse-order product
-    a3 = to_dense(build_A(3))
-    b3 = to_dense(build_B(3))
+    a3 = densify(build_A(3))
+    b3 = densify(build_B(3))
     ab = mat_multiply(a3, b3)
     assert ab == DenseMatrix.from_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
     assert ab == -mat_multiply(b3, a3)
 
 
 def test_multiply_b2_squared():
-    b2 = to_dense(build_B(2))
+    b2 = densify(build_B(2))
     assert mat_multiply(b2, b2) == DenseMatrix.from_rows(
         [["1/4", 0], [0, "1/4"]]
     )
@@ -112,8 +112,7 @@ def test_tensor_row_major_convention():
 
 
 def test_monomial_round_trip():
-    for op in (build_A(4), build_B(4), build_A(5), build_B(5)):
-        m = op.to_monomial()
+    for m in (build_A(4), build_B(4), build_A(5), build_B(5)):
         assert monomial_equal(sparsify(densify(m)), m)
 
 
@@ -124,7 +123,7 @@ def test_sparsify_rejects_non_monomial():
 
 def test_monomial_involution_squared_is_diagonal():
     # applying a word twice scales each basis vector by w(j) * w(target(j))
-    m = build_B(5).to_monomial()
+    m = build_B(5)
     dense = densify(m)
     for j in range(5):
         e = [Fraction(0)] * 5
@@ -136,23 +135,23 @@ def test_monomial_involution_squared_is_diagonal():
 
 
 def test_monomial_multiply_matches_dense():
-    a = build_A(4).to_monomial()
-    b = build_B(4).to_monomial()
+    a = build_A(4)
+    b = build_B(4)
     prod = monomial_multiply(a, b)
     assert densify(prod) == mat_multiply(densify(a), densify(b))
 
 
 def test_monomial_tensor_matches_dense():
-    a = build_A(3).to_monomial()
-    b = build_B(3).to_monomial()
+    a = build_A(3)
+    b = build_B(3)
     word = monomial_tensor(monomial_tensor(a, b), b)
     oracle = mat_tensor(mat_tensor(densify(a), densify(b)), densify(b))
     assert densify(word) == oracle
 
 
 def test_compose_word_with_itself_is_diagonal():
-    a = build_A(3).to_monomial()
-    b = build_B(3).to_monomial()
+    a = build_A(3)
+    b = build_B(3)
     word = monomial_tensor(monomial_tensor(a, b), b)
     square = monomial_compose([word, word])
     assert square.target == tuple(range(square.dim))
@@ -168,8 +167,8 @@ def test_compose_dimension_mismatch():
 def test_compose_four_words_m3():
     # the diagonal product of the canonical three-party words: eight entries
     # equal to -1 and nineteen zeros
-    a = build_A(3).to_monomial()
-    b = build_B(3).to_monomial()
+    a = build_A(3)
+    b = build_B(3)
     site = {"A": a, "B": b}
     words = []
     for letters in ("ABB", "BAB", "BBA", "AAA"):
@@ -188,8 +187,8 @@ def test_compose_four_words_m3():
 
 
 def test_compose_four_words_m2_all_negative():
-    a = build_A(2).to_monomial()
-    b = build_B(2).to_monomial()
+    a = build_A(2)
+    b = build_B(2)
     site = {"A": a, "B": b}
     words = []
     for letters in ("ABB", "BAB", "BBA", "AAA"):

@@ -68,6 +68,30 @@ def test_eigenbasis_matches_oracle(levels):
     )
 
 
+def _scaled(pairs, k):
+    return tuple(
+        (custom_site("A", [k * w for w in a.weight]), custom_site("B", [k * w for w in b.weight]))
+        for a, b in pairs
+    )
+
+
+@pytest.mark.parametrize("scale", (1, 2), ids=("canonical", "scaled"))
+def test_word_factors_are_the_site_operators(scale):
+    # a word's site factors are the pair's own matrices, not copies
+    spec = PartySpec((3, 3, 3))
+    pairs = spec.canonical_pairs() if scale == 1 else _scaled(spec.canonical_pairs(), scale)
+    for letters in ("ABB", "BAB", "BBA", "AAA", "BBB", "AAB"):
+        factors = TensorWord(letters, spec).factored(pairs).factors
+        for (a_op, b_op), letter, factor in zip(pairs, letters, factors):
+            assert factor is (a_op if letter == "A" else b_op)
+    cfg = build_ks(2)
+    pairs = cfg.pairs()
+    for obs in cfg.observables:
+        for (a_op, b_op), letter, factor in zip(pairs, obs.letters, obs.factored(pairs).factors):
+            if letter != "I":
+                assert factor is (a_op if letter == "A" else b_op)
+
+
 def test_unsupported_site_factor_raises():
     three_cycle = MonomialMatrix(3, (1, 2, 0), (F(1),) * 3)
     op = FactoredMonomial((MonomialMatrix.identity(2), three_cycle))

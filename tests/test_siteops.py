@@ -5,14 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import mat_multiply, to_dense
+from oracles import densify, mat_multiply
 
 from ghzcert.errors import InvalidLevelsError, ShapeError
 from ghzcert.exact import monomial_equal, monomial_multiply
 from ghzcert.siteops import (
-    A_KIND,
-    B_KIND,
-    SiteOperator,
     build_A,
     build_B,
     canonical_pair,
@@ -27,29 +24,29 @@ def F(x):
 
 
 def test_build_a_three_levels():
-    assert build_A(3).weights == (F(1), F(0), F(-1))
+    assert build_A(3).weight == (F(1), F(0), F(-1))
 
 
 def test_build_a_two_levels():
-    assert build_A(2).weights == (Fraction(1, 2), Fraction(-1, 2))
+    assert build_A(2).weight == (Fraction(1, 2), Fraction(-1, 2))
 
 
 def test_build_a_five_levels():
-    assert build_A(5).weights == (F(2), F(1), F(0), F(-1), F(-2))
+    assert build_A(5).weight == (F(2), F(1), F(0), F(-1), F(-2))
 
 
 def test_build_b_three_levels():
-    assert build_B(3).weights == (F(1), F(0), F(1))
+    assert build_B(3).weight == (F(1), F(0), F(1))
 
 
 def test_build_b_four_levels():
-    assert build_B(4).weights == (
+    assert build_B(4).weight == (
         Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)
     )
 
 
 def test_build_b_two_levels():
-    assert build_B(2).weights == (Fraction(1, 2), Fraction(1, 2))
+    assert build_B(2).weight == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_invalid_levels():
@@ -64,7 +61,7 @@ def test_invalid_levels():
 def test_anticommutation_all_levels(m):
     assert check_anticommute(build_A(m), build_B(m))
     # A^2 = B^2, so every KS side context multiplies out to one operator
-    a, b = (op.to_monomial() for op in canonical_pair(m))
+    a, b = canonical_pair(m)
     assert monomial_equal(monomial_multiply(a, a), monomial_multiply(b, b))
 
 
@@ -82,27 +79,27 @@ def test_weight_symmetries(m):
     a = build_A(m)
     b = build_B(m)
     for j in range(m):
-        assert a.weights[m - 1 - j] == -a.weights[j]
-        assert b.weights[m - 1 - j] == b.weights[j]
-        assert b.weights[j] == abs(a.weights[j])
+        assert a.weight[m - 1 - j] == -a.weight[j]
+        assert b.weight[m - 1 - j] == b.weight[j]
+        assert b.weight[j] == abs(a.weight[j])
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_spectra(m):
     s = spin(m)
     expected = sorted(s - j for j in range(m))
-    assert list(build_A(m).spectrum_values()) == expected
-    assert list(build_B(m).spectrum_values()) == expected
+    assert sorted(build_A(m).eigenvalue_counts()) == expected
+    assert sorted(build_B(m).eigenvalue_counts()) == expected
     if m % 2 == 0:
-        assert Fraction(0) not in build_A(m).spectrum_values()
-        assert Fraction(0) not in build_B(m).spectrum_values()
+        assert Fraction(0) not in build_A(m).eigenvalue_counts()
+        assert Fraction(0) not in build_B(m).eigenvalue_counts()
     else:
-        assert Fraction(0) in build_A(m).spectrum_values()
+        assert Fraction(0) in build_A(m).eigenvalue_counts()
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_a_eigenvalues_nondegenerate(m):
-    weights = build_A(m).weights
+    weights = build_A(m).weight
     assert len(set(weights)) == m
 
 
@@ -112,7 +109,7 @@ def test_b_spectrum_multiplicities(m):
     # center row contributes a single zero
     from ghzcert.spectral import spectrum_of_monomial
 
-    spect = spectrum_of_monomial(build_B(m).to_monomial())
+    spect = spectrum_of_monomial(build_B(m))
     assert spect.total == m
     for value, mult in spect.entries:
         assert mult == 1
@@ -131,6 +128,17 @@ def test_custom_asymmetric_antidiagonal_rejected():
         custom_site("B", [1, 2])
 
 
+@pytest.mark.parametrize(
+    "kind, weights, error",
+    (("A", [1], InvalidLevelsError), ("C", [1, -1], ValueError)),
+    ids=("one-level", "unknown-kind"),
+)
+def test_custom_site_rejects(kind, weights, error):
+    with pytest.raises(error) as caught:
+        custom_site(kind, weights)
+    assert type(caught.value) is error
+
+
 def test_custom_non_anticommuting_pair_detected():
     a = custom_site("A", [1, 1])  # not antisymmetric
     b = custom_site("B", [1, 1])
@@ -138,9 +146,9 @@ def test_custom_non_anticommuting_pair_detected():
 
 
 def test_dense_forms():
-    a = to_dense(build_A(3))
+    a = densify(build_A(3))
     assert [a.at(i, i) for i in range(3)] == [F(1), F(0), F(-1)]
-    b = to_dense(build_B(3))
+    b = densify(build_B(3))
     assert [b.at(i, 2 - i) for i in range(3)] == [F(1), F(0), F(1)]
     off = [(i, j) for i in range(3) for j in range(3) if i != j]
     assert all(a.at(i, j) == 0 for i, j in off)
@@ -150,14 +158,14 @@ def test_dense_forms():
 def test_anticommutator_is_zero_matrix():
     # AB + BA vanishes entrywise, not just up to sign patterns
     for m in (2, 3, 4, 5):
-        a, b = to_dense(build_A(m)), to_dense(build_B(m))
+        a, b = densify(build_A(m)), densify(build_B(m))
         ab = mat_multiply(a, b)
         ba = mat_multiply(b, a)
         assert all(x + y == 0 for x, y in zip(ab.entries, ba.entries))
 
 
 def dense_anticommute(a, b):
-    da, db = to_dense(a), to_dense(b)
+    da, db = densify(a), densify(b)
     return mat_multiply(da, db) == -mat_multiply(db, da)
 
 
@@ -170,12 +178,12 @@ def test_anticommute_matches_dense_on_canonical_pairs(m):
 
 @st.composite
 def site_operators(draw, m):
-    kind = draw(st.sampled_from((A_KIND, B_KIND)))
+    kind = draw(st.sampled_from(("A", "B")))
     weight = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
     weights = draw(st.lists(weight, min_size=m, max_size=m))
-    if kind == B_KIND:
+    if kind == "B":
         weights = [weights[min(j, m - 1 - j)] for j in range(m)]
-    return SiteOperator(m, kind, tuple(weights))
+    return custom_site(kind, weights)
 
 
 @st.composite
