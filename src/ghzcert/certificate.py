@@ -3,7 +3,9 @@
 A certificate is a single JSON document (sorted keys, two-space indent, one
 trailing newline) whose rationals are written as ``num`` or ``num/den``
 strings. Being plain text it diffs and audits cleanly, and identical inputs
-produce byte-identical files.
+produce byte-identical files. This module and the command line are where
+rationals are read and written; everything they call computes with integers
+over positive scales (see `ghzcert.exact`).
 
 Each certificate kind has one derivation: it checks every claim of the input
 sections and returns the derived ones in document form. Building fills the
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__ as _tool_version
 from .errors import CertificateError, GhzError, ShapeError
-from .exact import ZERO, FactoredMonomial, format_rational, parse_rational
+from .exact import FactoredMonomial, format_rational, parse_rational, scaled_to_integers
 from .kochen_specker import (
     FULL_SPECTRUM,
     KS_UNSAT,
@@ -69,17 +71,13 @@ STATE_SELECTION_NOTE = (
 # -- shared pieces -----------------------------------------------------------
 
 
-def _exact_int(value, what: str) -> int:
-    """An integer field; bools and floats are not integers here."""
-    if type(value) is not int:
-        raise CertificateError(f"{what} must be an integer, got {value!r}")
-    return value
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
-def _exact_bool(value, what: str) -> bool:
-    """A boolean field; 0 and 1 are not booleans here."""
-    if type(value) is not bool:
-        raise CertificateError(f"{what} must be a boolean, got {value!r}")
+def _exact(value, kind: type, what: str):
+    """A field of exactly type ``kind``: a bool is no int, a list no word."""
+    if type(value) is not kind:
+        raise CertificateError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -118,15 +116,16 @@ class StateVector:
             seen.add(digits)
         if any(not c for c in self.coefficients):
             raise CertificateError("zero coefficient on the support")
-        total = sum((c * c for c in self.coefficients), ZERO)
-        if total != self.norm_sq:
+        if sum(c * c for c in self.coefficients) != self.norm_sq:
             raise CertificateError("norm_sq does not match the coefficients")
 
-    def flat_vec(self) -> dict[int, Fraction]:
+    def flat_vec(self) -> dict[int, int]:
+        """The state on the composite basis, scaled to integer coefficients."""
         spec = PartySpec(self.dims, allow_mixed_parity=True)
+        coefficients, _ = scaled_to_integers(self.coefficients)
         return {
             spec.flat_index(digits): c
-            for digits, c in zip(self.support, self.coefficients)
+            for digits, c in zip(self.support, coefficients)
         }
 
     def to_doc(self) -> dict:
@@ -138,16 +137,16 @@ class StateVector:
 
     @classmethod
     def from_doc(cls, dims: tuple[int, ...], doc: dict) -> StateVector:
-        support = tuple(
-            tuple(_exact_int(x, "a support digit") for x in entry)
+        support = tuple([
+            tuple([_exact(x, int, "a support digit") for x in entry])
             for entry in doc["support"]
-        )
-        coeffs = tuple(_read_rational(c) for c in doc["coefficients"])
+        ])
+        coeffs = tuple([_read_rational(c) for c in doc["coefficients"]])
         return cls(dims, support, coeffs, _read_rational(doc["norm_sq"]))
 
 
 def _spectrum_to_doc(spectrum: Spectrum) -> dict:
-    return {format_rational(v): m for v, m in spectrum.entries}
+    return {format_rational(v, spectrum.scale): m for v, m in spectrum.entries}
 
 
 def _stored_spectrum(doc) -> dict:
@@ -155,7 +154,7 @@ def _stored_spectrum(doc) -> dict:
     if not isinstance(doc, dict) or not all(isinstance(k, str) for k in doc):
         raise CertificateError("a spectrum must be an object with string keys")
     for value in doc.values():
-        _exact_int(value, "a multiplicity")
+        _exact(value, int, "a multiplicity")
     return doc
 
 
@@ -164,8 +163,8 @@ def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
     # agree because anti-diagonal weights are symmetric under row reversal
     return [
         {
-            "a_weights": [format_rational(w) for w in a_op.weight],
-            "b_weights": [format_rational(w) for w in b_op.weight],
+            "a_weights": [format_rational(w, a_op.scale) for w in a_op.weight],
+            "b_weights": [format_rational(w, b_op.scale) for w in b_op.weight],
         }
         for a_op, b_op in pairs
     ]
@@ -184,7 +183,7 @@ _NOT_AN_OBJECT = "malformed certificate: certificate root must be an object"
 
 
 def _check_format_version(doc: dict) -> None:
-    if _exact_int(doc["format_version"], "format_version") != FORMAT_VERSION:
+    if _exact(doc["format_version"], int, "format_version") != FORMAT_VERSION:
         raise CertificateError(f"unsupported format version {doc['format_version']!r}")
 
 
@@ -255,7 +254,7 @@ def check_ghz_criteria(
     spec = PartySpec(state.dims, allow_mixed_parity=True)
     tensor_words = [TensorWord(w, spec) for w in words]
     vec = state.flat_vec()
-    eigen_tuple: list[Fraction] = []
+    eigen_tuple: list[int] = []  # each over its word's scale
     for word in tensor_words:
         lam = eigenvalue_of(word.factored(pairs), vec)
         if lam is None:
@@ -287,15 +286,15 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
     and return ``requirement_flags``, ``spectra`` and ``lhv`` in document
     form; ``bound`` caps the LHV enumeration and is recorded in ``lhv``."""
     try:
-        levels = tuple(_exact_int(m, "a level count") for m in doc["parties"]["levels"])
-        mixed_marker = _exact_bool(
-            doc["parties"]["mixed_parity_experimental"], "mixed_parity_experimental"
+        levels = tuple([_exact(m, int, "a level count") for m in doc["parties"]["levels"]])
+        mixed_marker = _exact(
+            doc["parties"]["mixed_parity_experimental"], bool, "mixed_parity_experimental"
         )
         parties = PartySpec(levels, allow_mixed_parity=True)
         pairs = _pairs_from_doc(doc["site_operators"])
-        word_strings = tuple(str(w) for w in doc["words"])
-        plan = tuple(_exact_int(i, "a plan index") for i in doc["product_plan"])
-        eigen_tuple = tuple(_read_rational(t) for t in doc["eigen_tuple"])
+        word_strings = tuple([_exact(w, str, "a word") for w in doc["words"]])
+        plan = tuple([_exact(i, int, "a plan index") for i in doc["product_plan"]])
+        eigen_tuple = tuple([_read_rational(t) for t in doc["eigen_tuple"]])
         state = StateVector.from_doc(levels, doc["state"])
     except (KeyError, TypeError, ValueError, GhzError) as exc:
         raise _Rejected(f"malformed certificate: {exc}") from None
@@ -316,7 +315,7 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
         if not check_anticommute(a_op, b_op):
             raise _Rejected(f"site operators for party {party + 1} do not anticommute")
     try:
-        words = tuple(TensorWord(w, parties) for w in word_strings)
+        words = tuple([TensorWord(w, parties) for w in word_strings])
         ps = ProofSet.assemble(words, plan)
     except (GhzError, ValueError) as exc:
         raise _Rejected(f"invalid word set: {exc}") from None
@@ -332,9 +331,12 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
 
     vec = state.flat_vec()
     ops = [w.factored(pairs) for w in words]
+    rhs = []  # the eigen-tuple over the words' scales
     for i, (op, lam) in enumerate(zip(ops, eigen_tuple), start=1):
-        if eigenvalue_of(op, vec) != lam:
+        value = eigenvalue_of(op, vec)
+        if value is None or value * lam.denominator != lam.numerator * op.scale:
             raise _Rejected(f"eigenvector equation fails for word {i}")
+        rhs.append(value)
 
     try:
         word_spectra = [spectrum_of_factored(op) for op in ops]
@@ -345,7 +347,7 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
         raise _Rejected("plan product has a positive eigenvalue")
 
     # the unsatisfiability claim, derived from the stored tuple
-    cs = ConstraintSystem.build(ps, eigen_tuple, pairs)
+    cs = ConstraintSystem.build(ps, tuple(rhs), pairs)
     if not parity_unsat(cs):
         raise _Rejected("parity obstruction does not hold for the stored system")
     try:
@@ -378,8 +380,9 @@ def build_ghz_document(
 ) -> dict:
     """Run the whole pipeline and emit a verifiable certificate document."""
     ps = build_proof_set(parties)
+    state = select_ghz(ps, tuple_hint)
     pairs = parties.canonical_pairs()
-    state = select_ghz(ps, tuple_hint, pairs)
+    scales = [w.factored(pairs).scale for w in ps.words]
     doc = {
         "kind": GHZ_KIND,
         "format_version": FORMAT_VERSION,
@@ -390,8 +393,8 @@ def build_ghz_document(
         "site_operators": _pairs_to_doc(pairs),
         "words": list(ps.letter_words),
         "product_plan": list(ps.product_plan),
-        "eigen_tuple": [format_rational(t) for t in state.eigen_tuple],
-        "state": StateVector(parties.levels, tuple(map(parties.digits, state.support)),
+        "eigen_tuple": [format_rational(t, s) for t, s in zip(state.eigen_tuple, scales)],
+        "state": StateVector(parties.levels, tuple([parties.digits(i) for i in state.support]),
                              state.coefficients, state.norm_sq).to_doc(),
         "provenance": {
             "tool": f"ghzcert {_tool_version}",
@@ -433,13 +436,13 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         if not isinstance(flags, dict):
             raise CertificateError("requirement_flags must be an object")
         for name, value in flags.items():
-            _exact_bool(value, f"requirement flag {name!r}")
+            _exact(value, bool, f"requirement flag {name!r}")
         word_spectra = [_stored_spectrum(s) for s in spectra["words"]]
         expected, expected_lhv = derived["spectra"], derived["lhv"]
         if len(word_spectra) != len(expected["words"]):
             raise CertificateError("one spectrum per word required")
         # lhv.bound is recorded for the reader; the caller's bound sets the work done
-        if _exact_int(lhv["bound"], "bound") < 0:
+        if _exact(lhv["bound"], int, "bound") < 0:
             raise CertificateError(f"bound must be non-negative, got {lhv['bound']}")
         comparisons = [
             (flags, derived["requirement_flags"],
@@ -454,7 +457,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
              "stored plan-product classification does not match recomputation"),
             ((lhv["status"], expected_lhv["status"]), (UNSAT, UNSAT),
              "stored LHV status does not match re-derivation"),
-            ((lhv["method"], _exact_int(lhv["assignments_checked"], "assignments_checked")),
+            ((lhv["method"], _exact(lhv["assignments_checked"], int, "assignments_checked")),
              (expected_lhv["method"], expected_lhv["assignments_checked"]),
              "stored LHV report does not match re-derivation"),
             (lhv["witness"], None, "stored LHV witness must be null for an UNSAT claim"),
@@ -500,11 +503,10 @@ def _ks_sections(m: int, mode: str) -> dict:
             "mode": report.mode,
             "status": report.status,
             "patterns_checked": report.patterns_checked,
-            "witness": (
-                None
-                if report.witness is None
-                else {label: format_rational(v) for label, v in report.witness}
-            ),
+            # the canonical configuration is UNSAT in both modes (build_ks
+            # asserts the definite products the refutation rests on), and
+            # build and verify refuse any other status
+            "witness": None,
         },
     }
 
@@ -525,13 +527,13 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         if doc.get("kind") != KS_KIND:
             raise CertificateError(f"not a KS certificate: kind {doc.get('kind')!r}")
         _check_format_version(doc)
-        m = _exact_int(doc["levels"], "levels")
+        m = _exact(doc["levels"], int, "levels")
         search, structure = doc["search"], doc["structure"]
         mode, status, witness = search["mode"], search["status"], search["witness"]
-        checked = _exact_int(search["patterns_checked"], "patterns_checked")
+        checked = _exact(search["patterns_checked"], int, "patterns_checked")
         observables, rendered = doc["observables"], doc["contexts_rendered"]
-        contexts = [[_exact_int(i, "a context index") for i in ctx] for ctx in doc["contexts"]]
-        sign_targets = [_exact_int(t, "a sign target") for t in doc["sign_targets"]]
+        contexts = [[_exact(i, int, "a context index") for i in ctx] for ctx in doc["contexts"]]
+        sign_targets = [_exact(t, int, "a sign target") for t in doc["sign_targets"]]
         if not isinstance(structure, dict):
             raise CertificateError("structure must be an object")
         _stored_spectrum(structure["horizontal_spectrum"])

@@ -21,7 +21,7 @@ from .certificate import (
     load_document,
     save_document,
     verify_document,
-    _exact_int,
+    _exact,
     _pairs_from_doc,
     _spectrum_to_doc,
 )
@@ -45,7 +45,7 @@ STRUCTURED = "structured"
 def _parse_tuple(text: str, flag: str, count: int) -> tuple[Fraction, ...]:
     """Comma-separated rationals given to ``flag``, one per word."""
     try:
-        values = tuple(parse_rational(part) for part in text.split(","))
+        values = tuple([parse_rational(part) for part in text.split(",")])
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
     if len(values) != count:
@@ -133,17 +133,22 @@ def _cmd_ks(args) -> int:
 def _cmd_lhv(args) -> int:
     parties = _party_spec(args)
     ps = build_proof_set(parties)
+    pairs = parties.canonical_pairs()
+    scales = [w.factored(pairs).scale for w in ps.words]
     if args.rhs:
-        rhs = _parse_tuple(args.rhs, "--rhs", len(ps.words))
+        # over each word's scale; a value off it is met by no assignment
+        rhs = tuple([
+            t * s for t, s in zip(_parse_tuple(args.rhs, "--rhs", len(ps.words)), scales)
+        ])
     else:
         rhs = select_ghz(ps).eigen_tuple
-    cs = ConstraintSystem.build(ps, rhs)
+    cs = ConstraintSystem.build(ps, rhs, pairs)
     analytic = parity_unsat(cs)
     report = brute_force_lhv(cs, args.bound, sign_only=args.sign_only)
     doc = {
         "words": list(ps.letter_words),
         "plan": list(ps.product_plan),
-        "rhs": [format_rational(t) for t in rhs],
+        "rhs": [format_rational(t, s) for t, s in zip(rhs, scales)],
         "parity_obstruction": analytic,
         "status": report.status,
         "assignments_checked": report.assignments_checked,
@@ -151,8 +156,8 @@ def _cmd_lhv(args) -> int:
         "witness": (
             None
             if report.witness is None
-            else {f"{letter}{party + 1}": format_rational(v)
-                  for (party, letter), v in report.witness}
+            else {f"{letter}{party + 1}": format_rational(v, s)
+                  for ((party, letter), v), s in zip(report.witness, cs.scales)}
         ),
         "explanation": explain_parity(cs),
     }
@@ -182,7 +187,7 @@ def _cmd_spectrum(args) -> int:
         doc["spectrum"] = _spectrum_to_doc(spectrum)
         doc["classification"] = spectrum.classify()
         lines.append(f"word {args.word}: " + ", ".join(
-            f"{format_rational(v)} x{m}" for v, m in spectrum.entries))
+            f"{format_rational(v, spectrum.scale)} x{m}" for v, m in spectrum.entries))
         lines.append(f"classification: {spectrum.classify()}")
     if args.product or args.word is None:
         ps = build_proof_set(parties)
@@ -196,7 +201,7 @@ def _cmd_spectrum(args) -> int:
         doc["plan_product_classification"] = spectrum.classify()
         lines.append(
             f"plan product over {' '.join(ps.letter_words)}: "
-            + ", ".join(f"{format_rational(v)} x{m}" for v, m in spectrum.entries)
+            + ", ".join(f"{format_rational(v, spectrum.scale)} x{m}" for v, m in spectrum.entries)
         )
         lines.append(f"classification: {spectrum.classify()}")
     _emit(args, doc, lines)
@@ -206,7 +211,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_criteria(args) -> int:
     raw = load_document(args.state)
     try:
-        dims = tuple(_exact_int(m, "a level count") for m in raw["dims"])
+        dims = tuple([_exact(m, int, "a level count") for m in raw["dims"]])
         state = StateVector.from_doc(dims, raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed state file: {exc}") from exc
@@ -219,7 +224,7 @@ def _cmd_criteria(args) -> int:
     else:
         pairs = PartySpec(dims, allow_mixed_parity=True).canonical_pairs()
     if args.words:
-        words = tuple(_letters(w, "--words") for w in args.words.split(","))
+        words = tuple([_letters(w, "--words") for w in args.words.split(",")])
     else:
         spec = PartySpec(dims, allow_mixed_parity=True)
         words = build_proof_set(spec).letter_words

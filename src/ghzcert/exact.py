@@ -1,9 +1,14 @@
-"""Exact rational scalars and the small matrix kernel everything else uses.
+"""Exact integer scalars and the small matrix kernel everything else uses.
 
-Scalars are `fractions.Fraction` throughout; no floating point exists
-anywhere in the package. Matrices are kept in `MonomialMatrix` form:
-generalized permutations (one nonzero per row and column). Each site
-operator is one (diagonal or anti-diagonal), and so is every tensor word.
+Every scalar is an integer over a positive ``scale``: a site operator's
+weights over its own (1 for odd m, 2 for even m), and a product or tensor
+product over the product of its factors' scales. No floating point exists
+anywhere in the package, and `fractions.Fraction` only at the document
+boundary: `parse_rational`, `scaled_to_integers` and `format_rational`.
+
+Matrices are kept in `MonomialMatrix` form: generalized permutations (one
+nonzero per row and column). Each site operator is one (diagonal or
+anti-diagonal), and so is every tensor word.
 
 A tensor word, and any product of words, is kept as a `FactoredMonomial`:
 the tuple of its per-site monomial factors. It applies to sparse vectors and
@@ -19,13 +24,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ShapeError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -46,11 +49,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(x: Fraction) -> str:
-    """Render a rational as ``num`` or ``num/den`` with positive denominator."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x: int | Fraction, scale: int = 1) -> str:
+    """Render x / scale (scale positive) in lowest terms as ``num`` or
+    ``num/den`` with positive denominator."""
+    num, den = x.numerator, x.denominator * scale
+    if scale != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def as_rational(value: int | Fraction | str) -> Fraction:
@@ -66,13 +74,20 @@ def as_rational(value: int | Fraction | str) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
+def scaled_to_integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The integers over the least common denominator that equal ``values``,
+    with that denominator."""
+    scale = reduce(lcm, (v.denominator for v in values), 1)
+    return tuple([v.numerator * (scale // v.denominator) for v in values]), scale
+
+
 @dataclass(frozen=True)
 class MonomialMatrix:
     """Matrix with at most one nonzero entry per row and column.
 
-    Column ``j`` holds ``weight[j]`` at row ``target[j]``: the operator maps
-    the basis vector ``e_j`` to ``weight[j] * e_target[j]``. ``target`` must
-    be a permutation; weights may be zero (the column is then empty).
+    Column ``j`` holds ``weight[j] / scale`` at row ``target[j]`` (integer
+    weights, positive scale). ``target`` must be a permutation; weights may
+    be zero (the column is then empty).
 
     Tensor-word realizations additionally satisfy ``target`` being an
     involution with ``weight[j] == weight[target[j]]``; products of such
@@ -82,40 +97,45 @@ class MonomialMatrix:
 
     dim: int
     target: tuple[int, ...]
-    weight: tuple[Fraction, ...]
+    weight: tuple[int, ...]
+    scale: int = 1
 
     def __post_init__(self) -> None:
         if len(self.target) != self.dim or len(self.weight) != self.dim:
             raise ShapeError("target and weight must both have length dim")
         if sorted(self.target) != list(range(self.dim)):
             raise ShapeError("target is not a permutation of 0..dim-1")
+        if self.scale < 1:
+            raise ShapeError(f"scale must be positive, got {self.scale}")
 
     @classmethod
     def identity(cls, dim: int) -> MonomialMatrix:
-        return cls(dim, tuple(range(dim)), (ONE,) * dim)
+        return cls(dim, tuple(range(dim)), (1,) * dim)
 
     @classmethod
-    def diagonal(cls, weights: Sequence[Fraction]) -> MonomialMatrix:
-        return cls(len(weights), tuple(range(len(weights))), tuple(weights))
+    def diagonal(cls, weights: Sequence[int], scale: int = 1) -> MonomialMatrix:
+        return cls(len(weights), tuple(range(len(weights))), tuple(weights), scale)
 
     @classmethod
-    def anti_diagonal(cls, weights: Sequence[Fraction]) -> MonomialMatrix:
+    def anti_diagonal(cls, weights: Sequence[int], scale: int = 1) -> MonomialMatrix:
         """Column j maps to row dim-1-j; ``weights`` are indexed by row."""
         n = len(weights)
         # entry at (row i, column n-1-i) is weights[i], so column j carries
         # weights[n-1-j]
-        return cls(n, tuple(n - 1 - j for j in range(n)),
-                   tuple(weights[n - 1 - j] for j in range(n)))
+        return cls(n, tuple([n - 1 - j for j in range(n)]),
+                   tuple([weights[n - 1 - j] for j in range(n)]), scale)
 
-    def eigenvalue_counts(self) -> dict[Fraction, int]:
-        """Eigenvalue multiplicities of a diagonal or involutive
-        symmetric-weight monomial, the one orbit/spectrum rule.
+    @cached_property
+    def eigenvalue_counts(self) -> tuple[tuple[int, int], ...]:
+        """(eigenvalue over ``scale``, multiplicity) pairs, ascending, of a
+        diagonal or involutive symmetric-weight monomial: the one
+        orbit/spectrum rule, computed once per operator.
 
         Each column j is paired with ``target[j]``: a fixed point contributes
         its weight, a 2-cycle its weight with both signs. Any other shape (a
         longer cycle, or a 2-cycle with unequal weights) raises ``ShapeError``.
         """
-        counts: dict[Fraction, int] = {}
+        counts: dict[int, int] = {}
         for j, t in enumerate(self.target):
             w = self.weight[j]
             if t == j:
@@ -127,25 +147,16 @@ class MonomialMatrix:
             elif j < t:
                 counts[w] = counts.get(w, 0) + 1
                 counts[-w] = counts.get(-w, 0) + 1
-        return counts
-
-    def apply(self, vector: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Apply to a sparse vector {index: coefficient}; zero results dropped."""
-        out: dict[int, Fraction] = {}
-        for j, c in vector.items():
-            w = self.weight[j]
-            if w and c:
-                out[self.target[j]] = w * c
-        return out
+        return tuple(sorted(counts.items()))
 
 
 def monomial_multiply(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
     """Matrix product a*b of two monomial matrices (always monomial)."""
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    target = tuple(a.target[b.target[j]] for j in range(b.dim))
-    weight = tuple(b.weight[j] * a.weight[b.target[j]] for j in range(b.dim))
-    return MonomialMatrix(a.dim, target, weight)
+    target = tuple([a.target[b.target[j]] for j in range(b.dim)])
+    weight = tuple([b.weight[j] * a.weight[b.target[j]] for j in range(b.dim)])
+    return MonomialMatrix(a.dim, target, weight, a.scale * b.scale)
 
 
 def monomial_compose(words: Iterable[MonomialMatrix]) -> MonomialMatrix:
@@ -173,20 +184,7 @@ def monomial_tensor(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
         for j2 in range(b.dim):
             target.append(a.target[j1] * b.dim + b.target[j2])
             weight.append(a.weight[j1] * b.weight[j2])
-    return MonomialMatrix(dim, tuple(target), tuple(weight))
-
-
-def monomial_equal(a: MonomialMatrix, b: MonomialMatrix) -> bool:
-    """Equality as linear maps (zero-weight columns may differ in target)."""
-    if a.dim != b.dim:
-        return False
-    for j in range(a.dim):
-        wa, wb = a.weight[j], b.weight[j]
-        if wa != wb:
-            return False
-        if wa and a.target[j] != b.target[j]:
-            return False
-    return True
+    return MonomialMatrix(dim, tuple(target), tuple(weight), a.scale * b.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,35 +193,34 @@ class FactoredMonomial:
 
     Composite indices use the mixed-radix order of `monomial_tensor` (left
     factor most significant), so ``expand()`` equals the fold of
-    `monomial_tensor` over ``factors``. ``==`` is identity; compare operators
-    by their expansions with `monomial_equal`.
+    `monomial_tensor` over ``factors``; entries are over ``scale``, the
+    product of the factors' scales. ``==`` is identity.
     """
 
     factors: tuple[MonomialMatrix, ...]
 
     @property
     def dim(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.dim
-        return out
+        return prod(f.dim for f in self.factors)
 
-    def entry(self, j: int) -> tuple[int, Fraction]:
-        """Target row and weight of composite column ``j``."""
-        target, num, den, stride = 0, 1, 1, 1
+    @property
+    def scale(self) -> int:
+        return prod(f.scale for f in self.factors)
+
+    def entry(self, j: int) -> tuple[int, int]:
+        """Target row and weight (over ``scale``) of composite column ``j``."""
+        target, weight, stride = 0, 1, 1
         for f in reversed(self.factors):
             j, digit = divmod(j, f.dim)
             target += f.target[digit] * stride
-            w = f.weight[digit]
-            num *= w.numerator
-            den *= w.denominator
+            weight *= f.weight[digit]
             stride *= f.dim
-        return target, Fraction(num, den)
+        return target, weight
 
-    def apply(self, vector: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def apply(self, vector: Mapping[int, int]) -> dict[int, int]:
         """Apply to a sparse vector {index: coefficient}, one support index
-        at a time; zero results dropped."""
-        out: dict[int, Fraction] = {}
+        at a time (the result is over ``scale``); zero results dropped."""
+        out: dict[int, int] = {}
         for j, c in vector.items():
             t, w = self.entry(j)
             if w and c:
@@ -236,9 +233,9 @@ class FactoredMonomial:
             raise ShapeError(
                 f"site count mismatch: {len(self.factors)} vs {len(other.factors)}"
             )
-        return FactoredMonomial(tuple(
+        return FactoredMonomial(tuple([
             monomial_multiply(a, b) for a, b in zip(self.factors, other.factors)
-        ))
+        ]))
 
     @classmethod
     def product(cls, ops: Iterable[FactoredMonomial]) -> FactoredMonomial:
@@ -251,4 +248,3 @@ class FactoredMonomial:
     def expand(self) -> MonomialMatrix:
         """The operator as one monomial matrix on the composite space."""
         return reduce(monomial_tensor, self.factors)
-

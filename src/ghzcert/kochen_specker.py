@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParityError
-from .exact import ONE, FactoredMonomial
+from .exact import FactoredMonomial
 from .search import Check, first_assignment
 from .siteops import canonical_pair
 from .spectral import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, Spectrum, spectrum_of_factored
@@ -62,7 +61,7 @@ class KsObservable:
     letters: tuple[str, ...]  # per party: "A", "B", or "I"
 
     def factored(self, pairs: SitePairs) -> FactoredMonomial:
-        return factor_letters(self.letters, pairs, tuple(a.dim for a, _ in pairs))
+        return factor_letters(self.letters, pairs, tuple([a.dim for a, _ in pairs]))
 
     @property
     def is_composite(self) -> bool:
@@ -82,13 +81,15 @@ class KsConfiguration:
     side_spectrum: Spectrum
 
     def pairs(self) -> SitePairs:
-        return tuple(canonical_pair(self.levels) for _ in range(3))
+        return tuple([canonical_pair(self.levels) for _ in range(3)])
 
 
 @dataclass(frozen=True)
 class KsReport:
+    """A search outcome; witness values are over their observables' scales."""
+
     status: str
-    witness: tuple[tuple[str, Fraction], ...] | None
+    witness: tuple[tuple[str, int], ...] | None
     patterns_checked: int
     mode: str
 
@@ -103,13 +104,13 @@ def build_ks(m: int) -> KsConfiguration:
         )
     observables = [KsObservable(word, tuple(word)) for word in COMPOSITE_WORDS]
     observables += [
-        KsObservable(f"{c}{p + 1}", tuple(c if q == p else "I" for q in range(3)))
+        KsObservable(f"{c}{p + 1}", tuple([c if q == p else "I" for q in range(3)]))
         for p in range(3)
         for c in "AB"
     ]
     index = {obs.label: i for i, obs in enumerate(observables)}
     contexts = [(0, 1, 2, 3)] + [
-        (k,) + tuple(index[f"{letter}{p + 1}"] for p, letter in enumerate(word))
+        (k,) + tuple([index[f"{letter}{p + 1}"] for p, letter in enumerate(word)])
         for k, word in enumerate(COMPOSITE_WORDS)
     ]
     sign_targets = [-1] + [1] * len(COMPOSITE_WORDS)
@@ -157,9 +158,7 @@ def _search_signs(cfg: KsConfiguration) -> KsReport:
     checked, signs = first_assignment([(1, -1)] * len(cfg.observables), checks)
     if signs is None:
         return KsReport(KS_UNSAT, None, checked, SIGN_ONLY)
-    witness = tuple(
-        (obs.label, Fraction(sign)) for obs, sign in zip(cfg.observables, signs)
-    )
+    witness = tuple([(obs.label, sign) for obs, sign in zip(cfg.observables, signs)])
     return KsReport(KS_SAT, witness, checked, SIGN_ONLY)
 
 
@@ -176,14 +175,16 @@ def _search_full(cfg: KsConfiguration) -> KsReport:
         a_op, b_op = pairs[party]
         op = a_op if obs.letters[party] == "A" else b_op
         slot_of[idx] = (len(domains),)
-        domains.append(tuple(sorted(op.eigenvalue_counts(), reverse=True)))
+        domains.append(tuple([v for v, _ in reversed(op.eigenvalue_counts)]))
     for ctx in cfg.contexts[1:]:
-        slot_of[ctx[0]] = tuple(k for i in ctx[1:] for k in slot_of[i])
-    allowed_products = frozenset(cfg.horizontal_spectrum.as_dict())
+        slot_of[ctx[0]] = tuple([k for i in ctx[1:] for k in slot_of[i]])
+    # the horizontal product and the product of its twelve slots' values are
+    # over the same scale, that of the twelve site operators
+    allowed_products = frozenset(v for v, _ in cfg.horizontal_spectrum.entries)
 
     checks = [
         Check(
-            tuple(k for i in ctx for k in slot_of[i]),
+            tuple([k for i in ctx for k in slot_of[i]]),
             allowed=allowed_products if c == 0 else None,
             positive=target > 0,
         )
@@ -192,10 +193,10 @@ def _search_full(cfg: KsConfiguration) -> KsReport:
     checked, values = first_assignment(domains, checks)
     if values is None:
         return KsReport(KS_UNSAT, None, checked, FULL_SPECTRUM)
-    witness = tuple(
-        (obs.label, math.prod((values[k] for k in slot_of[idx]), start=ONE))
+    witness = tuple([
+        (obs.label, math.prod(values[k] for k in slot_of[idx]))
         for idx, obs in enumerate(cfg.observables)
-    )
+    ])
     return KsReport(KS_SAT, witness, checked, FULL_SPECTRUM)
 
 

@@ -8,7 +8,8 @@ word's eigenvalue. Unsatisfiability is established twice, independently:
   times across the product plan, so the left-hand side of the multiplied-out
   system is a product of squares, while the right-hand side is negative;
 * by the search kernel (``ghzcert.search``) over every assignment drawing
-  each value from the exact spectrum of its site operator -- it refutes the
+  each value from the exact spectrum of its site operator, an integer over
+  the operator's scale -- it refutes the
   word equations' sign system by elimination over GF(2), trying every
   combination of equations rather than just the plan, and reports the size
   of the assignment space as the count without visiting each assignment; a
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import SearchBoundError
 from .exact import format_rational
@@ -47,19 +47,24 @@ def slot_label(slot: Slot) -> str:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Word equations over one value slot per (party, letter)."""
+    """Word equations over one value slot per (party, letter).
+
+    Slot k takes its site operator's eigenvalues over ``scales[k]``, and a
+    word's right-hand side is over its operator's scale, the product of its
+    slots' scales: the equations are between integers."""
 
     letter_words: tuple[str, ...]
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[int, ...]
     plan: tuple[int, ...]
     slots: tuple[Slot, ...]
-    domains: tuple[tuple[Fraction, ...], ...]
+    domains: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
 
     @classmethod
     def build(
         cls,
         ps: ProofSet,
-        rhs: tuple[Fraction, ...],
+        rhs: tuple[int, ...],
         pairs: SitePairs | None = None,
     ) -> ConstraintSystem:
         if len(rhs) != len(ps.words):
@@ -67,13 +72,15 @@ class ConstraintSystem:
         if pairs is None:
             pairs = ps.parties.canonical_pairs()
         slots: list[Slot] = []
-        domains: list[tuple[Fraction, ...]] = []
+        domains: list[tuple[int, ...]] = []
+        scales: list[int] = []
         for party, (a_op, b_op) in enumerate(pairs):
             for letter, op in zip(LETTERS, (a_op, b_op)):
                 slots.append((party, letter))
-                domains.append(tuple(sorted(op.eigenvalue_counts())))
+                domains.append(tuple([v for v, _ in op.eigenvalue_counts]))
+                scales.append(op.scale)
         return cls(ps.letter_words, tuple(rhs), ps.product_plan,
-                   tuple(slots), tuple(domains))
+                   tuple(slots), tuple(domains), tuple(scales))
 
     @property
     def assignment_space(self) -> int:
@@ -84,10 +91,10 @@ class ConstraintSystem:
 
     def word_slot_indices(self) -> tuple[tuple[int, ...], ...]:
         index = {slot: k for k, slot in enumerate(self.slots)}
-        return tuple(
-            tuple(index[(party, letter)] for party, letter in enumerate(word))
+        return tuple([
+            tuple([index[(party, letter)] for party, letter in enumerate(word)])
             for word in self.letter_words
-        )
+        ])
 
     def plan_slot_multiplicities(self) -> dict[Slot, int]:
         counts: dict[Slot, int] = {}
@@ -103,7 +110,7 @@ class LhvReport:
     """Outcome of an unsatisfiability analysis."""
 
     status: str
-    witness: tuple[tuple[Slot, Fraction], ...] | None
+    witness: tuple[tuple[Slot, int], ...] | None  # values over the slots' scales
     method: str
     assignments_checked: int
     sign_only: bool = False
@@ -133,13 +140,8 @@ def brute_force_lhv(
     witness under ascending domains.
     """
     if sign_only:
-        domains: tuple[tuple[Fraction, ...], ...] = tuple(
-            (Fraction(-1), Fraction(1)) for _ in cs.domains
-        )
-        targets = tuple(
-            Fraction(1) if t > 0 else Fraction(-1) if t < 0 else Fraction(0)
-            for t in cs.rhs
-        )
+        domains: tuple[tuple[int, ...], ...] = tuple([(-1, 1) for _ in cs.domains])
+        targets = tuple([1 if t > 0 else -1 if t < 0 else 0 for t in cs.rhs])
     else:
         domains = cs.domains
         targets = cs.rhs
@@ -188,15 +190,19 @@ def explain_parity(cs: ConstraintSystem) -> str:
     usage = ", ".join(
         f"{slot_label(slot)}:{counts[slot]}" for slot in sorted(counts)
     )
-    rhs_prod = eigen_tuple_plan_product(cs.rhs, cs.plan)
+    scale_of = dict(zip(cs.slots, cs.scales))
+    rhs_prod = format_rational(
+        eigen_tuple_plan_product(cs.rhs, cs.plan),
+        math.prod(scale_of[slot] ** k for slot, k in counts.items()),
+    )
     if parity_unsat(cs):
         return (
             f"multiplying all planned equations, every one-particle value "
             f"enters an even number of times ({usage}), so the left side is "
             f"a product of squares and cannot be negative; the right side "
-            f"is {format_rational(rhs_prod)} < 0, so no assignment exists"
+            f"is {rhs_prod} < 0, so no assignment exists"
         )
     return (
         f"no parity obstruction: slot usage {usage}, right-hand product "
-        f"{format_rational(rhs_prod)}"
+        f"{rhs_prod}"
     )

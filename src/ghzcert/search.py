@@ -3,9 +3,12 @@
 One kernel serves every enumeration in the package: the local-value
 assignments of a GHZ constraint system (full spectra or signs only) and the
 value assignments of the noncontextuality configuration (signs or full
-spectra). Each problem is a list of finite value domains, one per slot, and a
-list of checks, each a condition on the exact product of the values at a
-multiset of slots.
+spectra). Each problem is a list of finite domains of integer values, one
+per slot, and a list of checks, each a condition on the exact product of the
+values at a multiset of slots. Callers put each slot's values over its
+operator's scale and each allowed product over the product of those scales,
+so every product is an exact Python integer; an allowed product that is not
+an integer can never be met.
 
 Every search first decides the sign system of its checks by Gaussian
 elimination over GF(2) (``sign_refutation``). Each slot contributes one sign
@@ -27,10 +30,7 @@ prefixes counted whole:
   product carried down the depth-first walk; a failed check refutes the whole
   subtree below, and the subtree's size is added to the count;
 * a check that pins the product to a single value is solved at its deepest
-  slot by division instead of looping over the slot's values;
-* every slot's values are scaled by the common denominator of its domain, so
-  all products are exact Python integers; the allowed products scale with
-  them, and one that does not scale to an integer can never be met.
+  slot by division instead of looping over the slot's values.
 
 The count therefore equals what a plain ``itertools.product`` loop would
 report: the full space when no assignment works, otherwise the 1-based
@@ -43,7 +43,6 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,11 @@ class Check:
     """
 
     slots: tuple[int, ...]
-    allowed: frozenset[Fraction] | None = None
+    allowed: frozenset[int] | None = None
     positive: bool | None = None
 
 
-def _sign_parity(check: Check, domains: Sequence[Sequence[Fraction]]) -> int | None:
+def _sign_parity(check: Check, domains: Sequence[Sequence[int]]) -> int | None:
     """1 (negative) or 0 (positive) when every product the check allows is
     nonzero and of that sign, otherwise None."""
     if check.allowed is not None:
@@ -81,7 +80,7 @@ def _sign_parity(check: Check, domains: Sequence[Sequence[Fraction]]) -> int | N
 
 
 def sign_refutation(
-    domains: Sequence[Sequence[Fraction]], checks: Sequence[Check]
+    domains: Sequence[Sequence[int]], checks: Sequence[Check]
 ) -> tuple[int, ...] | None:
     """Indices of checks whose sign equations sum to 0 = 1 over GF(2).
 
@@ -123,12 +122,12 @@ def sign_refutation(
             row, rhs, used = row ^ prow, rhs ^ prhs, used ^ pused
         else:
             if rhs:
-                return tuple(i for i in range(len(checks)) if used >> i & 1)
+                return tuple([i for i in range(len(checks)) if used >> i & 1])
     return None
 
 
 def first_assignment(
-    domains: Sequence[Sequence[Fraction]], checks: Sequence[Check]
+    domains: Sequence[Sequence[int]], checks: Sequence[Check]
 ) -> tuple[int, tuple | None]:
     """The lexicographically first assignment meeting every check.
 
@@ -148,17 +147,12 @@ def first_assignment(
 
 
 def _walk(
-    domains: Sequence[Sequence[Fraction]], checks: Sequence[Check]
+    domains: Sequence[Sequence[int]], checks: Sequence[Check]
 ) -> tuple[int, tuple | None]:
     """``first_assignment`` by the depth-first walk."""
     n = len(domains)
-    denominators = [math.lcm(*(Fraction(v).denominator for v in d)) for d in domains]
-    values = [
-        tuple(int(Fraction(v) * den) for v in d)
-        for d, den in zip(domains, denominators)
-    ]
 
-    # Scale every check to integers and file it under its deepest slot:
+    # File every check under its deepest slot:
     # carry[k] updates the partial products, final[k] tests them, and
     # solve[k] is the first final check that pins the product to at most one
     # value, solved by division as (check, target or None, value index).
@@ -167,18 +161,12 @@ def _walk(
     solve: list[tuple[int, int | None, dict[int, list[int]]] | None] = [None] * n
     for c, check in enumerate(checks):
         exponents = Counter(check.slots)
-        scale = math.prod(denominators[k] ** e for k, e in exponents.items())
         allowed = check.allowed
-        if allowed is not None:
-            allowed = frozenset(
-                int(x) for x in (Fraction(t) * scale for t in allowed)
-                if x.denominator == 1
-            )
         # a check on no slots is a constant, tested at the first slot
         deepest = max(exponents, default=0)
         exponents.setdefault(deepest, 0)
         for k, e in exponents.items():
-            powers = tuple(v**e for v in values[k])
+            powers = tuple([v**e for v in domains[k]])
             if k != deepest:
                 carry[k].append((c, powers))
                 continue
@@ -191,20 +179,20 @@ def _walk(
 
     below = [1] * n
     for k in range(n - 2, -1, -1):
-        below[k] = below[k + 1] * len(values[k + 1])
+        below[k] = below[k + 1] * len(domains[k + 1])
     last = n - 1
     chosen = [0] * n
     checked = 0
 
     def candidates(k: int, prods: list[int]):
         if solve[k] is None:
-            return range(len(values[k]))
+            return range(len(domains[k]))
         c, target, index = solve[k]
         p = prods[c]
         if target is None:
             return ()
         if p == 0:
-            return range(len(values[k])) if target == 0 else ()
+            return range(len(domains[k])) if target == 0 else ()
         if target % p:
             return ()
         return index.get(target // p, ())
@@ -235,9 +223,9 @@ def _walk(
                     return True
                 continue
             checked += size
-        checked += (len(values[k]) - counted) * size
+        checked += (len(domains[k]) - counted) * size
         return False
 
     if not visit(0, [1] * len(checks)):
         return checked, None
-    return checked, tuple(d[i] for d, i in zip(domains, chosen))
+    return checked, tuple([d[i] for d, i in zip(domains, chosen)])

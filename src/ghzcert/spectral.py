@@ -1,14 +1,16 @@
 """Exact spectra and simultaneous eigenbases for commuting monomial words.
 
-Everything here exploits one structural fact: a tensor word acts on the
-composite basis by an index involution with symmetric weights. The spectrum
-of one such monomial reads off directly from the orbits of its involution
-(a fixed point contributes its weight; a 2-cycle contributes the weight with
-both signs; `MonomialMatrix.eigenvalue_counts` is that rule), and a
-commuting set of words is diagonalized orbit by orbit of the abelian group
-their involutions generate. A set commutes when every site pair
-anticommutes and every two words pass the letter rule
-(`words.letters_commute`); operators are never multiplied to decide it.
+Values are integers over positive scales (see `ghzcert.exact`), so a sign is
+the sign of an integer. Everything here exploits one structural fact: a
+tensor word acts on the composite basis by an index involution with
+symmetric weights. The spectrum of one such monomial reads off directly from
+the orbits of its involution (a fixed point contributes its weight; a
+2-cycle contributes the weight with both signs;
+`MonomialMatrix.eigenvalue_counts` is that rule), and a commuting set of
+words is diagonalized orbit by orbit of the abelian group their involutions
+generate. A set commutes when every site pair anticommutes and every two
+words pass the letter rule (`words.letters_commute`); operators are never
+multiplied to decide it.
 
 Words and their products stay factored (`FactoredMonomial`), and their
 spectra follow the Kronecker rule: the spectrum of x_1 (x) ... (x) x_n is
@@ -47,14 +49,13 @@ picks, so a build never computes the rest of the basis.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import NoGhzStateError, NonCommutingSetError
-from .exact import FactoredMonomial, MonomialMatrix, ONE, ZERO
+from .exact import FactoredMonomial, MonomialMatrix
 from .siteops import check_anticommute
 from .words import ProofSet, SitePairs, words_commute
 
@@ -67,30 +68,25 @@ INDEFINITE = "indefinite"
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Exact eigenvalue multiset, stored sorted ascending with positive
-    multiplicities."""
+    """Exact eigenvalue multiset: integer values over ``scale``, stored
+    sorted ascending with positive multiplicities."""
 
-    entries: tuple[tuple[Fraction, int], ...]
-
-    @classmethod
-    def from_counts(cls, counts: dict[Fraction, int]) -> Spectrum:
-        return cls(tuple(sorted((v, m) for v, m in counts.items() if m)))
-
-    def as_dict(self) -> dict[Fraction, int]:
-        return dict(self.entries)
+    entries: tuple[tuple[int, int], ...]
+    scale: int = 1
 
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def multiplicity(self, value: Fraction) -> int:
+    def multiplicity(self, value: int) -> int:
+        """Multiplicity of the eigenvalue ``value / scale``."""
         k = bisect_left(self.entries, (value,))
         found = k < len(self.entries) and self.entries[k][0] == value
         return self.entries[k][1] if found else 0
 
     @property
     def zero_count(self) -> int:
-        return self.multiplicity(ZERO)
+        return self.multiplicity(0)
 
     @property
     def positive_count(self) -> int:
@@ -148,65 +144,62 @@ def spectrum_of_monomial(op: MonomialMatrix) -> Spectrum:
     this engine supports and raise ``ShapeError``; see
     `MonomialMatrix.eigenvalue_counts`.
     """
-    return Spectrum.from_counts(op.eigenvalue_counts())
+    return Spectrum(op.eigenvalue_counts, op.scale)
 
 
 def spectrum_of_factored(op: FactoredMonomial) -> Spectrum:
     """Exact spectrum of a factored operator by the Kronecker rule (see the
     module docstring); each site factor goes through `spectrum_of_monomial`,
     which raises ``ShapeError`` for a factor outside the supported shapes.
-
-    Site eigenvalues are scaled to integers by their common denominator, so
-    the products are exact integer products over one overall denominator.
     """
     counts: dict[int, int] = {1: 1}
     scale = 1
     for factor in op.factors:
-        site = spectrum_of_monomial(factor).entries
-        den = lcm(*(v.denominator for v, _ in site))
-        scale *= den
-        site_ints = [(v.numerator * (den // v.denominator), k) for v, k in site]
+        site = spectrum_of_monomial(factor)
+        scale *= site.scale
         product: dict[int, int] = {}
         for p, m in counts.items():
-            for w, k in site_ints:
+            for w, k in site.entries:
                 product[p * w] = product.get(p * w, 0) + m * k
         counts = product
-    # one positive denominator for all values, so integer order is value order
-    return Spectrum(tuple((Fraction(p, scale), m) for p, m in sorted(counts.items())))
+    # one positive scale for all values, so integer order is value order
+    return Spectrum(tuple(sorted(counts.items())), scale)
 
 
 # -- joint eigenvectors ------------------------------------------------------
 
-Vec = dict[int, Fraction]
+Vec = dict[int, int]
 
 
 @dataclass(frozen=True)
 class JointEigenvector:
-    """One simultaneous eigenvector with its per-word eigenvalues; the
-    coefficients are primitive integers and ``norm_sq`` stays a rational."""
+    """One simultaneous eigenvector with its per-word eigenvalues, each over
+    its word's scale; the coefficients are +-1."""
 
-    eigen_tuple: tuple[Fraction, ...]
+    eigen_tuple: tuple[int, ...]
     support: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]
 
     @property
-    def norm_sq(self) -> Fraction:
-        return sum((c * c for c in self.coefficients), ZERO)
+    def norm_sq(self) -> int:
+        return sum(c * c for c in self.coefficients)
 
 
 def _commuting_operators(ps: ProofSet, pairs: SitePairs | None) -> list[FactoredMonomial]:
-    """The words' operators, once they are known to commute (module docstring)."""
-    ops = [w.factored(pairs) for w in ps.words]
-    site_pairs = ps.parties.canonical_pairs() if pairs is None else pairs
-    if not all(check_anticommute(a, b) for a, b in site_pairs) or not all(
+    """The words' operators, once they are known to commute (module
+    docstring). Only pairs from outside are checked: canonical ones
+    (``pairs`` None) anticommute by construction."""
+    outside_ok = pairs is None or all(check_anticommute(a, b) for a, b in pairs)
+    if not outside_ok or not all(
         words_commute(u, v) for u, v in itertools.combinations(ps.words, 2)
     ):
         raise NonCommutingSetError("word set is not mutually commuting")
-    return ops
+    site_pairs = ps.parties.canonical_pairs() if pairs is None else pairs
+    return [w.factored(site_pairs) for w in ps.words]
 
 
 # Every word's entry at one index: (target index, weight) per word.
-Row = tuple[tuple[int, Fraction], ...]
+Row = tuple[tuple[int, int], ...]
 
 
 def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvector]:
@@ -220,7 +213,7 @@ def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvecto
     rows: dict[int, Row] = {}
 
     def images(x: int) -> list[int]:
-        row = rows[x] = tuple(op.entry(x) for op in ops)
+        row = rows[x] = tuple([op.entry(x) for op in ops])
         return [t for t, _ in row]
 
     for orbit in _orbit_walk(ops[0].dim, images):
@@ -243,14 +236,14 @@ def _component_eigenvectors(x0: int, rows: dict[int, Row]) -> list[JointEigenvec
     of the words in mask h multiply to (-1)^b; a word that is zero on the
     component is tied to +1, so its entry in the tuple is 0.
     """
-    scale = [abs(w) for _, w in rows[x0]]
-    ties = {(1 << k, 0) for k, a in enumerate(scale) if not a}
+    magnitude = [abs(w) for _, w in rows[x0]]
+    ties = {(1 << k, 0) for k, a in enumerate(magnitude) if not a}
     paths = {x0: (0, 0)}
     frontier = [x0]
     for x in frontier:
         bit, mask = paths[x]
         for k, (t, w) in enumerate(rows.pop(x)):
-            if abs(w) != scale[k]:
+            if abs(w) != magnitude[k]:
                 raise AssertionError("a word's weight magnitude varies on a component")
             if not w:
                 continue
@@ -264,14 +257,14 @@ def _component_eigenvectors(x0: int, rows: dict[int, Row]) -> list[JointEigenvec
     support = tuple(sorted(paths))
     return [
         JointEigenvector(
-            tuple(-a if signs >> k & 1 else a for k, a in enumerate(scale)),
+            tuple([-a if signs >> k & 1 else a for k, a in enumerate(magnitude)]),
             support,
-            tuple(
-                -ONE if ((signs & paths[x][1]).bit_count() ^ paths[x][0]) & 1 else ONE
+            tuple([
+                -1 if ((signs & paths[x][1]).bit_count() ^ paths[x][0]) & 1 else 1
                 for x in support
-            ),
+            ]),
         )
-        for signs in range(1 << len(scale))
+        for signs in range(1 << len(magnitude))
         if not any(((signs & h).bit_count() ^ b) & 1 for h, b in ties)
     ]
 
@@ -294,16 +287,11 @@ def simultaneous_eigenbasis(
     return out
 
 
-def eigen_tuple_plan_product(
-    eigen_tuple: tuple[Fraction, ...], plan: tuple[int, ...]
-) -> Fraction:
-    prod = ONE
-    for i in plan:
-        prod *= eigen_tuple[i]
-    return prod
+def eigen_tuple_plan_product(eigen_tuple: tuple, plan: tuple[int, ...]):
+    return math.prod(eigen_tuple[i] for i in plan)
 
 
-def is_eligible(eigen_tuple: tuple[Fraction, ...], plan: tuple[int, ...]) -> bool:
+def is_eligible(eigen_tuple: tuple[int, ...], plan: tuple[int, ...]) -> bool:
     """Nonzero everywhere and negative product along the plan."""
     if any(not t for t in eigen_tuple):
         return False
@@ -312,33 +300,35 @@ def is_eligible(eigen_tuple: tuple[Fraction, ...], plan: tuple[int, ...]) -> boo
 
 def select_ghz(
     ps: ProofSet,
-    tuple_hint: tuple[Fraction, ...] | None = None,
+    tuple_hint: tuple | None = None,
     pairs: SitePairs | None = None,
 ) -> JointEigenvector:
     """Pick the entangled eigenvector the contradiction is built on: its
     eigenvalues are nonzero and their planned product is negative.
 
-    With a hint, returns the first eigenvector carrying exactly that
-    eigenvalue tuple; otherwise the first eligible one in the deterministic
-    basis order of ``simultaneous_eigenbasis``. Orbits are refined in that
-    order only until the vector is found, so the rest of the basis is never
-    computed.
+    With a hint of rationals (ints or Fractions, the eigenvalues themselves),
+    returns the first eigenvector carrying exactly that eigenvalue tuple;
+    otherwise the first eligible one in the deterministic basis order of
+    ``simultaneous_eigenbasis``. Orbits are refined in that order only until
+    the vector is found, so the rest of the basis is never computed.
     """
+    if tuple_hint is not None and len(tuple_hint) != len(ps.words):
+        raise ValueError(f"hint has {len(tuple_hint)} entries for {len(ps.words)} words")
+    ops = _commuting_operators(ps, pairs)
     if tuple_hint is None:
-        def wanted(t: tuple[Fraction, ...]) -> bool:
+        def wanted(t: tuple[int, ...]) -> bool:
             return is_eligible(t, ps.product_plan)
         missing = (
             "no simultaneous eigenvector has all-nonzero eigenvalues with "
             "a negative plan product"
         )
     else:
-        if len(tuple_hint) != len(ps.words):
-            raise ValueError(
-                f"hint has {len(tuple_hint)} entries for {len(ps.words)} words"
-            )
-        wanted = tuple(tuple_hint).__eq__
+        # t over scale s equals p/q exactly when t * q == p * s
+        hint = [(h.numerator, h.denominator, op.scale) for h, op in zip(tuple_hint, ops)]
+
+        def wanted(t: tuple[int, ...]) -> bool:
+            return all(v * q == p * s for v, (p, q, s) in zip(t, hint))
         missing = "no simultaneous eigenvector carries the requested eigen-tuple"
-    ops = _commuting_operators(ps, pairs)
     chosen = next(
         (v for v in _joint_eigenvectors(ops) if wanted(v.eigen_tuple)), None
     )
@@ -352,13 +342,18 @@ def select_ghz(
     return chosen
 
 
-def eigenvalue_of(op: FactoredMonomial, vec: Vec) -> Fraction | None:
-    """The exact scalar lam with op*vec = lam*vec, or None when ``vec`` is not
-    an eigenvector of ``op``. Only the support of ``vec`` is visited."""
+def eigenvalue_of(op: FactoredMonomial, vec: Vec) -> int | None:
+    """The scalar lam, over ``op.scale``, with op*vec = lam*vec for an integer
+    vector ``vec``, or None when ``vec`` is not an eigenvector of ``op``.
+    Only the support of ``vec`` is visited. A rational eigenvalue of the
+    integer matrix ``op.scale * op`` is an integer, so a quotient that does
+    not divide means no eigenvector."""
     image = op.apply(vec)
     if not image:
-        return ZERO
+        return 0
     anchor = min(vec)
-    lam = image.get(anchor, ZERO) / vec[anchor]
+    lam, rest = divmod(image.get(anchor, 0), vec[anchor])
+    if rest:
+        return None
     expected = {k: lam * c for k, c in vec.items() if lam * c}
     return lam if image == expected else None

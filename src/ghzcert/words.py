@@ -90,7 +90,7 @@ class PartySpec:
         return len({m % 2 for m in self.levels}) > 1
 
     def canonical_pairs(self) -> SitePairs:
-        return tuple(canonical_pair(m) for m in self.levels)
+        return tuple([canonical_pair(m) for m in self.levels])
 
     def flat_index(self, digits: tuple[int, ...]) -> int:
         idx = 0
@@ -290,7 +290,7 @@ class ProofSet:
             plan = tuple(range(len(words)))
         # the flags index the words through the plan, so check it first
         _check_plan(len(words), plan)
-        flags = _flags(tuple(w.letters for w in words), plan)
+        flags = _flags(tuple([w.letters for w in words]), plan)
         return cls(words, plan, flags)
 
     @property
@@ -299,7 +299,7 @@ class ProofSet:
 
     @property
     def letter_words(self) -> tuple[str, ...]:
-        return tuple(w.letters for w in self.words)
+        return tuple([w.letters for w in self.words])
 
     def product_sign(self) -> int:
         return plan_product_sign(self.letter_words, self.product_plan)
@@ -393,8 +393,8 @@ def generate_odd_set(parties: PartySpec) -> ProofSet:
     if counts is None:
         raise ValueError(f"no valid four-word set exists for {parties.n} parties")
     columns = [t for t, c in zip(_COLUMN_TYPES, counts) for _ in range(c)]
-    rows = tuple("".join(col[row] for col in columns) for row in range(4))
-    words = tuple(TensorWord(w, parties) for w in _outlier_last(rows))
+    rows = tuple(["".join(col[row] for col in columns) for row in range(4)])
+    words = tuple([TensorWord(w, parties) for w in _outlier_last(rows)])
     return _checked(ProofSet.assemble(words, (0, 1, 2, 3)))
 
 
@@ -417,8 +417,8 @@ def extend_even_set(parties: PartySpec) -> ProofSet:
     base = generate_odd_set(sub)
     common = base.words[0].a_count
     fifth = "A" * (common - 1) + "B" * (parties.n - common) + "A"
-    letters = tuple(w.letters + "B" for w in base.words) + (fifth,)
-    words = tuple(TensorWord(w, parties) for w in letters)
+    letters = tuple([w.letters + "B" for w in base.words]) + (fifth,)
+    words = tuple([TensorWord(w, parties) for w in letters])
     return _checked(ProofSet.assemble(words, (0, 1, 2, 3, 4, 4)))
 
 

@@ -30,6 +30,11 @@ The fifth part holds the dense matrices the package shipped before only the
 monomial form was left in it: products, Kronecker products and vector
 application entry by entry, the conversions to and from monomial form, and
 the dense view of a site operator.
+
+The package computes with integers over positive scales; the searches and
+the eigenbasis here take its operators and values in that form, while the
+dense part works with the rationals themselves (``densify`` divides by the
+scale), in ``Fraction`` arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -42,14 +47,12 @@ from typing import Sequence
 
 from ghzcert.errors import InvalidLevelsError, ParityError, SearchBoundError, ShapeError
 from ghzcert.exact import (
-    ONE,
-    ZERO,
     MonomialMatrix,
     as_rational,
     monomial_compose,
-    monomial_equal,
     monomial_multiply,
     monomial_tensor,
+    scaled_to_integers,
 )
 from ghzcert.kochen_specker import (
     FULL_SPECTRUM,
@@ -61,7 +64,7 @@ from ghzcert.kochen_specker import (
 )
 from ghzcert.lhv import DEFAULT_BOUND, SAT, UNSAT, ConstraintSystem, LhvReport
 from ghzcert.search import Check
-from ghzcert.spectral import JointEigenvector, spectrum_of_monomial
+from ghzcert.spectral import JointEigenvector, Spectrum, spectrum_of_monomial
 from ghzcert.words import (
     LETTERS,
     PartySpec,
@@ -71,6 +74,14 @@ from ghzcert.words import (
     _outlier_last,
     plan_product_sign,
 )
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def rational_spectrum(spectrum: Spectrum) -> dict[Fraction, int]:
+    """A package spectrum as {eigenvalue: multiplicity} in rationals."""
+    return {Fraction(v, spectrum.scale): m for v, m in spectrum.entries}
 
 
 def brute_force_lhv(
@@ -155,7 +166,7 @@ def ks_search_full(cfg: KsConfiguration) -> KsReport:
         party = next(p for p, c in enumerate(obs.letters) if c != "I")
         a_op, b_op = pairs[party]
         op = a_op if obs.letters[party] == "A" else b_op
-        domains.append(tuple(sorted(op.eigenvalue_counts(), reverse=True)))
+        domains.append(tuple(sorted((v for v, _ in op.eigenvalue_counts), reverse=True)))
     factor_of = {idx: k for k, (idx, _) in enumerate(one_party)}
     composite_ids = [i for i, obs in enumerate(cfg.observables) if obs.is_composite]
     composite_factors = {
@@ -165,7 +176,7 @@ def ks_search_full(cfg: KsConfiguration) -> KsReport:
     # configuration carries
     mats = realized(cfg)
     horizontal = monomial_compose(mats[i] for i in cfg.contexts[0])
-    allowed_products = set(spectrum_of_monomial(horizontal).as_dict())
+    allowed_products = {v for v, _ in spectrum_of_monomial(horizontal).entries}
 
     labels = [obs.label for obs in cfg.observables]
     checked = 0
@@ -373,6 +384,31 @@ def shared_side_product(cfg: KsConfiguration) -> MonomialMatrix:
     return monomial_compose(mats[i] for i in cfg.contexts[1])
 
 
+def apply(op: MonomialMatrix, vector: dict) -> dict:
+    """A monomial applied to a sparse vector {index: coefficient}, the
+    result over ``op.scale``; zero results dropped."""
+    out = {}
+    for j, c in vector.items():
+        w = op.weight[j]
+        if w and c:
+            out[op.target[j]] = w * c
+    return out
+
+
+def monomial_equal(a: MonomialMatrix, b: MonomialMatrix) -> bool:
+    """Equality as linear maps (zero-weight columns may differ in target,
+    and the scales may differ)."""
+    if a.dim != b.dim:
+        return False
+    for j in range(a.dim):
+        wa, wb = a.weight[j], b.weight[j]
+        if wa * b.scale != wb * a.scale:
+            return False
+        if wa and a.target[j] != b.target[j]:
+            return False
+    return True
+
+
 def mutually_commuting(mats: list[MonomialMatrix]) -> bool:
     for a, b in itertools.combinations(mats, 2):
         if not monomial_equal(monomial_multiply(a, b), monomial_multiply(b, a)):
@@ -459,7 +495,7 @@ def _project_eigenspace(op: MonomialMatrix, basis, eigenvalue, candidates):
             if mu == eigenvalue:
                 continue
             u = _vec_scale(
-                _vec_add(op.apply(u), _vec_scale(u, -mu)), ONE / (eigenvalue - mu)
+                _vec_add(apply(op, u), _vec_scale(u, -mu)), ONE / (eigenvalue - mu)
             )
         if u:
             projected.append(u)
@@ -600,8 +636,30 @@ def densify(m: MonomialMatrix) -> DenseMatrix:
     ent = [ZERO] * (m.dim * m.dim)
     for j in range(m.dim):
         if m.weight[j]:
-            ent[m.target[j] * m.dim + j] = m.weight[j]
+            ent[m.target[j] * m.dim + j] = Fraction(m.weight[j], m.scale)
     return DenseMatrix(m.dim, m.dim, tuple(ent))
+
+
+def dense_spectrum(dense: DenseMatrix) -> dict[Fraction, int]:
+    """Eigenvalue multiplicities of a dense matrix that is diagonal or an
+    involution with symmetric weights, read column by column: a zero column
+    gives 0, a diagonal entry w gives w, and two columns swapped with weight
+    w give w and -w."""
+    counts: dict[Fraction, int] = {}
+    for j in range(dense.cols):
+        rows = [i for i in range(dense.rows) if dense.at(i, j)]
+        if not rows:
+            values = [ZERO]
+        elif rows == [j]:
+            values = [dense.at(j, j)]
+        else:
+            (i,) = rows
+            if dense.at(j, i) != dense.at(i, j):
+                raise ShapeError("not a symmetric involution")
+            values = [dense.at(i, j), -dense.at(i, j)] if j < i else []
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+    return counts
 
 
 def sparsify(dense: DenseMatrix) -> MonomialMatrix:
@@ -629,4 +687,4 @@ def sparsify(dense: DenseMatrix) -> MonomialMatrix:
     for j in range(n):
         if target[j] < 0:
             target[j] = free_rows.pop(0)
-    return MonomialMatrix(n, tuple(target), tuple(weight))
+    return MonomialMatrix(n, tuple(target), *scaled_to_integers(weight))

@@ -244,6 +244,15 @@ def test_non_string_rational_rejected(m3_doc, field, value):
     _assert_malformed(tampered)
 
 
+@pytest.mark.parametrize("word", (["A", "B", "B"], 7, None), ids=repr)
+def test_non_string_word_rejected(m3_doc, word):
+    # a word is stored as a string; a list of its letters is not coerced
+    ok, reason = _verify_copy(m3_doc, lambda d: d["words"].__setitem__(0, word))
+    assert (ok, reason) == (
+        False, f"malformed certificate: a word must be a string, got {word!r}"
+    )
+
+
 def test_non_string_spectrum_key_rejected(m3_doc):
     # JSON keys are strings, but a library caller can hand over any dict
     tampered = copy.deepcopy(m3_doc)

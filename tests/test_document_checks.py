@@ -54,6 +54,16 @@ def test_ghz_build_checks_each_eigenvector_equation_once(monkeypatch):
     assert counts == {"eigenvalue_of": 4}
 
 
+def test_ghz_build_checks_each_site_pair_once(monkeypatch):
+    # select_ghz takes the canonical pairs as built; the document derivation
+    # checks the stored pairs, once per party
+    counts = _count_calls(
+        monkeypatch, ("check_anticommute",), (siteops, spectral, certificate)
+    )
+    build_ghz_document(PartySpec((3, 3, 3, 3)))
+    assert counts == {"check_anticommute": 4}
+
+
 def test_ks_build_does_not_recheck_its_fixed_structure(monkeypatch):
     # the fixed pair and contexts are pinned by test_siteops.py and test_ks.py
     counts = _count_calls(

@@ -4,14 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import DenseMatrix, densify, mat_apply, mat_multiply, mat_tensor, sparsify
+from oracles import (
+    DenseMatrix,
+    densify,
+    mat_apply,
+    mat_multiply,
+    mat_tensor,
+    monomial_equal,
+    sparsify,
+)
 
 from ghzcert.errors import ShapeError
 from ghzcert.exact import (
     MonomialMatrix,
     format_rational,
     monomial_compose,
-    monomial_equal,
     monomial_multiply,
     monomial_tensor,
     parse_rational,

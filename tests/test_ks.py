@@ -5,10 +5,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import densify, mat_multiply, realized, shared_side_product
+from oracles import densify, mat_multiply, monomial_equal, realized, shared_side_product
 
 from ghzcert.errors import ParityError
-from ghzcert.exact import monomial_compose, monomial_equal
+from ghzcert.exact import monomial_compose
 from ghzcert.kochen_specker import (
     FULL_SPECTRUM,
     KS_SAT,
@@ -72,7 +72,7 @@ def test_side_product_m2_is_scaled_identity():
     cfg = build_ks(2)
     side = shared_side_product(cfg)
     assert side.target == tuple(range(side.dim))
-    assert all(w == F(1, 64) for w in side.weight)
+    assert all(F(w, side.scale) == F(1, 64) for w in side.weight)
 
 
 @pytest.mark.parametrize("m", (2, 4))

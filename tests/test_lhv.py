@@ -147,8 +147,8 @@ def test_monotone_impossibility():
 
 
 def test_witness_round_trip_on_satisfiable_case():
-    h = F(1, 8)
-    _, cs = canonical_system((2, 2, 2), (h, h, h, h))
+    # right-hand sides 1/8 over the words' scale 8
+    _, cs = canonical_system((2, 2, 2), (1, 1, 1, 1))
     report = brute_force_lhv(cs)
     assert report.status == SAT
     assert verify_witness(cs, dict(report.witness))

@@ -5,17 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import densify, mat_multiply
+from oracles import densify, mat_multiply, monomial_equal
 
 from ghzcert.errors import InvalidLevelsError, ShapeError
-from ghzcert.exact import monomial_equal, monomial_multiply
+from ghzcert.exact import monomial_multiply
 from ghzcert.siteops import (
     build_A,
     build_B,
     canonical_pair,
     check_anticommute,
     custom_site,
-    spin,
 )
 
 
@@ -23,30 +22,37 @@ def F(x):
     return Fraction(x)
 
 
+def rationals(op):
+    """The operator's column weights as rationals."""
+    return tuple(Fraction(w, op.scale) for w in op.weight)
+
+
 def test_build_a_three_levels():
-    assert build_A(3).weight == (F(1), F(0), F(-1))
+    assert (build_A(3).weight, build_A(3).scale) == ((1, 0, -1), 1)
 
 
 def test_build_a_two_levels():
-    assert build_A(2).weight == (Fraction(1, 2), Fraction(-1, 2))
+    assert (build_A(2).weight, build_A(2).scale) == ((1, -1), 2)
+    assert rationals(build_A(2)) == (Fraction(1, 2), Fraction(-1, 2))
 
 
 def test_build_a_five_levels():
-    assert build_A(5).weight == (F(2), F(1), F(0), F(-1), F(-2))
+    assert (build_A(5).weight, build_A(5).scale) == ((2, 1, 0, -1, -2), 1)
 
 
 def test_build_b_three_levels():
-    assert build_B(3).weight == (F(1), F(0), F(1))
+    assert (build_B(3).weight, build_B(3).scale) == ((1, 0, 1), 1)
 
 
 def test_build_b_four_levels():
-    assert build_B(4).weight == (
+    assert rationals(build_B(4)) == (
         Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)
     )
+    assert build_B(4).scale == 2
 
 
 def test_build_b_two_levels():
-    assert build_B(2).weight == (Fraction(1, 2), Fraction(1, 2))
+    assert (build_B(2).weight, build_B(2).scale) == ((1, 1), 2)
 
 
 def test_invalid_levels():
@@ -55,6 +61,21 @@ def test_invalid_levels():
             build_A(m)
         with pytest.raises(InvalidLevelsError):
             build_B(m)
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_canonical_pair_is_spin_z_and_x_on_extreme_levels(m):
+    # canonical pairs anticommute by construction, so the pipeline checks
+    # only pairs from outside; this pins the construction for every m. On
+    # span{e_0, e_(m-1)} A(m) acts as s*Z and B(m) as s*X, s = (m-1)/2.
+    a, b = canonical_pair(m)
+    assert check_anticommute(a, b)
+    s = Fraction(m - 1, 2)
+    last = m - 1
+    assert (a.target[0], a.target[last]) == (0, last)
+    assert (b.target[0], b.target[last]) == (last, 0)
+    assert (rationals(a)[0], rationals(a)[last]) == (s, -s)
+    assert (rationals(b)[0], rationals(b)[last]) == (s, s)
 
 
 @pytest.mark.parametrize("m", range(2, 65))
@@ -86,15 +107,14 @@ def test_weight_symmetries(m):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_spectra(m):
-    s = spin(m)
+    s = Fraction(m - 1, 2)
     expected = sorted(s - j for j in range(m))
-    assert sorted(build_A(m).eigenvalue_counts()) == expected
-    assert sorted(build_B(m).eigenvalue_counts()) == expected
-    if m % 2 == 0:
-        assert Fraction(0) not in build_A(m).eigenvalue_counts()
-        assert Fraction(0) not in build_B(m).eigenvalue_counts()
-    else:
-        assert Fraction(0) in build_A(m).eigenvalue_counts()
+    for op in canonical_pair(m):
+        counts = op.eigenvalue_counts
+        assert [Fraction(v, op.scale) for v, k in counts for _ in range(k)] == expected
+        assert (0 in dict(counts)) == (m % 2 == 1)
+        # computed once per operator
+        assert op.eigenvalue_counts is counts
 
 
 @pytest.mark.parametrize("m", range(2, 7))

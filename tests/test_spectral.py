@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import DenseMatrix, densify, mat_apply, mat_multiply
+from oracles import DenseMatrix, densify, mat_apply, mat_multiply, rational_spectrum
 from ghzcert import spectral
 from ghzcert.errors import NoGhzStateError, NonCommutingSetError
 from ghzcert.exact import FactoredMonomial, monomial_compose
@@ -49,12 +49,12 @@ def moments_match(word, spectrum):
     dense = densify(word.realize())
     dim = dense.rows
     assert spectrum.total == dim
-    values = [v for v, _ in spectrum.entries]
+    values = rational_spectrum(spectrum)
     power = DenseMatrix.identity(dim)
     for p in range(1, len(values) + 2):
         power = mat_multiply(power, dense)
         trace = sum(power.at(i, i) for i in range(dim))
-        claimed = sum(m * v**p for v, m in spectrum.entries)
+        claimed = sum(m * v**p for v, m in values.items())
         if trace != claimed:
             return False
     return True
@@ -64,7 +64,7 @@ def test_spectrum_word_m3():
     ps = canonical((3, 3, 3))
     for word in ps.words:
         s = spectrum_of_factored(word.factored())
-        assert s.as_dict() == {F(-1): 4, F(0): 19, F(1): 4}
+        assert rational_spectrum(s) == {F(-1): 4, F(0): 19, F(1): 4}
         assert moments_match(word, s)
 
 
@@ -74,7 +74,7 @@ def test_spectrum_word_m2_diagonal():
     spec = PartySpec((2, 2, 2))
     word = TensorWord("AAA", spec)
     s = spectrum_of_factored(word.factored())
-    assert s.as_dict() == {F(1, 8): 4, F(-1, 8): 4}
+    assert rational_spectrum(s) == {F(1, 8): 4, F(-1, 8): 4}
     assert moments_match(word, s)
 
 
@@ -160,13 +160,14 @@ def test_eigenbasis_complete_exact_orthogonal(m):
     basis = simultaneous_eigenbasis(ps)
     assert len(basis) == m**3
     dense = [densify(w.realize()) for w in ps.words]
+    scales = [w.factored().scale for w in ps.words]
     for vec in basis:
         full = [F(0)] * (m**3)
         for idx, c in zip(vec.support, vec.coefficients):
             full[idx] = c
-        for d, lam in zip(dense, vec.eigen_tuple):
+        for d, lam, s in zip(dense, vec.eigen_tuple, scales):
             image = mat_apply(d, full)
-            assert list(image) == [lam * x for x in full]
+            assert list(image) == [F(lam, s) * x for x in full]
     # pairwise orthogonality under the exact dot product
     for u, v in itertools.combinations(basis, 2):
         uv = dict(zip(u.support, u.coefficients))
@@ -304,8 +305,9 @@ def test_select_ghz_hint_from_later_orbit(levels):
         v for v in basis
         if is_eligible(v.eigen_tuple, ps.product_plan) and v.eigen_tuple not in early
     ]
-    hint = later[-1].eigen_tuple
-    expected = next(v for v in basis if v.eigen_tuple == hint)
+    expected = next(v for v in basis if v.eigen_tuple == later[-1].eigen_tuple)
+    # the hint is in rationals, the eigen-tuple over the words' scales
+    hint = tuple(F(t, w.factored().scale) for t, w in zip(expected.eigen_tuple, ps.words))
     assert _fields(select_ghz(ps, hint)) == _fields(expected)
 
 
@@ -431,17 +433,20 @@ def test_two_level_ten_party_basis_is_fast():
 
 
 def test_spectrum_classify_spectrum_input():
-    s = Spectrum.from_counts({F(-1): 3, F(-2): 5})
+    s = Spectrum(((-4, 5), (-2, 3)), 2)
     assert s.classify() == NEGATIVE_DEFINITE
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.fractions(max_denominator=4), st.integers(0, 3), max_size=6))
-def test_classify_and_multiplicity_match_a_full_count(counts):
-    spectrum = Spectrum.from_counts(counts)
+@given(
+    st.dictionaries(st.integers(-8, 8), st.integers(0, 3), max_size=6),
+    st.sampled_from((1, 2, 4)),
+)
+def test_classify_and_multiplicity_match_a_full_count(counts, scale):
+    spectrum = Spectrum(tuple(sorted((v, m) for v, m in counts.items() if m)), scale)
     pos = sum(m for v, m in counts.items() if v > 0)
     neg = sum(m for v, m in counts.items() if v < 0)
-    zero = counts.get(Fraction(0), 0)
+    zero = counts.get(0, 0)
     if pos and neg:
         expected = INDEFINITE
     elif neg:
