@@ -80,38 +80,41 @@ def agree(domains, checks):
 def test_zero_partial_product_with_zero_target():
     # slot 0 is zero, so the first check holds for every value of slot 1
     # and only the second check decides
-    domains = [(F(0),), (F(1), F(2), F(3))]
+    domains = [(0,), (1, 2, 3)]
     checks = [Check((0, 1), allowed=frozenset({0})), Check((1,), allowed=frozenset({3}))]
     assert agree(domains, checks) == (3, (0, 3))
 
 
 def test_zero_partial_product_with_nonzero_target():
-    domains = [(F(0), F(1)), (F(1), F(2))]
+    domains = [(0, 1), (1, 2)]
     checks = [Check((0, 1), allowed=frozenset({2}))]
     assert agree(domains, checks) == (4, (1, 2))
 
 
 def test_quotient_not_in_domain():
-    domains = [(F(1), F(2)), (F(1), F(3))]
+    domains = [(1, 2), (1, 3)]
     checks = [Check((0, 1), allowed=frozenset({4}))]
     assert agree(domains, checks) == (4, None)
 
 
 def test_target_off_the_integer_scale():
-    domains = [(F(1, 2), F(1)), (F(-1), F(3, 2))]
-    checks = [Check((0, 1), allowed=frozenset({F(1, 3)}))]
-    assert agree(domains, checks) == (4, None)
+    # values are integers over their scales, so no product meets a target
+    # that is not an integer, whether a check lists it alone or with others
+    domains = [(1, 2), (-2, 3)]
+    assert agree(domains, [Check((0, 1), allowed=frozenset({F(1, 3)}))]) == (4, None)
+    checks = [Check((0, 1), allowed=frozenset({F(1, 3), 6}))]
+    assert agree(domains, checks) == (4, (2, 3))
 
 
 def test_empty_domain_and_constant_checks():
-    assert agree([(F(1),), ()], [Check((0,), allowed=frozenset({1}))]) == (0, None)
-    assert agree([(F(1), F(2))], [Check((), positive=False)]) == (2, None)
-    assert agree([(F(2), F(1))], [Check((), allowed=frozenset({1}))]) == (1, (2,))
+    assert agree([(1,), ()], [Check((0,), allowed=frozenset({1}))]) == (0, None)
+    assert agree([(1, 2)], [Check((), positive=False)]) == (2, None)
+    assert agree([(2, 1)], [Check((), allowed=frozenset({1}))]) == (1, (2,))
 
 
-values = st.builds(
-    Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3, 4, 6))
-)
+# domain values are integers (over their scales); targets may also be off
+# that scale
+values = st.integers(-6, 6)
 
 
 @st.composite
@@ -120,7 +123,7 @@ def problems(draw):
         st.lists(st.lists(values, min_size=1, max_size=4), min_size=1, max_size=5)
     )
     slots = st.lists(st.integers(0, len(domains) - 1), min_size=1, max_size=4)
-    targets = st.one_of(values, st.sampled_from((F(0), F(7, 5), F(-11))))
+    targets = st.one_of(values, st.sampled_from((0, F(7, 5), -11)))
     checks = draw(
         st.lists(
             st.builds(
@@ -261,7 +264,7 @@ def test_ks_refutation_matches_oracle(m, mode, kernel_spy):
         assert kernel_spy["walks"] == (refutation is None)
 
 
-signed_values = st.sampled_from((F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(3)))
+signed_values = st.sampled_from((-4, -2, -1, 1, 3, 6))
 
 
 @st.composite
@@ -281,9 +284,9 @@ def sign_problems(draw):
         else:
             nonzero = []
         with_zero = shape == "zero" or draw(st.booleans())
-        domains.append(tuple(dict.fromkeys([F(0)] * with_zero + nonzero)))
+        domains.append(tuple(dict.fromkeys([0] * with_zero + nonzero)))
     slots = st.lists(st.integers(0, len(domains) - 1), max_size=4)
-    products = st.sampled_from((F(-1), F(1), F(-2), F(2), F(1, 2), F(0), F(-3, 2)))
+    products = st.sampled_from((-1, 1, -2, 2, F(1, 2), 0, F(-3, 2)))
     checks = draw(
         st.lists(
             st.builds(
@@ -322,11 +325,11 @@ def test_refutation_is_complete_on_unit_signs(problem):
     # system is the whole system: no refutation means a witness exists
     domains, checks = problem
     domains = [
-        tuple(dict.fromkeys(F(1) if v > 0 else F(-1) for v in d if v)) or (F(1),)
+        tuple(dict.fromkeys(1 if v > 0 else -1 for v in d if v)) or (1,)
         for d in domains
     ]
     checks = [
-        Check(c.slots, allowed=frozenset({F(-1)}), positive=None)
+        Check(c.slots, allowed=frozenset({-1}), positive=None)
         if c.positive is False else Check(c.slots, positive=True)
         for c in checks
     ]
@@ -336,7 +339,7 @@ def test_refutation_is_complete_on_unit_signs(problem):
 
 
 def test_refutation_examples():
-    pm = (F(1), F(-1))
+    pm = (1, -1)
     # Mermin's parity argument: x1 y2 y3 = y1 x2 y3 = y1 y2 x3 = 1, x1 x2 x3 = -1
     checks = [
         Check((0, 3, 5), allowed=frozenset({1})),
@@ -347,16 +350,16 @@ def test_refutation_examples():
     assert sign_refutation([pm] * 6, checks) == (0, 1, 2, 3)
     assert sign_refutation([pm] * 6, checks[:3]) is None
     # a slot that can only be zero refutes a check that forbids zero ...
-    assert sign_refutation([pm, (F(0),)], [Check((0, 1), positive=True)]) == (0,)
+    assert sign_refutation([pm, (0,)], [Check((0, 1), positive=True)]) == (0,)
     # ... but not one that a zero product meets
-    assert sign_refutation([pm, (F(0),)], [Check((0, 1), positive=False)]) is None
+    assert sign_refutation([pm, (0,)], [Check((0, 1), positive=False)]) is None
     # a fixed-sign slot is a constant: x * (-2) > 0 and x > 0 contradict
     checks = [Check((0, 1), positive=True), Check((0,), positive=True)]
-    assert sign_refutation([pm, (F(-2),)], checks) == (0, 1)
+    assert sign_refutation([pm, (-2,)], checks) == (0, 1)
     # a zero in the domain makes "not positive" no sign constraint
     checks = [Check((0,), positive=True), Check((0,), positive=False)]
     assert sign_refutation([pm], checks) == (0, 1)
-    assert sign_refutation([pm + (F(0),)], checks) is None
+    assert sign_refutation([pm + (0,)], checks) is None
     # a square is never negative
     assert sign_refutation([pm], [Check((0, 0), allowed=frozenset({-1}))]) == (0,)
 
