@@ -181,6 +181,44 @@ def _pairs_from_doc(doc: list) -> SitePairs:
 
 _NOT_AN_OBJECT = "malformed certificate: certificate root must be an object"
 
+# The keys each certificate kind must hold and the shape of each value: a dict
+# holds these keys, [shape] lists entries of one shape, and list, dict and
+# object admit any list, any object and any value, checked where it is read.
+_GHZ_SHAPE = {
+    "kind": object, "format_version": object, "provenance": object,
+    "parties": {"levels": list, "mixed_parity_experimental": object},
+    "site_operators": [{"a_weights": list, "b_weights": list}],
+    "words": list, "product_plan": list, "eigen_tuple": list,
+    "state": {"support": [list], "coefficients": list, "norm_sq": object},
+    "requirement_flags": dict,
+    "spectra": {"words": list, "plan_product": object, "plan_product_classification": object},
+    "lhv": dict.fromkeys(("status", "method", "assignments_checked", "bound", "witness",
+                          "explanation"), object),
+}
+_KS_SHAPE = {
+    "format_version": object, "levels": object, "observables": object,
+    "contexts_rendered": object, "contexts": [list], "sign_targets": list,
+    "structure": {"horizontal_spectrum": object, "side_spectrum": object},
+    "search": dict.fromkeys(("mode", "status", "witness", "patterns_checked"), object),
+}
+
+
+def _check_shape(value, shape, path: str = "") -> None:
+    """Reject a missing key or a section of the wrong shape, named by its
+    dotted path, so that no lookup in a checked document fails."""
+    kind = shape if isinstance(shape, type) else type(shape)
+    if not isinstance(value, kind):
+        raise CertificateError(f"{path} must be {'a list' if kind is list else 'an object'}")
+    if isinstance(shape, list):
+        for i, entry in enumerate(value):
+            _check_shape(entry, shape[0], f"{path}[{i}]")
+    elif isinstance(shape, dict):
+        for key, inner in shape.items():
+            here = f"{path}.{key}" if path else key
+            if key not in value:
+                raise CertificateError(f"missing key {here!r}")
+            _check_shape(value[key], inner, here)
+
 
 def _check_format_version(doc: dict) -> None:
     if _exact(doc["format_version"], int, "format_version") != FORMAT_VERSION:
@@ -409,13 +447,6 @@ def build_ghz_document(
     return doc
 
 
-_GHZ_REQUIRED_KEYS = (
-    "kind", "format_version", "parties", "site_operators", "words",
-    "product_plan", "requirement_flags", "eigen_tuple", "state", "spectra",
-    "lhv", "provenance",
-)
-
-
 def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]:
     """Re-derive every claim in a certificate; accept only if all hold.
 
@@ -425,25 +456,23 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
     if not isinstance(doc, dict):
         return False, _NOT_AN_OBJECT
     try:
-        for key in _GHZ_REQUIRED_KEYS:
-            if key not in doc:
-                raise CertificateError(f"missing key {key!r}")
+        _check_shape(doc, _GHZ_SHAPE)
         if doc["kind"] != GHZ_KIND:
             raise CertificateError(f"not a GHZ certificate: kind {doc['kind']!r}")
         _check_format_version(doc)
-        derived = _ghz_sections(doc, DEFAULT_BOUND if bound is None else bound)
         flags, spectra, lhv = doc["requirement_flags"], doc["spectra"], doc["lhv"]
-        if not isinstance(flags, dict):
-            raise CertificateError("requirement_flags must be an object")
         for name, value in flags.items():
             _exact(value, bool, f"requirement flag {name!r}")
         word_spectra = [_stored_spectrum(s) for s in spectra["words"]]
-        expected, expected_lhv = derived["spectra"], derived["lhv"]
-        if len(word_spectra) != len(expected["words"]):
-            raise CertificateError("one spectrum per word required")
+        plan_spectrum = _stored_spectrum(spectra["plan_product"])
+        checked = _exact(lhv["assignments_checked"], int, "assignments_checked")
         # lhv.bound is recorded for the reader; the caller's bound sets the work done
         if _exact(lhv["bound"], int, "bound") < 0:
             raise CertificateError(f"bound must be non-negative, got {lhv['bound']}")
+        derived = _ghz_sections(doc, DEFAULT_BOUND if bound is None else bound)
+        expected, expected_lhv = derived["spectra"], derived["lhv"]
+        if len(word_spectra) != len(expected["words"]):
+            raise CertificateError("one spectrum per word required")
         comparisons = [
             (flags, derived["requirement_flags"],
              "stored requirement flags do not match recomputation"),
@@ -451,13 +480,13 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
                 (stored, spectrum, f"stored spectrum for word {i} does not match recomputation")
                 for i, (stored, spectrum) in enumerate(zip(word_spectra, expected["words"]), 1)
             ),
-            (_stored_spectrum(spectra["plan_product"]), expected["plan_product"],
+            (plan_spectrum, expected["plan_product"],
              "stored plan-product spectrum does not match recomputation"),
             (spectra["plan_product_classification"], expected["plan_product_classification"],
              "stored plan-product classification does not match recomputation"),
             ((lhv["status"], expected_lhv["status"]), (UNSAT, UNSAT),
              "stored LHV status does not match re-derivation"),
-            ((lhv["method"], _exact(lhv["assignments_checked"], int, "assignments_checked")),
+            ((lhv["method"], checked),
              (expected_lhv["method"], expected_lhv["assignments_checked"]),
              "stored LHV report does not match re-derivation"),
             (lhv["witness"], None, "stored LHV witness must be null for an UNSAT claim"),
@@ -526,6 +555,7 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
     try:
         if doc.get("kind") != KS_KIND:
             raise CertificateError(f"not a KS certificate: kind {doc.get('kind')!r}")
+        _check_shape(doc, _KS_SHAPE)
         _check_format_version(doc)
         m = _exact(doc["levels"], int, "levels")
         search, structure = doc["search"], doc["structure"]
@@ -534,8 +564,6 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         observables, rendered = doc["observables"], doc["contexts_rendered"]
         contexts = [[_exact(i, int, "a context index") for i in ctx] for ctx in doc["contexts"]]
         sign_targets = [_exact(t, int, "a sign target") for t in doc["sign_targets"]]
-        if not isinstance(structure, dict):
-            raise CertificateError("structure must be an object")
         _stored_spectrum(structure["horizontal_spectrum"])
         _stored_spectrum(structure["side_spectrum"])
     except (CertificateError, KeyError, TypeError) as exc:

@@ -22,9 +22,8 @@ taken twice in the product plan.
 Requirements 3 and 4 leave every party column of a four-word set exactly two
 A letters, so each column is one of six types, and the other requirements and
 the plan sign depend only on how many columns there are of each type. The
-lexicographically first set is therefore found by a search over those counts,
-polynomial in the party count, and the extra word of the even case has a
-closed form.
+lexicographically first set has a closed form in those counts, and so does
+the extra word of the even case: a proof set is built in O(n) for n parties.
 """
 
 from __future__ import annotations
@@ -310,48 +309,6 @@ class ProofSet:
 _COLUMN_TYPES = ("AABB", "ABAB", "ABBA", "BAAB", "BABA", "BBAA")
 
 
-def _count_vectors(n: int):
-    """Yield every split of n columns over the six types, as counts in
-    ``_COLUMN_TYPES`` order, so that the word tuples of the column-sorted
-    arrangements (see ``generate_odd_set``) ascend lexicographically.
-
-    With the columns sorted, the first word is A^k B^(n-k) for
-    k = #AABB + #ABAB + #ABBA, so larger k comes first; ties are broken the
-    same way by #AABB, by #BAAB + #BABA, by #ABAB and by #BAAB in turn, which
-    fix the second and third words; the fourth follows from them.
-    """
-    for k in range(n, -1, -1):
-        for aabb in range(k, -1, -1):
-            for baab_baba in range(n - k, -1, -1):
-                for abab in range(k - aabb, -1, -1):
-                    for baab in range(baab_baba, -1, -1):
-                        yield (
-                            aabb, abab, k - aabb - abab,
-                            baab, baab_baba - baab, n - k - baab_baba,
-                        )
-
-
-def _counts_qualify(counts: tuple[int, ...]) -> bool:
-    """The requirements and the negative plan sign, from column-type counts.
-
-    Each word's A count is the number of columns whose type puts an A in its
-    row. Equal parities make the words commute, and a unique outlier among
-    the counts also keeps the words distinct: two equal words would force
-    the other two to be equal as well, giving two pairs of equal counts.
-    A column adds one B-before-A inversion to the plan sign for ABAB, three
-    for BABA and an even number for the other types.
-    """
-    a_counts = [
-        sum(c for t, c in zip(_COLUMN_TYPES, counts) if t[row] == "A")
-        for row in range(4)
-    ]
-    if len({c % 2 for c in a_counts}) != 1:
-        return False
-    if sorted(a_counts.count(c) for c in set(a_counts)) != [1, 3]:
-        return False
-    return (counts[1] + counts[4]) % 2 == 1
-
-
 def _checked(ps: ProofSet) -> ProofSet:
     """A constructed set, once its flags all hold and its plan sign is -1."""
     if not ps.requirement_flags.all_ok or ps.product_sign() != -1:
@@ -370,30 +327,43 @@ def _outlier_last(candidate: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def generate_odd_set(parties: PartySpec) -> ProofSet:
-    """Deterministic four-word proof set for an odd number of parties.
+    """Deterministic four-word proof set for an odd number of parties, in O(n).
 
     Returns the lexicographically first (letter order A < B, sets compared
     as sorted tuples) four-word set whose requirement flags all hold and
-    whose plan product carries a negative sign. Requirements 3 and 4 give
-    every party column exactly two A letters, so it is one of six types, and
-    every other condition depends only on how many columns there are of
-    each type. For one split of the columns over the types, sorting the
-    columns gives the lexicographically smallest word tuple, and for the
-    best split that tuple is already sorted; so the answer is the first
-    qualifying split in the order of ``_count_vectors``, with its columns
-    sorted. The returned order puts the three common-count words first,
-    sorted, and the word with the outlying A count last, so that the
+    whose plan product has a negative sign. The three common-count words
+    come first, sorted, and the outlying A count last, so that the
     odd-signed equation is always the final one.
+
+    Let x = (#AABB, #ABAB, #ABBA, #BAAB, #BABA, #BBAA) split the n columns
+    over the six ``_COLUMN_TYPES``. The words' A counts a0 = x1+x2+x3,
+    a1 = x1+x4+x5, a2 = x2+x4+x6 and a3 = x3+x5+x6 then sum to 2n;
+    the flags ask for one parity and three equal counts c beside an outlier
+    o, so 3c + o = 2n; the sign asks for x2 + x5 odd (an ABAB column adds one
+    B-before-A inversion, a BABA column three, the others an even number).
+    Sorting a split's columns gives its smallest word tuple, which for the
+    first qualifying split is already sorted, so splits compare by k = a0
+    descending, then by #AABB descending (the search over all splits in
+    ``tests/oracles.py`` takes this order). With s = -n mod 3 and
+    c = (n+s)/3, the first qualifying split is (c, c-s, c-s, 0, 0, s):
+
+    - At k = n - t with t <= s, a common a0 would need two more counts of
+      n - t within a1 + a2 + a3 = n + t, so n <= 3t <= 3s, which no odd
+      n >= 3 meets (n = 3 has s = 0, n = 5 has s = 1). So a0 is the outlier
+      and 3c = n + t, which needs t = s.
+    - At k = n - s, a1 = x1 + x4 + x5 = c bounds #AABB by c, reached only
+      with x4 = x5 = 0, the surplus s in BBAA and x2 = x3 = c - s. Every
+      count then has the parity of n - s (c has that of 3c = n + s), and
+      x2 + x5 = (n - 2s)/3 is odd since n is.
+
+    For n = 3 this is ABB BAB BBA AAA, the analogue of Mermin's XYY YXY YYX XXX.
     """
     if parties.n % 2 == 0:
         raise ParityError(f"party count {parties.n} is even; use extend_even_set")
-    counts = next(
-        (c for c in _count_vectors(parties.n) if _counts_qualify(c)), None
-    )
-    if counts is None:
-        raise ValueError(f"no valid four-word set exists for {parties.n} parties")
-    columns = [t for t, c in zip(_COLUMN_TYPES, counts) for _ in range(c)]
-    rows = tuple(["".join(col[row] for col in columns) for row in range(4)])
+    surplus = -parties.n % 3
+    common = (parties.n + surplus) // 3
+    counts = (common, common - surplus, common - surplus, 0, 0, surplus)
+    rows = ["".join([t[row] * c for t, c in zip(_COLUMN_TYPES, counts)]) for row in range(4)]
     words = tuple([TensorWord(w, parties) for w in _outlier_last(rows)])
     return _checked(ProofSet.assemble(words, (0, 1, 2, 3)))
 

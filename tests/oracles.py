@@ -12,6 +12,11 @@ sets were constructed from column-type counts: the lexicographic search over
 four-word sets and the loop over every candidate fifth word, plus the
 enumeration showing that no four-word set exists for four parties. They take time
 exponential in the party count, so they are the reference for small ``n``.
+Beside them sits the search the package used before the closed form: it
+walks every split of the party columns over the six column types in
+lexicographic order and takes the first that qualifies. It is polynomial in
+the party count (about 0.5 s at ``n`` = 199), so it is the reference for
+larger ``n``.
 
 The third part holds the orbit decomposition loop the package used before
 its orbit walk (``spectral._orbit_walk``) took its seeds in one pass over the
@@ -66,6 +71,7 @@ from ghzcert.lhv import DEFAULT_BOUND, SAT, UNSAT, ConstraintSystem, LhvReport
 from ghzcert.search import Check
 from ghzcert.spectral import JointEigenvector, Spectrum, spectrum_of_monomial
 from ghzcert.words import (
+    _COLUMN_TYPES,
     LETTERS,
     PartySpec,
     ProofSet,
@@ -304,6 +310,62 @@ def generate_odd_set(parties: PartySpec) -> ProofSet:
         words = tuple(TensorWord(w, parties) for w in ordered)
         return ProofSet.assemble(words, plan)
     raise ValueError(f"no valid four-word set exists for {parties.n} parties")
+
+
+def count_vectors(n: int):
+    """Yield every split of n columns over the six types, as counts in
+    ``_COLUMN_TYPES`` order, so that the word tuples of the column-sorted
+    arrangements ascend lexicographically.
+
+    With the columns sorted, the first word is A^k B^(n-k) for
+    k = #AABB + #ABAB + #ABBA, so larger k comes first; ties are broken the
+    same way by #AABB, by #BAAB + #BABA, by #ABAB and by #BAAB in turn, which
+    fix the second and third words; the fourth follows from them.
+    """
+    for k in range(n, -1, -1):
+        for aabb in range(k, -1, -1):
+            for baab_baba in range(n - k, -1, -1):
+                for abab in range(k - aabb, -1, -1):
+                    for baab in range(baab_baba, -1, -1):
+                        yield (
+                            aabb, abab, k - aabb - abab,
+                            baab, baab_baba - baab, n - k - baab_baba,
+                        )
+
+
+def counts_qualify(counts: tuple[int, ...]) -> bool:
+    """The requirements and the negative plan sign, from column-type counts.
+
+    Each word's A count is the number of columns whose type puts an A in its
+    row. Equal parities make the words commute, and a unique outlier among
+    the counts also keeps the words distinct: two equal words would force
+    the other two to be equal as well, giving two pairs of equal counts.
+    A column adds one B-before-A inversion to the plan sign for ABAB, three
+    for BABA and an even number for the other types.
+    """
+    a_counts = [
+        sum(c for t, c in zip(_COLUMN_TYPES, counts) if t[row] == "A")
+        for row in range(4)
+    ]
+    if len({c % 2 for c in a_counts}) != 1:
+        return False
+    if sorted(a_counts.count(c) for c in set(a_counts)) != [1, 3]:
+        return False
+    return (counts[1] + counts[4]) % 2 == 1
+
+
+def split_search_odd_set(parties: PartySpec) -> ProofSet:
+    """The first qualifying split in ``count_vectors`` order, its columns
+    sorted into words, with the outlying A count last."""
+    if parties.n % 2 == 0:
+        raise ParityError(f"party count {parties.n} is even; use extend_even_set")
+    counts = next((c for c in count_vectors(parties.n) if counts_qualify(c)), None)
+    if counts is None:
+        raise ValueError(f"no valid four-word set exists for {parties.n} parties")
+    columns = [t for t, c in zip(_COLUMN_TYPES, counts) for _ in range(c)]
+    rows = tuple(["".join(col[row] for col in columns) for row in range(4)])
+    words = tuple([TensorWord(w, parties) for w in _outlier_last(rows)])
+    return ProofSet.assemble(words, (0, 1, 2, 3))
 
 
 def extend_even_set(parties: PartySpec) -> ProofSet:

@@ -3,6 +3,7 @@ against it; document rationals have one spelling; the verifier is total
 under single mutations of real certificates."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,16 @@ def test_ghz_build_derives_each_section_once(monkeypatch):
     build_ghz_document(PartySpec((3, 3, 3)))
     # four word spectra and one plan-product spectrum
     assert counts == {"analyze_lhv": 1, "spectrum_of_factored": 5}
+
+
+def test_malformed_stored_section_rejected_before_derivation(monkeypatch):
+    doc = build_ghz_document(PartySpec((3, 3, 3)))
+    doc["spectra"] = {}
+    counts = _count_calls(monkeypatch, ("analyze_lhv", "spectrum_of_factored"))
+    assert verify_document(doc) == (
+        False, "malformed certificate: missing key 'spectra.words'"
+    )
+    assert counts == {"analyze_lhv": 0, "spectrum_of_factored": 0}
 
 
 def test_ks_build_derives_each_section_once(monkeypatch):
@@ -169,16 +180,16 @@ def _nodes(value, path=()):
 
 def _mutations(doc):
     """Apply each single mutation in place, yield (path, new value or
-    "deleted"), then undo it."""
+    "deleted"), then undo it. Every node, a whole section too, is replaced by
+    each junk value that differs from it, and deleted."""
     for parent, key, path in _nodes(doc):
         original = parent[key]
-        if not isinstance(original, (dict, list)):
-            text = json.dumps(original)
-            for junk in JUNK:
-                if json.dumps(junk) != text:
-                    parent[key] = junk
-                    yield path, junk
-            parent[key] = original
+        text = json.dumps(original)
+        for junk in JUNK:
+            if json.dumps(junk) != text:
+                parent[key] = junk
+                yield path, junk
+        parent[key] = original
         if isinstance(parent, dict):
             del parent[key]
             yield path, "deleted"
@@ -189,12 +200,19 @@ def _mutations(doc):
             parent.insert(key, original)
 
 
+# Python's own text for a failed lookup: a bare quoted key (a KeyError) or an
+# indexing TypeError. A reason names the section by its dotted path instead.
+LEAKED_REASONS = re.compile(
+    r"malformed certificate: '[^']*'$|indices must be integers|not subscriptable|not iterable"
+)
+
+
 @pytest.mark.parametrize("name", sorted(MUTATED_DOCS))
 def test_every_single_mutation_is_rejected(name):
     doc = MUTATED_DOCS[name]()
     before = dumps_document(doc)
     assert verify_document(doc) == (True, "accept")
-    accepted = []
+    accepted, leaked = [], []
     for path, change in _mutations(doc):
         result = verify_document(doc)
         assert isinstance(result, tuple) and len(result) == 2, path
@@ -202,8 +220,30 @@ def test_every_single_mutation_is_rejected(name):
         assert isinstance(ok, bool) and isinstance(reason, str), path
         if ok and not any(path[:len(p)] == p for p in UNCHECKED):
             accepted.append((path, change))
+        if LEAKED_REASONS.search(reason):
+            leaked.append((path, change, reason))
     assert dumps_document(doc) == before
     assert accepted == []
+    assert leaked == []
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    (
+        (lambda d: d["spectra"].pop("words"), "missing key 'spectra.words'"),
+        (lambda d: d.__setitem__("spectra", []), "spectra must be an object"),
+        (lambda d: d["lhv"].pop("status"), "missing key 'lhv.status'"),
+        (lambda d: d["parties"].pop("levels"), "missing key 'parties.levels'"),
+        (lambda d: d["site_operators"][1].pop("b_weights"),
+         "missing key 'site_operators[1].b_weights'"),
+        (lambda d: d["state"]["support"].__setitem__(0, 3), "state.support[0] must be a list"),
+    ),
+    ids=("spectra.words", "spectra", "lhv.status", "parties.levels", "b_weights", "support"),
+)
+def test_malformed_reason_names_the_section(docs, mutate, reason):
+    tampered = json.loads(dumps_document(docs["ghz"]))
+    mutate(tampered)
+    assert verify_document(tampered) == (False, f"malformed certificate: {reason}")
 
 
 @pytest.mark.parametrize("root", NON_OBJECT_ROOTS, ids=repr)

@@ -7,8 +7,9 @@ from fractions import Fraction
 import oracles
 import pytest
 from oracles import densify, exhaustive_no_4set, mat_multiply
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ghzcert.certificate import build_ghz_document
 from ghzcert.errors import (
     InvalidLevelsError,
     ParityError,
@@ -254,6 +255,42 @@ def test_constructed_sets_are_proof_sets(half, even):
     # set's fifth word carries the common count
     counts = [w.a_count for w in ps.words[:4]]
     assert counts.count(counts[-1]) == 1
+
+
+def test_closed_form_matches_split_search_to_101_parties():
+    # every odd n up to 101 against the search over all column splits
+    for n in range(3, 102, 2):
+        spec = PartySpec((2,) * n)
+        expected = oracles.split_search_odd_set(spec)
+        assert generate_odd_set(spec).letter_words == expected.letter_words, n
+
+
+@settings(max_examples=4)
+@given(st.integers(min_value=51, max_value=100))
+def test_closed_form_matches_split_search_beyond_101_parties(half):
+    # the split search costs up to 0.5 s per n here, so only a few draws
+    spec = PartySpec((3,) * (2 * half + 1))
+    expected = oracles.split_search_odd_set(spec)
+    assert generate_odd_set(spec).letter_words == expected.letter_words
+
+
+@given(st.integers(min_value=1, max_value=500))
+@example(500)
+def test_closed_form_is_a_proof_set_to_1001_parties(half):
+    ps = generate_odd_set(PartySpec((2,) * (2 * half + 1)))
+    assert ps.requirement_flags.all_ok
+    assert ps.product_sign() == -1
+    counts = [w.a_count for w in ps.words]
+    assert counts.count(counts[-1]) == 1
+
+
+def test_thousand_and_one_parties_build_quickly():
+    # the proof set is built in O(n), so a whole certificate takes well
+    # under half a second
+    start = time.perf_counter()
+    doc = build_ghz_document(PartySpec((3,) * 1001))
+    assert time.perf_counter() - start < 0.5
+    assert len(doc["words"]) == 4
 
 
 def test_thirteen_parties_build_quickly():
