@@ -182,8 +182,7 @@ def _pairs_from_doc(doc: list) -> SitePairs:
 _NOT_AN_OBJECT = "malformed certificate: certificate root must be an object"
 
 # The keys each certificate kind must hold and the shape of each value: a dict
-# holds these keys, [shape] lists entries of one shape, and list, dict and
-# object admit any list, any object and any value, checked where it is read.
+# of keys, [shape] for a list of such entries, or the type the value must have.
 _GHZ_SHAPE = {
     "kind": object, "format_version": object, "provenance": object,
     "parties": {"levels": list, "mixed_parity_experimental": object},
@@ -203,21 +202,24 @@ _KS_SHAPE = {
 }
 
 
-def _check_shape(value, shape, path: str = "") -> None:
-    """Reject a missing key or a section of the wrong shape, named by its
-    dotted path, so that no lookup in a checked document fails."""
+def _misshapen(value, shape, path: str = "") -> str | None:
+    """The first missing key or section of the wrong shape in ``value``,
+    named by its dotted path, else None. Only a failed lookup asks."""
     kind = shape if isinstance(shape, type) else type(shape)
     if not isinstance(value, kind):
-        raise CertificateError(f"{path} must be {'a list' if kind is list else 'an object'}")
+        return f"{path} must be {'a list' if kind is list else 'an object'}"
     if isinstance(shape, list):
         for i, entry in enumerate(value):
-            _check_shape(entry, shape[0], f"{path}[{i}]")
+            if found := _misshapen(entry, shape[0], f"{path}[{i}]"):
+                return found
     elif isinstance(shape, dict):
         for key, inner in shape.items():
             here = f"{path}.{key}" if path else key
             if key not in value:
-                raise CertificateError(f"missing key {here!r}")
-            _check_shape(value[key], inner, here)
+                return f"missing key {here!r}"
+            if found := _misshapen(value[key], inner, here):
+                return found
+    return None
 
 
 def _check_format_version(doc: dict) -> None:
@@ -334,7 +336,7 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
         plan = tuple([_exact(i, int, "a plan index") for i in doc["product_plan"]])
         eigen_tuple = tuple([_read_rational(t) for t in doc["eigen_tuple"]])
         state = StateVector.from_doc(levels, doc["state"])
-    except (KeyError, TypeError, ValueError, GhzError) as exc:
+    except (ValueError, GhzError) as exc:
         raise _Rejected(f"malformed certificate: {exc}") from None
 
     if len(pairs) != parties.n:
@@ -456,7 +458,9 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
     if not isinstance(doc, dict):
         return False, _NOT_AN_OBJECT
     try:
-        _check_shape(doc, _GHZ_SHAPE)
+        for key in _GHZ_SHAPE:
+            if key not in doc:
+                raise CertificateError(f"missing key {key!r}")
         if doc["kind"] != GHZ_KIND:
             raise CertificateError(f"not a GHZ certificate: kind {doc['kind']!r}")
         _check_format_version(doc)
@@ -465,6 +469,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
             _exact(value, bool, f"requirement flag {name!r}")
         word_spectra = [_stored_spectrum(s) for s in spectra["words"]]
         plan_spectrum = _stored_spectrum(spectra["plan_product"])
+        classification = spectra["plan_product_classification"]
         checked = _exact(lhv["assignments_checked"], int, "assignments_checked")
         # lhv.bound is recorded for the reader; the caller's bound sets the work done
         if _exact(lhv["bound"], int, "bound") < 0:
@@ -482,7 +487,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
             ),
             (plan_spectrum, expected["plan_product"],
              "stored plan-product spectrum does not match recomputation"),
-            (spectra["plan_product_classification"], expected["plan_product_classification"],
+            (classification, expected["plan_product_classification"],
              "stored plan-product classification does not match recomputation"),
             ((lhv["status"], expected_lhv["status"]), (UNSAT, UNSAT),
              "stored LHV status does not match re-derivation"),
@@ -493,8 +498,8 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
             (lhv["explanation"], expected_lhv["explanation"],
              "stored LHV explanation does not match re-derivation"),
         ]
-    except (CertificateError, KeyError, TypeError) as exc:
-        return False, f"malformed certificate: {exc}"
+    except (CertificateError, KeyError, TypeError, AttributeError) as exc:
+        return False, f"malformed certificate: {_misshapen(doc, _GHZ_SHAPE) or exc}"
     except _Rejected as exc:
         return False, str(exc)
     return _first_mismatch(comparisons)
@@ -555,7 +560,6 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
     try:
         if doc.get("kind") != KS_KIND:
             raise CertificateError(f"not a KS certificate: kind {doc.get('kind')!r}")
-        _check_shape(doc, _KS_SHAPE)
         _check_format_version(doc)
         m = _exact(doc["levels"], int, "levels")
         search, structure = doc["search"], doc["structure"]
@@ -567,7 +571,7 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         _stored_spectrum(structure["horizontal_spectrum"])
         _stored_spectrum(structure["side_spectrum"])
     except (CertificateError, KeyError, TypeError) as exc:
-        return False, f"malformed certificate: {exc}"
+        return False, f"malformed certificate: {_misshapen(doc, _KS_SHAPE) or exc}"
     if mode not in (SIGN_ONLY, FULL_SPECTRUM):
         return False, f"unknown search mode {mode!r}"
     try:

@@ -304,8 +304,7 @@ class ProofSet:
         return plan_product_sign(self.letter_words, self.product_plan)
 
 
-# The six column types of a four-word set, each read top to bottom through
-# the four words, in lexicographic order: the pair of words carrying letter A.
+# The six column types of a four-word set, read down its words, in lexicographic order.
 _COLUMN_TYPES = ("AABB", "ABAB", "ABBA", "BAAB", "BABA", "BBAA")
 
 
@@ -329,11 +328,11 @@ def _outlier_last(candidate: tuple[str, ...]) -> tuple[str, ...]:
 def generate_odd_set(parties: PartySpec) -> ProofSet:
     """Deterministic four-word proof set for an odd number of parties, in O(n).
 
-    Returns the lexicographically first (letter order A < B, sets compared
-    as sorted tuples) four-word set whose requirement flags all hold and
-    whose plan product has a negative sign. The three common-count words
-    come first, sorted, and the outlying A count last, so that the
-    odd-signed equation is always the final one.
+    Returns the lexicographically first (letter order A < B, sets compared as
+    sorted tuples) four-word set whose requirement flags all hold and whose
+    plan product has a negative sign (for n = 3, ABB BAB BBA AAA, the analogue
+    of Mermin's XYY YXY YYX XXX): the common-count words first, sorted, and
+    the outlier last, so that the odd-signed equation is always the final one.
 
     Let x = (#AABB, #ABAB, #ABBA, #BAAB, #BABA, #BBAA) split the n columns
     over the six ``_COLUMN_TYPES``. The words' A counts a0 = x1+x2+x3,
@@ -343,9 +342,9 @@ def generate_odd_set(parties: PartySpec) -> ProofSet:
     B-before-A inversion, a BABA column three, the others an even number).
     Sorting a split's columns gives its smallest word tuple, which for the
     first qualifying split is already sorted, so splits compare by k = a0
-    descending, then by #AABB descending (the search over all splits in
-    ``tests/oracles.py`` takes this order). With s = -n mod 3 and
-    c = (n+s)/3, the first qualifying split is (c, c-s, c-s, 0, 0, s):
+    descending, then by #AABB descending (as ``tests/oracles.py`` searches
+    them). With s = -n mod 3 and c = (n+s)/3, the first qualifying split is
+    (c, c-s, c-s, 0, 0, s):
 
     - At k = n - t with t <= s, a common a0 would need two more counts of
       n - t within a1 + a2 + a3 = n + t, so n <= 3t <= 3s, which no odd
@@ -355,8 +354,6 @@ def generate_odd_set(parties: PartySpec) -> ProofSet:
       with x4 = x5 = 0, the surplus s in BBAA and x2 = x3 = c - s. Every
       count then has the parity of n - s (c has that of 3c = n + s), and
       x2 + x5 = (n - 2s)/3 is odd since n is.
-
-    For n = 3 this is ABB BAB BBA AAA, the analogue of Mermin's XYY YXY YYX XXX.
     """
     if parties.n % 2 == 0:
         raise ParityError(f"party count {parties.n} is even; use extend_even_set")
