@@ -15,8 +15,8 @@ exponential in the party count, so they are the reference for small ``n``.
 Beside them sits the search the package used before the closed form: it
 walks every split of the party columns over the six column types in
 lexicographic order and takes the first that qualifies. It is polynomial in
-the party count (about 0.5 s at ``n`` = 199), so it is the reference for
-larger ``n``.
+the party count (about 0.5 s at ``n`` = 199 on a 2-vCPU machine), so it is
+the reference for larger ``n``.
 
 The third part holds the orbit decomposition loop the package used before
 its orbit walk (``spectral._orbit_walk``) took its seeds in one pass over the

@@ -268,7 +268,7 @@ def test_closed_form_matches_split_search_to_101_parties():
 @settings(max_examples=4)
 @given(st.integers(min_value=51, max_value=100))
 def test_closed_form_matches_split_search_beyond_101_parties(half):
-    # the split search costs up to 0.5 s per n here, so only a few draws
+    # the split search takes up to 0.5 s per n here (2 vCPUs), so few draws
     spec = PartySpec((3,) * (2 * half + 1))
     expected = oracles.split_search_odd_set(spec)
     assert generate_odd_set(spec).letter_words == expected.letter_words
