@@ -38,7 +38,6 @@ from .lhv import (
     UNSAT,
     analyze_lhv,
     explain_parity,
-    parity_unsat,
 )
 from .siteops import check_anticommute, custom_site
 from .spectral import (
@@ -53,7 +52,6 @@ from .words import (
     ProofSet,
     SitePairs,
     TensorWord,
-    _flags,
     build_proof_set,
 )
 
@@ -200,6 +198,10 @@ _KS_SHAPE = {
     "structure": {"horizontal_spectrum": object, "side_spectrum": object},
     "search": dict.fromkeys(("mode", "status", "witness", "patterns_checked"), object),
 }
+# The input files of `criteria`: a state section with its level counts, and
+# the site operators, each as a certificate holds it.
+_STATE_FILE_SHAPE = {"dims": list, **_GHZ_SHAPE["state"]}
+_PAIRS_FILE_SHAPE = {"site_operators": _GHZ_SHAPE["site_operators"]}
 
 
 def _misshapen(value, shape, path: str = "") -> str | None:
@@ -222,6 +224,27 @@ def _misshapen(value, shape, path: str = "") -> str | None:
     return None
 
 
+def _read_input_file(path: str, name: str, shape: dict, parse):
+    """``parse`` of a file with ``shape``; a departure names the file and field."""
+    doc = load_document(path)
+    try:
+        if found := _misshapen(doc, shape):
+            raise CertificateError(found)
+        return parse(doc)
+    except ValueError as exc:
+        raise CertificateError(f"malformed {name} file: {exc}") from exc
+
+
+def load_state_file(path: str) -> StateVector:
+    return _read_input_file(path, "state", _STATE_FILE_SHAPE, lambda doc: StateVector.from_doc(
+        tuple([_exact(m, int, "a level count") for m in doc["dims"]]), doc))
+
+
+def load_pairs_file(path: str) -> SitePairs:
+    return _read_input_file(path, "pairs", _PAIRS_FILE_SHAPE,
+                            lambda doc: _pairs_from_doc(doc["site_operators"]))
+
+
 def _check_format_version(doc: dict) -> None:
     if _exact(doc["format_version"], int, "format_version") != FORMAT_VERSION:
         raise CertificateError(f"unsupported format version {doc['format_version']!r}")
@@ -232,12 +255,16 @@ def dumps_document(doc: dict) -> str:
 
 
 def save_document(doc: dict, path: str) -> None:
-    """Serialize and write atomically (temp file, then rename)."""
+    """Serialize and write through symlinks: a FIFO or device in place, a
+    regular file atomically (temp file, then rename)."""
     text = dumps_document(doc)
-    tmp = f"{path}.tmp"
+    path = os.path.realpath(path)
+    regular = not os.path.exists(path) or os.path.isfile(path)
+    tmp = f"{path}.tmp" if regular else path
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    if regular:
+        os.replace(tmp, path)
 
 
 def load_document(path: str) -> dict:
@@ -259,7 +286,49 @@ def load_document(path: str) -> dict:
     return doc
 
 
-# -- GHZ criteria ------------------------------------------------------------
+# -- GHZ claims --------------------------------------------------------------
+# Criteria I-III, checked once for `criteria`, `build` and `verify`.
+
+
+class _Rejected(Exception):
+    """A failed claim; the message is the reason."""
+
+
+def _check_site_pairs(pairs: SitePairs, levels: tuple[int, ...]) -> None:
+    """Criterion I: each party's pair has its level count and anticommutes."""
+    for party, (a_op, b_op) in enumerate(pairs):
+        if a_op.dim != levels[party] or b_op.dim != levels[party]:
+            raise _Rejected(f"site operators for party {party + 1} have the wrong dimension")
+        if not check_anticommute(a_op, b_op):
+            raise _Rejected(f"site operators for party {party + 1} do not anticommute")
+
+
+def _word_set(word_strings, plan, parties: PartySpec, pairs: SitePairs):
+    """The words as a proof set and their operators on ``pairs``."""
+    try:
+        ps = ProofSet.assemble(tuple([TensorWord(w, parties) for w in word_strings]), plan)
+    except (GhzError, ValueError) as exc:
+        raise _Rejected(f"invalid word set: {exc}") from None
+    return ps, [w.factored(pairs) for w in ps.words]
+
+
+def _check_eigen_tuple(ps: ProofSet, ops, vec, eigen_tuple=None) -> tuple[int, ...]:
+    """Criteria II and III for a stored ``eigen_tuple``, or for the one derived
+    from ``vec``; returns the eigenvalues over the operators' scales."""
+    values = [eigenvalue_of(op, vec) for op in ops]
+    if eigen_tuple is None:
+        if None in values:
+            raise _Rejected(f"not an eigenvector of word {ps.words[values.index(None)]}")
+        eigen_tuple = [Fraction(value, op.scale) for value, op in zip(values, ops)]
+    # criterion III before the equations, so a zeroed tuple is reported as such
+    if any(not t for t in eigen_tuple):
+        raise _Rejected("criterion III: zero eigenvalue")
+    if eigen_tuple_plan_product(eigen_tuple, ps.product_plan) >= 0:
+        raise _Rejected("criterion III: plan product of eigenvalues is not negative")
+    for i, (op, lam, value) in enumerate(zip(ops, eigen_tuple, values), start=1):
+        if value is None or value * lam.denominator != lam.numerator * op.scale:
+            raise _Rejected(f"eigenvector equation fails for word {i}")
+    return tuple(values)
 
 
 def check_ghz_criteria(
@@ -268,57 +337,30 @@ def check_ghz_criteria(
     words: tuple[str, ...],
     plan: tuple[int, ...] | None = None,
 ) -> tuple[bool, str]:
-    """Decide whether a state qualifies as GHZ relative to supplied data.
-
-    The three conditions: (I) every site pair anticommutes; (II) the state
-    is a simultaneous eigenvector of the supplied words (four of them, or
-    five with the last counted twice in the plan); (III) the eigenvalues are
-    nonzero, every one-particle operator enters the plan an even number of
-    times, and the planned eigenvalue product is negative.
-    """
-    n = len(state.dims)
-    if len(pairs) != n:
-        return False, f"expected {n} site pairs, got {len(pairs)}"
-    for party, (a_op, b_op) in enumerate(pairs):
-        if a_op.dim != state.dims[party] or b_op.dim != state.dims[party]:
-            return False, f"site pair for party {party + 1} has the wrong dimension"
-        if not check_anticommute(a_op, b_op):
-            return False, f"criterion I: site pair for party {party + 1} does not anticommute"
-    if len(words) not in (4, 5):
-        return False, f"criterion II: expected four or five words, got {len(words)}"
-    if any(len(w) != n for w in words):
-        return False, "criterion II: word length does not match the party count"
-    if plan is None:
-        plan = tuple(range(len(words))) if len(words) == 4 else (0, 1, 2, 3, 4, 4)
-
-    spec = PartySpec(state.dims, allow_mixed_parity=True)
-    tensor_words = [TensorWord(w, spec) for w in words]
-    vec = state.flat_vec()
-    eigen_tuple: list[int] = []  # each over its word's scale
-    for word in tensor_words:
-        lam = eigenvalue_of(word.factored(pairs), vec)
-        if lam is None:
-            return False, f"not an eigenvector of word {word.letters}"
-        eigen_tuple.append(lam)
-
-    if any(not t for t in eigen_tuple):
-        return False, "criterion III: zero eigenvalue"
-    flags = _flags(tuple(words), plan)
-    if not flags.even_slot_usage:
-        return False, (
-            "criterion III: a one-particle observable enters the plan an odd "
-            "number of times"
-        )
-    if eigen_tuple_plan_product(tuple(eigen_tuple), plan) >= 0:
-        return False, "criterion III: plan product of eigenvalues is not negative"
+    """Decide whether a state is GHZ for the supplied data by a certificate's
+    claim steps: (I) every site pair anticommutes; (II) the state is an
+    eigenvector of each word (four, or five with the last counted twice in
+    the plan); (III) every one-particle operator enters the plan an even
+    number of times, and the eigenvalues are nonzero with a negative product."""
+    try:
+        if len(pairs) != len(state.dims):
+            raise _Rejected(f"expected {len(state.dims)} site pairs, got {len(pairs)}")
+        _check_site_pairs(pairs, state.dims)
+        if len(words) not in (4, 5):
+            raise _Rejected(f"criterion II: expected four or five words, got {len(words)}")
+        if plan is None:
+            plan = tuple(range(len(words))) if len(words) == 4 else (0, 1, 2, 3, 4, 4)
+        ps, ops = _word_set(words, plan, PartySpec(state.dims, allow_mixed_parity=True), pairs)
+        if not ps.requirement_flags.even_slot_usage:
+            raise _Rejected("criterion III: a one-particle observable enters the plan "
+                            "an odd number of times")
+        _check_eigen_tuple(ps, ops, state.flat_vec())
+    except _Rejected as exc:
+        return False, str(exc)
     return True, "is-ghz"
 
 
 # -- GHZ certificates --------------------------------------------------------
-
-
-class _Rejected(Exception):
-    """A failed claim; the message is the verifier's reason."""
 
 
 def _ghz_sections(doc: dict, bound: int) -> dict:
@@ -348,48 +390,20 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
     if parties.mixed_parity and not mixed_marker:
         raise _Rejected("mixed-parity certificate must carry the experimental marker")
 
-    # structural: anticommutation, word commutation, flags
-    for party, (a_op, b_op) in enumerate(pairs):
-        if a_op.dim != levels[party] or b_op.dim != levels[party]:
-            raise _Rejected(f"site operators for party {party + 1} have the wrong dimension")
-        if not check_anticommute(a_op, b_op):
-            raise _Rejected(f"site operators for party {party + 1} do not anticommute")
-    try:
-        words = tuple([TensorWord(w, parties) for w in word_strings])
-        ps = ProofSet.assemble(words, plan)
-    except (GhzError, ValueError) as exc:
-        raise _Rejected(f"invalid word set: {exc}") from None
+    _check_site_pairs(pairs, levels)
+    ps, ops = _word_set(word_strings, plan, parties, pairs)
     if not ps.requirement_flags.all_ok:
         raise _Rejected("requirement flags are not all satisfied")
-
-    # criterion III before the eigenvector equations, so a zeroed tuple is
-    # reported for what it is rather than as an equation failure
-    if any(not t for t in eigen_tuple):
-        raise _Rejected("criterion III: zero eigenvalue")
-    if eigen_tuple_plan_product(eigen_tuple, plan) >= 0:
-        raise _Rejected("criterion III: plan product of eigenvalues is not negative")
-
-    vec = state.flat_vec()
-    ops = [w.factored(pairs) for w in words]
-    rhs = []  # the eigen-tuple over the words' scales
-    for i, (op, lam) in enumerate(zip(ops, eigen_tuple), start=1):
-        value = eigenvalue_of(op, vec)
-        if value is None or value * lam.denominator != lam.numerator * op.scale:
-            raise _Rejected(f"eigenvector equation fails for word {i}")
-        rhs.append(value)
+    rhs = _check_eigen_tuple(ps, ops, state.flat_vec(), eigen_tuple)
 
     try:
         word_spectra = [spectrum_of_factored(op) for op in ops]
         product_spectrum = spectrum_of_factored(FactoredMonomial.product(ops[i] for i in plan))
     except ShapeError as exc:
         raise _Rejected(f"spectrum recomputation failed: {exc}") from None
-    if product_spectrum.positive_count:
-        raise _Rejected("plan product has a positive eigenvalue")
 
     # the unsatisfiability claim, derived from the stored tuple
-    cs = ConstraintSystem.build(ps, tuple(rhs), pairs)
-    if not parity_unsat(cs):
-        raise _Rejected("parity obstruction does not hold for the stored system")
+    cs = ConstraintSystem.build(ps, rhs, pairs)
     try:
         report = analyze_lhv(cs, bound)
     except GhzError as exc:

@@ -13,19 +13,18 @@ import sys
 from fractions import Fraction
 
 from .certificate import (
-    StateVector,
     build_ghz_document,
     build_ks_document,
     check_ghz_criteria,
     dumps_document,
     load_document,
+    load_pairs_file,
+    load_state_file,
     save_document,
     verify_document,
-    _exact,
-    _pairs_from_doc,
     _spectrum_to_doc,
 )
-from .errors import CertificateError, GhzError, NoGhzStateError, UsageError
+from .errors import GhzError, NoGhzStateError, UsageError
 from .exact import FactoredMonomial, format_rational, parse_rational
 from .lhv import (
     ConstraintSystem,
@@ -209,25 +208,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    raw = load_document(args.state)
-    try:
-        dims = tuple([_exact(m, int, "a level count") for m in raw["dims"]])
-        state = StateVector.from_doc(dims, raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed state file: {exc}") from exc
-    if args.pairs:
-        doc = load_document(args.pairs)
-        try:
-            pairs = _pairs_from_doc(doc["site_operators"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CertificateError(f"malformed pairs file: {exc}") from exc
-    else:
-        pairs = PartySpec(dims, allow_mixed_parity=True).canonical_pairs()
-    if args.words:
-        words = tuple([_letters(w, "--words") for w in args.words.split(",")])
-    else:
-        spec = PartySpec(dims, allow_mixed_parity=True)
-        words = build_proof_set(spec).letter_words
+    state = load_state_file(args.state)
+    spec = functools.partial(PartySpec, state.dims, allow_mixed_parity=True)
+    pairs = load_pairs_file(args.pairs) if args.pairs else spec().canonical_pairs()
+    words = (tuple([_letters(w, "--words") for w in args.words.split(",")]) if args.words
+             else build_proof_set(spec()).letter_words)
     ok, reason = check_ghz_criteria(state, pairs, words)
     doc = {"result": "is-ghz" if ok else "not-ghz", "reason": reason,
            "words": list(words)}

@@ -565,7 +565,7 @@ def test_criteria_rejects_non_anticommuting_pair():
     )
     ok, reason = check_ghz_criteria(sv, pairs, ps.letter_words)
     assert not ok
-    assert "criterion I" in reason
+    assert reason == "site operators for party 1 do not anticommute"
 
 
 def test_criteria_custom_scaled_pair_still_ghz():

@@ -1,12 +1,16 @@
 """Command-line surface: subcommands, exit codes, and file outputs."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
 from ghzcert.certificate import build_ghz_document, load_document
 from ghzcert.cli import main
 from ghzcert.words import PartySpec
+from test_document_checks import LEAKED_REASONS
 
 
 def run(capsys, *argv):
@@ -208,6 +212,12 @@ BAD_INPUTS = [
     pytest.param(["criteria", "--state", "s.json"],
                  {"s.json": _json({**W_STATE, "dims": [2.7, 2, 2]})},
                  id="state-float-dims"),
+    pytest.param(["criteria", "--state", "s.json"], {"s.json": _json({**W_STATE, "dims": 3})},
+                 id="state-int-dims"),
+    pytest.param(["criteria", "--state", "s.json"],
+                 {"s.json": _json({"dims": [2, 2, 2], "support": [[0, 0, 0]],
+                                   "coefficients": "1", "norm_sq": "1"})},
+                 id="state-string-coefficients"),
     pytest.param(["criteria", "--state", "w.json", "--pairs", "p.json"],
                  {"w.json": _json(W_STATE), "p.json": _json({"pairs": []})},
                  id="pairs-without-site-operators"),
@@ -215,6 +225,13 @@ BAD_INPUTS = [
                  {"w.json": _json(W_STATE),
                   "p.json": _json({"site_operators": [{"b_weights": ["1/2", "1/2"]}] * 3})},
                  id="pairs-without-a-weights"),
+    pytest.param(["criteria", "--state", "w.json", "--pairs", "p.json"],
+                 {"w.json": _json(W_STATE),
+                  "p.json": _json({"site_operators": [{"a_weights": ["1/2", "-1/2"]}] * 3})},
+                 id="pairs-without-b-weights"),
+    pytest.param(["criteria", "--state", "w.json", "--pairs", "p.json"],
+                 {"w.json": _json(W_STATE), "p.json": _json({"site_operators": 5})},
+                 id="pairs-int-site-operators"),
     pytest.param(["criteria", "--state", "w.json", "--pairs", "p.json"],
                  {"w.json": _json(W_STATE),
                   "p.json": _json({"site_operators": [
@@ -226,16 +243,52 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,files", BAD_INPUTS)
-def test_bad_input_exits_2_with_one_error_line(argv, files, tmp_path, monkeypatch, capsys):
+def run_in(tmp_path, monkeypatch, capsys, argv, files):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
         (tmp_path / name).write_bytes(content)
-    code, out, err = run(capsys, *argv)
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,files", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line(argv, files, tmp_path, monkeypatch, capsys):
+    code, out, err = run_in(tmp_path, monkeypatch, capsys, argv, files)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+# The error line of each `criteria` case above: a misshapen input file names
+# the field by its dotted path.
+CRITERIA_ERRORS = {
+    "words-letter": "--words: word 'ABC' has a letter outside 'AB'",
+    "state-without-dims": "malformed state file: missing key 'dims'",
+    "state-list-root": "document root must be an object",
+    "state-junk-coefficient": "malformed state file: not a rational literal: 'x'",
+    "state-float-dims": "malformed state file: a level count must be an integer, got 2.7",
+    "state-int-dims": "malformed state file: dims must be a list",
+    "state-string-coefficients": "malformed state file: coefficients must be a list",
+    "pairs-without-site-operators": "malformed pairs file: missing key 'site_operators'",
+    "pairs-without-a-weights":
+        "malformed pairs file: missing key 'site_operators[0].a_weights'",
+    "pairs-without-b-weights":
+        "malformed pairs file: missing key 'site_operators[0].b_weights'",
+    "pairs-junk-weight": "malformed pairs file: not a rational literal: 'y'",
+    "pairs-int-site-operators": "malformed pairs file: site_operators must be a list",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,files,error",
+    [pytest.param(*p.values, CRITERIA_ERRORS[p.id], id=p.id)
+     for p in BAD_INPUTS if p.values[0][0] == "criteria"],
+)
+def test_criteria_input_error_names_the_field(argv, files, error, tmp_path, monkeypatch,
+                                              capsys):
+    _, _, err = run_in(tmp_path, monkeypatch, capsys, argv, files)
+    assert err == f"error: {error}\n"
+    assert not LEAKED_REASONS.search(err)
 
 
 def test_criteria_with_custom_pairs_file(tmp_path, capsys):
@@ -278,3 +331,29 @@ def test_parser_is_built_once():
     from ghzcert.cli import build_parser
 
     assert build_parser() is build_parser()
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real.json").write_text("")
+    (tmp_path / "link.json").symlink_to("real.json")
+    assert run(capsys, "build", "2", "2", "2", "--output", "plain.json")[0] == 0
+    assert run(capsys, "build", "2", "2", "2", "--output", "link.json")[0] == 0
+    assert os.readlink(tmp_path / "link.json") == "real.json"
+    assert (tmp_path / "real.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert not (tmp_path / "real.json.tmp").exists()
+
+
+def test_output_to_a_fifo_writes_in_place(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "build", "2", "2", "2", "--output", "plain.json")[0] == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    # a daemon, so a writer that never opens the FIFO fails the test, not the run
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(capsys, "build", "2", "2", "2", "--output", "fifo")[0] == 0
+    reader.join(timeout=30)
+    assert received == [(tmp_path / "plain.json").read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)

@@ -10,8 +10,10 @@ import pytest
 
 from ghzcert import certificate, kochen_specker, siteops, spectral, words
 from ghzcert.certificate import (
+    StateVector,
     build_ghz_document,
     build_ks_document,
+    check_ghz_criteria,
     dumps_document,
     verify_document,
 )
@@ -58,21 +60,66 @@ def test_ks_build_derives_each_section_once(monkeypatch):
     assert counts == {"build_ks": 1, "ks_color_search": 1}
 
 
-def test_ghz_build_checks_each_eigenvector_equation_once(monkeypatch):
-    # the document check is the one eigenvector-equation check, once per word
+def _criteria_args(doc):
+    """The state, pairs, words and plan of a certificate, as ``check_ghz_criteria`` takes them."""
+    state = StateVector.from_doc(tuple(doc["parties"]["levels"]), doc["state"])
+    pairs = certificate._pairs_from_doc(doc["site_operators"])
+    return state, pairs, tuple(doc["words"]), tuple(doc["product_plan"])
+
+
+def _build(levels):
+    return lambda: build_ghz_document(PartySpec(levels))
+
+
+def _criteria(levels):
+    args = _criteria_args(build_ghz_document(PartySpec(levels)))
+    return lambda: check_ghz_criteria(*args)
+
+
+# Each prepares its inputs first, so only the claim checks are counted.
+CLAIM_CHECKERS = {"build": _build, "criteria": _criteria}
+
+
+@pytest.mark.parametrize("checker", sorted(CLAIM_CHECKERS))
+def test_ghz_build_checks_each_eigenvector_equation_once(monkeypatch, checker):
+    # the claim steps are the one eigenvector-equation check, once per word
+    run = CLAIM_CHECKERS[checker]((3, 3, 3))
     counts = _count_calls(monkeypatch, ("eigenvalue_of",), (spectral, certificate))
-    build_ghz_document(PartySpec((3, 3, 3)))
+    run()
     assert counts == {"eigenvalue_of": 4}
 
 
-def test_ghz_build_checks_each_site_pair_once(monkeypatch):
-    # select_ghz takes the canonical pairs as built; the document derivation
-    # checks the stored pairs, once per party
+@pytest.mark.parametrize("checker", sorted(CLAIM_CHECKERS))
+def test_ghz_build_checks_each_site_pair_once(monkeypatch, checker):
+    # select_ghz takes the canonical pairs as built; the claim steps check
+    # the stored or supplied pairs, once per party
+    run = CLAIM_CHECKERS[checker]((3, 3, 3, 3))
     counts = _count_calls(
         monkeypatch, ("check_anticommute",), (siteops, spectral, certificate)
     )
-    build_ghz_document(PartySpec((3, 3, 3, 3)))
+    run()
     assert counts == {"check_anticommute": 4}
+
+
+ONE_PATH_GRID = {
+    "3 3 3": (3, 3, 3),
+    "2 2 2 2": (2, 2, 2, 2),
+    "4 4 4": (4, 4, 4),
+    "3 x5": (3,) * 5,
+    "2 3 2 mixed": (2, 3, 2),
+}
+
+
+@pytest.mark.parametrize("levels", ONE_PATH_GRID.values(), ids=ONE_PATH_GRID)
+def test_criteria_and_verify_share_the_claim_steps(levels):
+    doc = build_ghz_document(PartySpec(levels, allow_mixed_parity=True))
+    assert check_ghz_criteria(*_criteria_args(doc)) == (True, "is-ghz")
+    # the first party's pair no longer anticommutes
+    ones = ["1"] * levels[0]
+    doc["site_operators"][0] = {"a_weights": ones, "b_weights": ones}
+    reason = "site operators for party 1 do not anticommute"
+    assert verify_document(doc) == (False, reason)
+    assert check_ghz_criteria(*_criteria_args(doc)) == (False, reason)
 
 
 def test_ks_build_does_not_recheck_its_fixed_structure(monkeypatch):
@@ -203,7 +250,7 @@ def _mutations(doc):
 # Python's own text for a failed lookup: a bare quoted key (a KeyError) or an
 # indexing TypeError. A reason names the section by its dotted path instead.
 LEAKED_REASONS = re.compile(
-    r"malformed certificate: '[^']*'$|indices must be integers|not subscriptable|not iterable"
+    r"malformed [a-z ]+: '[^']*'$|indices must be integers|not subscriptable|not iterable"
 )
 
 
