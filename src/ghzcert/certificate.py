@@ -258,8 +258,8 @@ def save_document(doc: dict, path: str) -> None:
     """Serialize and write through symlinks: a FIFO or device in place, a
     regular file atomically (temp file, then rename)."""
     text = dumps_document(doc)
-    path = os.path.realpath(path)
-    regular = not os.path.exists(path) or os.path.isfile(path)
+    path = os.path.realpath(path) if os.path.islink(path) else path
+    regular = os.path.isfile(path) or not os.path.exists(path)
     tmp = f"{path}.tmp" if regular else path
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -313,19 +313,18 @@ def _word_set(word_strings, plan, parties: PartySpec, pairs: SitePairs):
 
 
 def _check_eigen_tuple(ps: ProofSet, ops, vec, eigen_tuple=None) -> tuple[int, ...]:
-    """Criteria II and III for a stored ``eigen_tuple``, or for the one derived
-    from ``vec``; returns the eigenvalues over the operators' scales."""
+    """Criteria II and III for a stored ``eigen_tuple`` or the one derived from
+    ``vec``; returns the eigenvalues, over the operators' positive scales."""
     values = [eigenvalue_of(op, vec) for op in ops]
-    if eigen_tuple is None:
-        if None in values:
-            raise _Rejected(f"not an eigenvector of word {ps.words[values.index(None)]}")
-        eigen_tuple = [Fraction(value, op.scale) for value, op in zip(values, ops)]
+    if eigen_tuple is None and None in values:
+        raise _Rejected(f"not an eigenvector of word {ps.words[values.index(None)]}")
     # criterion III before the equations, so a zeroed tuple is reported as such
-    if any(not t for t in eigen_tuple):
+    claimed = values if eigen_tuple is None else eigen_tuple
+    if any(not t for t in claimed):
         raise _Rejected("criterion III: zero eigenvalue")
-    if eigen_tuple_plan_product(eigen_tuple, ps.product_plan) >= 0:
+    if eigen_tuple_plan_product(claimed, ps.product_plan) >= 0:
         raise _Rejected("criterion III: plan product of eigenvalues is not negative")
-    for i, (op, lam, value) in enumerate(zip(ops, eigen_tuple, values), start=1):
+    for i, (op, lam, value) in enumerate(zip(ops, eigen_tuple or (), values), start=1):
         if value is None or value * lam.denominator != lam.numerator * op.scale:
             raise _Rejected(f"eigenvector equation fails for word {i}")
     return tuple(values)
