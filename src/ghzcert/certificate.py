@@ -11,7 +11,9 @@ Each certificate kind has one derivation: it checks every claim of the input
 sections and returns the derived ones in document form. Building fills the
 document with it; verifying compares each stored section with it as strings
 and exact integers. Integer and boolean fields must have exactly those types,
-and rationals must be spelled as ``format_rational`` writes them.
+and rationals must be spelled as ``format_rational`` writes them. Within one
+derivation each distinct site pair is read once and each distinct word
+spectrum computed once; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from . import __version__ as _tool_version
 from .errors import CertificateError, GhzError, ShapeError
-from .exact import FactoredMonomial, format_rational, parse_rational, scaled_to_integers
+from .exact import format_rational, parse_rational, scaled_to_integers
 from .kochen_specker import (
     FULL_SPECTRUM,
     KS_UNSAT,
@@ -44,6 +46,7 @@ from .spectral import (
     Spectrum,
     eigen_tuple_plan_product,
     eigenvalue_of,
+    plan_product,
     select_ghz,
     spectrum_of_factored,
 )
@@ -169,11 +172,18 @@ def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
 
 
 def _pairs_from_doc(doc: list) -> SitePairs:
+    """One site pair per entry; entries with the same weight strings share one."""
+    read: dict = {}
     pairs = []
     for entry in doc:
-        a_op = custom_site("A", [_read_rational(w) for w in entry["a_weights"]])
-        b_op = custom_site("B", [_read_rational(w) for w in entry["b_weights"]])
-        pairs.append((a_op, b_op))
+        weights = ([entry.get("a_weights"), entry.get("b_weights")]
+                   if isinstance(entry, dict) else [None])
+        strings = all(type(ws) is list and all(type(w) is str for w in ws) for ws in weights)
+        key = tuple(map(tuple, weights)) if strings else object()  # any other entry: on its own
+        if key not in read:
+            read[key] = (custom_site("A", [_read_rational(w) for w in entry["a_weights"]]),
+                         custom_site("B", [_read_rational(w) for w in entry["b_weights"]]))
+        pairs.append(read[key])
     return tuple(pairs)
 
 
@@ -362,6 +372,19 @@ def check_ghz_criteria(
 # -- GHZ certificates --------------------------------------------------------
 
 
+def _word_spectra(ops) -> list[dict]:
+    """Each word's spectrum in document form, derived once per multiset of site
+    spectra (the Kronecker rule); each word gets its own copy, for editing."""
+    derived: dict[tuple, dict] = {}
+    out = []
+    for op in ops:
+        key = tuple(sorted([(f.eigenvalue_counts, f.scale) for f in op.factors]))
+        if key not in derived:
+            derived[key] = _spectrum_to_doc(spectrum_of_factored(op))
+        out.append(dict(derived[key]))
+    return out
+
+
 def _ghz_sections(doc: dict, bound: int) -> dict:
     """Check the claims of the input sections, from ``parties`` to ``state``,
     and return ``requirement_flags``, ``spectra`` and ``lhv`` in document
@@ -396,8 +419,8 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
     rhs = _check_eigen_tuple(ps, ops, state.flat_vec(), eigen_tuple)
 
     try:
-        word_spectra = [spectrum_of_factored(op) for op in ops]
-        product_spectrum = spectrum_of_factored(FactoredMonomial.product(ops[i] for i in plan))
+        word_spectra = _word_spectra(ops)
+        product_spectrum = spectrum_of_factored(plan_product(ps, pairs))
     except ShapeError as exc:
         raise _Rejected(f"spectrum recomputation failed: {exc}") from None
 
@@ -411,7 +434,7 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
     return {
         "requirement_flags": ps.requirement_flags.as_dict(),
         "spectra": {
-            "words": [_spectrum_to_doc(s) for s in word_spectra],
+            "words": word_spectra,
             "plan_product": _spectrum_to_doc(product_spectrum),
             "plan_product_classification": product_spectrum.classify(),
         },

@@ -25,7 +25,7 @@ from .certificate import (
     _spectrum_to_doc,
 )
 from .errors import GhzError, NoGhzStateError, UsageError
-from .exact import FactoredMonomial, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 from .lhv import (
     ConstraintSystem,
     DEFAULT_BOUND,
@@ -34,7 +34,7 @@ from .lhv import (
     parity_unsat,
 )
 from .kochen_specker import FULL_SPECTRUM, SIGN_ONLY
-from .spectral import select_ghz, spectrum_of_factored
+from .spectral import plan_product, select_ghz, spectrum_of_factored
 from .words import LETTERS, PartySpec, TensorWord, build_proof_set
 
 TEXT = "text"
@@ -190,10 +190,7 @@ def _cmd_spectrum(args) -> int:
         lines.append(f"classification: {spectrum.classify()}")
     if args.product or args.word is None:
         ps = build_proof_set(parties)
-        ops = [w.factored() for w in ps.words]
-        spectrum = spectrum_of_factored(
-            FactoredMonomial.product(ops[i] for i in ps.product_plan)
-        )
+        spectrum = spectrum_of_factored(plan_product(ps, parties.canonical_pairs()))
         doc["plan_words"] = list(ps.letter_words)
         doc["plan"] = list(ps.product_plan)
         doc["plan_product_spectrum"] = _spectrum_to_doc(spectrum)
@@ -211,8 +208,10 @@ def _cmd_criteria(args) -> int:
     state = load_state_file(args.state)
     spec = functools.partial(PartySpec, state.dims, allow_mixed_parity=True)
     pairs = load_pairs_file(args.pairs) if args.pairs else spec().canonical_pairs()
-    words = (tuple([_letters(w, "--words") for w in args.words.split(",")]) if args.words
-             else build_proof_set(spec()).letter_words)
+    words = build_proof_set(spec()).letter_words if args.words is None else tuple(
+        [_letters(w, "--words") for w in args.words.split(",")])
+    if "" in words:
+        raise UsageError(f"--words: {args.words!r} has an empty word")
     ok, reason = check_ghz_criteria(state, pairs, words)
     doc = {"result": "is-ghz" if ok else "not-ghz", "reason": reason,
            "words": list(words)}

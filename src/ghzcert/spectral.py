@@ -19,9 +19,11 @@ multiplicities multiplied. The rule is exact for the factors that occur
 here: a diagonal factor and an involution with symmetric weights are both
 real symmetric matrices, so each site space has a basis of eigenvectors
 with rational eigenvalues (w, or +-w on a 2-cycle), and the tensor products
-of those bases are a basis of eigenvectors of the product. A plan product
+of those bases are a basis of eigenvectors of the product. So a word's
+spectrum depends only on the multiset of its site spectra. A plan product
 whose one-particle operators all occur an even number of times has a
-diagonal factor at every site. Any other site factor is rejected.
+diagonal factor at every site; `plan_product` multiplies out each distinct
+(site pair, plan column of letters) once. Any other site factor is rejected.
 
 The simultaneous eigenbasis is read off in closed form. An orbit splits into
 components that join x to t_k(x) wherever word k has a nonzero weight at x.
@@ -55,9 +57,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NoGhzStateError, NonCommutingSetError
-from .exact import FactoredMonomial, MonomialMatrix
+from .exact import FactoredMonomial, MonomialMatrix, monomial_compose
 from .siteops import check_anticommute
-from .words import ProofSet, SitePairs, words_commute
+from .words import LETTERS, ProofSet, SitePairs, words_commute
 
 NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
@@ -164,6 +166,18 @@ def spectrum_of_factored(op: FactoredMonomial) -> Spectrum:
         counts = product
     # one positive scale for all values, so integer order is value order
     return Spectrum(tuple(sorted(counts.items())), scale)
+
+
+def plan_product(ps: ProofSet, pairs: SitePairs) -> FactoredMonomial:
+    """The product of the words along the plan, kept factored; a party's factor
+    is built once per distinct (site pair, plan column of letters)."""
+    built: dict = {}
+    factors = []
+    for pair, column in zip(pairs, zip(*[ps.words[i].letters for i in ps.product_plan])):
+        if (pair, column) not in built:
+            built[pair, column] = monomial_compose(pair[LETTERS.index(c)] for c in column)
+        factors.append(built[pair, column])
+    return FactoredMonomial(tuple(factors))
 
 
 # -- joint eigenvectors ------------------------------------------------------

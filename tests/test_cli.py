@@ -201,6 +201,10 @@ BAD_INPUTS = [
     pytest.param(["spectrum", "3", "3", "3", "--word", ""], {}, id="word-empty"),
     pytest.param(["criteria", "--state", "w.json", "--words", "ABC,BAB,BBA,AAA"],
                  {"w.json": _json(W_STATE)}, id="words-letter"),
+    pytest.param(["criteria", "--state", "w.json", "--words", ""],
+                 {"w.json": _json(W_STATE)}, id="words-empty"),
+    pytest.param(["criteria", "--state", "w.json", "--words", "ABB,,BBA,AAA"],
+                 {"w.json": _json(W_STATE)}, id="words-empty-entry"),
     pytest.param(["criteria", "--state", "s.json"],
                  {"s.json": _json({k: v for k, v in W_STATE.items() if k != "dims"})},
                  id="state-without-dims"),
@@ -263,6 +267,8 @@ def test_bad_input_exits_2_with_one_error_line(argv, files, tmp_path, monkeypatc
 # the field by its dotted path.
 CRITERIA_ERRORS = {
     "words-letter": "--words: word 'ABC' has a letter outside 'AB'",
+    "words-empty": "--words: '' has an empty word",
+    "words-empty-entry": "--words: 'ABB,,BBA,AAA' has an empty word",
     "state-without-dims": "malformed state file: missing key 'dims'",
     "state-list-root": "document root must be an object",
     "state-junk-coefficient": "malformed state file: not a rational literal: 'x'",

@@ -40,8 +40,32 @@ def _count_calls(monkeypatch, names, modules=(certificate,)):
 def test_ghz_build_derives_each_section_once(monkeypatch):
     counts = _count_calls(monkeypatch, ("analyze_lhv", "spectrum_of_factored"))
     build_ghz_document(PartySpec((3, 3, 3)))
-    # four word spectra and one plan-product spectrum
-    assert counts == {"analyze_lhv": 1, "spectrum_of_factored": 5}
+    # the four words share one site spectrum multiset, so one word spectrum,
+    # and one plan-product spectrum
+    assert counts == {"analyze_lhv": 1, "spectrum_of_factored": 2}
+
+
+@pytest.mark.parametrize("levels", ((3,) * 7, (2,) * 10), ids=("3 x7", "2 x10"))
+def test_ghz_verify_reads_each_distinct_site_pair_once(monkeypatch, levels):
+    doc = build_ghz_document(PartySpec(levels))
+    counts = _count_calls(
+        monkeypatch, ("custom_site", "check_anticommute"), (siteops, spectral, certificate)
+    )
+    assert verify_document(doc) == (True, "accept")
+    # every party holds the same site_operators entry: its A and B are read
+    # once, and anticommutation is still checked for each party
+    assert counts == {"custom_site": 2, "check_anticommute": len(levels)}
+
+
+def test_shared_word_spectra_are_separate_objects():
+    doc = build_ghz_document(PartySpec((3, 3, 3)))
+    spectra = doc["spectra"]["words"]
+    before = [dict(s) for s in spectra]
+    spectra[1]["5"] = 1
+    assert spectra[0] == before[0] and spectra[2:] == before[2:]
+    assert verify_document(doc) == (
+        False, "stored spectrum for word 2 does not match recomputation"
+    )
 
 
 def test_malformed_stored_section_rejected_before_derivation(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from test_spectral import anticommuting_pairs
 from ghzcert import exact
+from ghzcert import certificate
 from ghzcert.certificate import build_ghz_document, verify_document
 from ghzcert.errors import ShapeError
 from ghzcert.exact import (
@@ -21,12 +22,19 @@ from ghzcert.exact import (
 from ghzcert.kochen_specker import build_ks
 from ghzcert.siteops import check_anticommute, custom_site
 from ghzcert.spectral import (
+    plan_product,
     select_ghz,
     simultaneous_eigenbasis,
     spectrum_of_factored,
     spectrum_of_monomial,
 )
-from ghzcert.words import PartySpec, TensorWord, build_proof_set, letters_commute
+from ghzcert.words import (
+    PartySpec,
+    TensorWord,
+    build_proof_set,
+    factor_letters,
+    letters_commute,
+)
 
 F = Fraction
 
@@ -169,6 +177,48 @@ def test_custom_pair_spectra_match_expansion(system, data):
     ops = [w.factored(pairs) for w in ps.words]
     product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
     assert spectrum_of_factored(product) == spectrum_of_monomial(product.expand())
+
+
+@pytest.mark.parametrize("levels", GRID, ids=str)
+def test_plan_product_matches_the_product_of_its_words(levels):
+    ps = build_proof_set(PartySpec(levels))
+    ops = [w.factored() for w in ps.words]
+    product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
+    assert plan_product(ps, ps.parties.canonical_pairs()).factors == product.factors
+
+
+# A and B spectra differ: {3, 1, -1, -3} against {1, 1, -1, -1}
+SPREAD_PAIR = (custom_site("A", [3, 1, -1, -3]), custom_site("B", [1, 1, 1, 1]))
+
+
+@st.composite
+def site_pair_pools(draw):
+    """Parties drawn from a few pairs, so some share a pair and some share
+    only a level count."""
+    pool = [SPREAD_PAIR] + [
+        draw(anticommuting_pairs(m)) for m in draw(st.lists(st.integers(2, 4), min_size=1,
+                                                             max_size=4))
+    ]
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=5)))
+
+
+@given(site_pair_pools(), st.data())
+def test_grouped_word_spectra_match_each_word(pairs, data):
+    levels = tuple([a.dim for a, _ in pairs])
+    letter_words = data.draw(st.lists(
+        st.text("AB", min_size=len(levels), max_size=len(levels)), min_size=1, max_size=6
+    ))
+    ops = [factor_letters(w, pairs, levels) for w in letter_words]
+    grouped = certificate._word_spectra(ops)
+    assert grouped == [
+        certificate._spectrum_to_doc(spectrum_of_factored(op)) for op in ops
+    ]
+    assert len({id(s) for s in grouped}) == len(grouped)
+    spec = PartySpec(levels, allow_mixed_parity=True)
+    ps = build_proof_set(spec)
+    word_ops = [w.factored(pairs) for w in ps.words]
+    product = FactoredMonomial.product(word_ops[i] for i in ps.product_plan)
+    assert plan_product(ps, pairs).factors == product.factors
 
 
 @given(st.lists(st.integers(2, 3), min_size=3, max_size=4), st.data())
