@@ -52,6 +52,7 @@ def test_word_and_plan_spectra_match_expansion(levels):
         )
         assert spectrum_of_factored(op) == spectrum_of_monomial(expanded)
     product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
+    assert plan_product(ps, ps.parties.canonical_pairs()).factors == product.factors
     dense_product = monomial_compose([ops[i].expand() for i in ps.product_plan])
     assert oracles.monomial_equal(product.expand(), dense_product)
     assert spectrum_of_factored(product) == spectrum_of_monomial(dense_product)
@@ -176,15 +177,8 @@ def test_custom_pair_spectra_match_expansion(system, data):
     ps = build_proof_set(spec)
     ops = [w.factored(pairs) for w in ps.words]
     product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
+    assert plan_product(ps, pairs).factors == product.factors
     assert spectrum_of_factored(product) == spectrum_of_monomial(product.expand())
-
-
-@pytest.mark.parametrize("levels", GRID, ids=str)
-def test_plan_product_matches_the_product_of_its_words(levels):
-    ps = build_proof_set(PartySpec(levels))
-    ops = [w.factored() for w in ps.words]
-    product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
-    assert plan_product(ps, ps.parties.canonical_pairs()).factors == product.factors
 
 
 # A and B spectra differ: {3, 1, -1, -3} against {1, 1, -1, -1}
@@ -195,10 +189,8 @@ SPREAD_PAIR = (custom_site("A", [3, 1, -1, -3]), custom_site("B", [1, 1, 1, 1]))
 def site_pair_pools(draw):
     """Parties drawn from a few pairs, so some share a pair and some share
     only a level count."""
-    pool = [SPREAD_PAIR] + [
-        draw(anticommuting_pairs(m)) for m in draw(st.lists(st.integers(2, 4), min_size=1,
-                                                             max_size=4))
-    ]
+    levels = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    pool = [SPREAD_PAIR] + [draw(anticommuting_pairs(m)) for m in levels]
     return tuple(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=5)))
 
 
@@ -214,11 +206,6 @@ def test_grouped_word_spectra_match_each_word(pairs, data):
         certificate._spectrum_to_doc(spectrum_of_factored(op)) for op in ops
     ]
     assert len({id(s) for s in grouped}) == len(grouped)
-    spec = PartySpec(levels, allow_mixed_parity=True)
-    ps = build_proof_set(spec)
-    word_ops = [w.factored(pairs) for w in ps.words]
-    product = FactoredMonomial.product(word_ops[i] for i in ps.product_plan)
-    assert plan_product(ps, pairs).factors == product.factors
 
 
 @given(st.lists(st.integers(2, 3), min_size=3, max_size=4), st.data())
