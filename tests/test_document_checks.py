@@ -40,8 +40,8 @@ def _count_calls(monkeypatch, names, modules=(certificate,)):
 def test_ghz_build_derives_each_section_once(monkeypatch):
     counts = _count_calls(monkeypatch, ("analyze_lhv", "spectrum_of_factored"))
     build_ghz_document(PartySpec((3, 3, 3)))
-    # the four words share one site spectrum multiset, so one word spectrum,
-    # and one plan-product spectrum
+    # one spectrum for the four words, which share their site spectra, and
+    # one for the plan product
     assert counts == {"analyze_lhv": 1, "spectrum_of_factored": 2}
 
 
