@@ -1,6 +1,6 @@
 """Exact construction and verification of all-or-nothing nonlocality proofs
-for systems of n parties with m levels each (or mixed levels of equal
-parity), plus the companion noncontextuality certificates for even levels.
+for systems of n parties with any mix of level counts, plus the companion
+noncontextuality certificates for even levels.
 
 All arithmetic is exact, on integers over positive scales (`ghzcert.exact`);
 every derived claim ships with an independent re-verification path. Tuples

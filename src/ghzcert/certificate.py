@@ -12,8 +12,11 @@ sections and returns the derived ones in document form. Building fills the
 document with it; verifying compares each stored section with it as strings
 and exact integers. Integer and boolean fields must have exactly those types,
 and rationals must be spelled as ``format_rational`` writes them. Within one
-derivation each distinct site pair is read once and each distinct word
-spectrum computed once; nothing is kept between calls.
+derivation each distinct site pair is read once and each distinct word's
+sign counts derived once; nothing is kept between calls. A GHZ certificate
+stores a spectrum as its classification and sign counts, decimal strings
+that may pass 2**53: criterion III needs only that the plan product has no
+positive eigenvalue.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ from .lhv import (
 from .siteops import check_anticommute, custom_site
 from .spectral import (
     Spectrum,
+    classify_signs,
     eigen_tuple_plan_product,
     eigenvalue_of,
+    kronecker_signs,
     plan_product,
     select_ghz,
-    spectrum_of_factored,
 )
 from .words import (
     PartySpec,
@@ -60,7 +64,7 @@ from .words import (
 
 GHZ_KIND = "ghz-certificate"
 KS_KIND = "ks-certificate"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 STATE_SELECTION_NOTE = (
     "orbits ascend by smallest composite index, eigenvalue branches descend, "
@@ -122,7 +126,7 @@ class StateVector:
 
     def flat_vec(self) -> dict[int, int]:
         """The state on the composite basis, scaled to integer coefficients."""
-        spec = PartySpec(self.dims, allow_mixed_parity=True)
+        spec = PartySpec(self.dims)
         coefficients, _ = scaled_to_integers(self.coefficients)
         return {
             spec.flat_index(digits): c
@@ -159,6 +163,26 @@ def _stored_spectrum(doc) -> dict:
     return doc
 
 
+_COUNT_KEYS = ("negative", "positive", "zero")
+
+
+def _signs_to_doc(signs: tuple[int, int, int]) -> dict:
+    p, n, z = signs
+    return {"classification": classify_signs(p, n, z),
+            "negative": str(n), "positive": str(p), "zero": str(z)}
+
+
+def _stored_signs(doc: dict) -> dict:
+    """Stored sign counts, each a decimal string in the one spelling ``str``
+    writes for an int (no sign, space or leading zero); kept in document form."""
+    for key in _COUNT_KEYS:
+        text = doc[key]
+        if type(text) is not str or not (text.isascii() and text.isdigit()) \
+                or (text[0] == "0" and text != "0"):
+            raise CertificateError(f"a sign count must be a decimal string, got {text!r}")
+    return doc
+
+
 def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
     # ``weight`` is indexed by column and the document stores row weights; they
     # agree because anti-diagonal weights are symmetric under row reversal
@@ -191,14 +215,15 @@ _NOT_AN_OBJECT = "malformed certificate: certificate root must be an object"
 
 # The keys each certificate kind must hold and the shape of each value: a dict
 # of keys, [shape] for a list of such entries, or the type the value must have.
+_SIGNS_SHAPE = dict.fromkeys(("classification", *_COUNT_KEYS), object)
 _GHZ_SHAPE = {
     "kind": object, "format_version": object, "provenance": object,
-    "parties": {"levels": list, "mixed_parity_experimental": object},
+    "parties": {"levels": list},
     "site_operators": [{"a_weights": list, "b_weights": list}],
     "words": list, "product_plan": list, "eigen_tuple": list,
     "state": {"support": [list], "coefficients": list, "norm_sq": object},
     "requirement_flags": dict,
-    "spectra": {"words": list, "plan_product": object, "plan_product_classification": object},
+    "spectra": {"words": [_SIGNS_SHAPE], "plan_product": _SIGNS_SHAPE},
     "lhv": dict.fromkeys(("status", "method", "assignments_checked", "bound", "witness",
                           "explanation"), object),
 }
@@ -232,6 +257,13 @@ def _misshapen(value, shape, path: str = "") -> str | None:
             if found := _misshapen(value[key], inner, here):
                 return found
     return None
+
+
+def _malformed(doc, shape, exc: Exception) -> str:
+    """The reason a document is malformed: a failed check's own message, or
+    for a failed lookup the first departure from ``shape``."""
+    found = None if isinstance(exc, CertificateError) else _misshapen(doc, shape)
+    return f"malformed certificate: {found or exc}"
 
 
 def _read_input_file(path: str, name: str, shape: dict, parse):
@@ -359,7 +391,7 @@ def check_ghz_criteria(
             raise _Rejected(f"criterion II: expected four or five words, got {len(words)}")
         if plan is None:
             plan = tuple(range(len(words))) if len(words) == 4 else (0, 1, 2, 3, 4, 4)
-        ps, ops = _word_set(words, plan, PartySpec(state.dims, allow_mixed_parity=True), pairs)
+        ps, ops = _word_set(words, plan, PartySpec(state.dims), pairs)
         if not ps.requirement_flags.even_slot_usage:
             raise _Rejected("criterion III: a one-particle observable enters the plan "
                             "an odd number of times")
@@ -372,15 +404,15 @@ def check_ghz_criteria(
 # -- GHZ certificates --------------------------------------------------------
 
 
-def _word_spectra(ops) -> list[dict]:
-    """Each word's spectrum in document form, derived once per multiset of site
-    spectra (the Kronecker rule); each word gets its own copy, for editing."""
+def _word_signs(ops) -> list[dict]:
+    """Each word's sign counts in document form, derived once per multiset of
+    site sign counts; each word gets its own copy, for editing."""
     derived: dict[tuple, dict] = {}
     out = []
     for op in ops:
-        key = tuple(sorted([(f.eigenvalue_counts, f.scale) for f in op.factors]))
+        key = tuple(sorted([f.sign_counts for f in op.factors]))
         if key not in derived:
-            derived[key] = _spectrum_to_doc(spectrum_of_factored(op))
+            derived[key] = _signs_to_doc(kronecker_signs(key))
         out.append(dict(derived[key]))
     return out
 
@@ -391,10 +423,7 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
     form; ``bound`` caps the LHV enumeration and is recorded in ``lhv``."""
     try:
         levels = tuple([_exact(m, int, "a level count") for m in doc["parties"]["levels"]])
-        mixed_marker = _exact(
-            doc["parties"]["mixed_parity_experimental"], bool, "mixed_parity_experimental"
-        )
-        parties = PartySpec(levels, allow_mixed_parity=True)
+        parties = PartySpec(levels)
         pairs = _pairs_from_doc(doc["site_operators"])
         word_strings = tuple([_exact(w, str, "a word") for w in doc["words"]])
         plan = tuple([_exact(i, int, "a plan index") for i in doc["product_plan"]])
@@ -407,10 +436,6 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
         raise _Rejected("malformed certificate: one site pair per party required")
     if len(eigen_tuple) != len(word_strings):
         raise _Rejected("malformed certificate: eigen_tuple length mismatch")
-    if not parties.mixed_parity and mixed_marker:
-        raise _Rejected("mixed-parity marker set on a uniform-parity certificate")
-    if parties.mixed_parity and not mixed_marker:
-        raise _Rejected("mixed-parity certificate must carry the experimental marker")
 
     _check_site_pairs(pairs, levels)
     ps, ops = _word_set(word_strings, plan, parties, pairs)
@@ -419,8 +444,8 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
     rhs = _check_eigen_tuple(ps, ops, state.flat_vec(), eigen_tuple)
 
     try:
-        word_spectra = _word_spectra(ops)
-        product_spectrum = spectrum_of_factored(plan_product(ps, pairs))
+        word_signs = _word_signs(ops)
+        product_signs = kronecker_signs([f.sign_counts for f in plan_product(ps, pairs).factors])
     except ShapeError as exc:
         raise _Rejected(f"spectrum recomputation failed: {exc}") from None
 
@@ -433,11 +458,7 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
 
     return {
         "requirement_flags": ps.requirement_flags.as_dict(),
-        "spectra": {
-            "words": word_spectra,
-            "plan_product": _spectrum_to_doc(product_spectrum),
-            "plan_product_classification": product_spectrum.classify(),
-        },
+        "spectra": {"words": word_signs, "plan_product": _signs_to_doc(product_signs)},
         "lhv": {
             "status": report.status,
             "method": report.method,
@@ -462,10 +483,7 @@ def build_ghz_document(
     doc = {
         "kind": GHZ_KIND,
         "format_version": FORMAT_VERSION,
-        "parties": {
-            "levels": list(parties.levels),
-            "mixed_parity_experimental": parties.mixed_parity,
-        },
+        "parties": {"levels": list(parties.levels)},
         "site_operators": _pairs_to_doc(pairs),
         "words": list(ps.letter_words),
         "product_plan": list(ps.product_plan),
@@ -503,28 +521,25 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
         flags, spectra, lhv = doc["requirement_flags"], doc["spectra"], doc["lhv"]
         for name, value in flags.items():
             _exact(value, bool, f"requirement flag {name!r}")
-        word_spectra = [_stored_spectrum(s) for s in spectra["words"]]
-        plan_spectrum = _stored_spectrum(spectra["plan_product"])
-        classification = spectra["plan_product_classification"]
+        word_signs = [_stored_signs(s) for s in spectra["words"]]
+        plan_signs = _stored_signs(spectra["plan_product"])
         checked = _exact(lhv["assignments_checked"], int, "assignments_checked")
         # lhv.bound is recorded for the reader; the caller's bound sets the work done
         if _exact(lhv["bound"], int, "bound") < 0:
             raise CertificateError(f"bound must be non-negative, got {lhv['bound']}")
         derived = _ghz_sections(doc, DEFAULT_BOUND if bound is None else bound)
         expected, expected_lhv = derived["spectra"], derived["lhv"]
-        if len(word_spectra) != len(expected["words"]):
+        if len(word_signs) != len(expected["words"]):
             raise CertificateError("one spectrum per word required")
         comparisons = [
             (flags, derived["requirement_flags"],
              "stored requirement flags do not match recomputation"),
             *(
                 (stored, spectrum, f"stored spectrum for word {i} does not match recomputation")
-                for i, (stored, spectrum) in enumerate(zip(word_spectra, expected["words"]), 1)
+                for i, (stored, spectrum) in enumerate(zip(word_signs, expected["words"]), 1)
             ),
-            (plan_spectrum, expected["plan_product"],
+            (plan_signs, expected["plan_product"],
              "stored plan-product spectrum does not match recomputation"),
-            (classification, expected["plan_product_classification"],
-             "stored plan-product classification does not match recomputation"),
             ((lhv["status"], expected_lhv["status"]), (UNSAT, UNSAT),
              "stored LHV status does not match re-derivation"),
             ((lhv["method"], checked),
@@ -535,7 +550,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
              "stored LHV explanation does not match re-derivation"),
         ]
     except (CertificateError, KeyError, TypeError, AttributeError) as exc:
-        return False, f"malformed certificate: {_misshapen(doc, _GHZ_SHAPE) or exc}"
+        return False, _malformed(doc, _GHZ_SHAPE, exc)
     except _Rejected as exc:
         return False, str(exc)
     return _first_mismatch(comparisons)
@@ -607,7 +622,7 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         _stored_spectrum(structure["horizontal_spectrum"])
         _stored_spectrum(structure["side_spectrum"])
     except (CertificateError, KeyError, TypeError) as exc:
-        return False, f"malformed certificate: {_misshapen(doc, _KS_SHAPE) or exc}"
+        return False, _malformed(doc, _KS_SHAPE, exc)
     if mode not in (SIGN_ONLY, FULL_SPECTRUM):
         return False, f"unknown search mode {mode!r}"
     try:

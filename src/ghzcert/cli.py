@@ -69,10 +69,6 @@ def _letters(word: str, flag: str) -> str:
     return word
 
 
-def _party_spec(args) -> PartySpec:
-    return PartySpec(tuple(args.levels), allow_mixed_parity=args.allow_mixed_parity)
-
-
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.format == STRUCTURED:
         sys.stdout.write(dumps_document(doc))
@@ -82,7 +78,7 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_build(args) -> int:
-    parties = _party_spec(args)
+    parties = PartySpec(tuple(args.levels))
     hint = None
     if args.tuple_hint:
         count = len(build_proof_set(parties).words)
@@ -130,7 +126,7 @@ def _cmd_ks(args) -> int:
 
 
 def _cmd_lhv(args) -> int:
-    parties = _party_spec(args)
+    parties = PartySpec(tuple(args.levels))
     ps = build_proof_set(parties)
     pairs = parties.canonical_pairs()
     scales = [w.factored(pairs).scale for w in ps.words]
@@ -176,7 +172,7 @@ def _cmd_lhv(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    parties = _party_spec(args)
+    parties = PartySpec(tuple(args.levels))
     doc: dict = {"levels": list(parties.levels)}
     lines: list[str] = []
     if args.word is not None:
@@ -206,7 +202,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_criteria(args) -> int:
     state = load_state_file(args.state)
-    spec = functools.partial(PartySpec, state.dims, allow_mixed_parity=True)
+    spec = functools.partial(PartySpec, state.dims)
     pairs = load_pairs_file(args.pairs) if args.pairs else spec().canonical_pairs()
     words = build_proof_set(spec()).letter_words if args.words is None else tuple(
         [_letters(w, "--words") for w in args.words.split(",")])
@@ -241,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("levels", type=int, nargs="+", help="levels per party")
     p_build.add_argument("--tuple-hint",
                          help="comma-separated eigenvalues to pin the state")
-    p_build.add_argument("--allow-mixed-parity", action="store_true",
-                         help="experimental: attempt mixed-parity level lists")
     add_common(p_build)
     p_build.set_defaults(func=_cmd_build)
 
@@ -263,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lhv.add_argument("--rhs", help="comma-separated right-hand sides")
     p_lhv.add_argument("--sign-only", action="store_true",
                        help="fast pre-check over signs instead of spectra")
-    p_lhv.add_argument("--allow-mixed-parity", action="store_true")
     add_common(p_lhv, output=False)
     p_lhv.set_defaults(func=_cmd_lhv)
 
@@ -272,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--word", help="letter string, e.g. ABB")
     p_spec.add_argument("--product", action="store_true",
                         help="also show the canonical plan-product spectrum")
-    p_spec.add_argument("--allow-mixed-parity", action="store_true")
     add_common(p_spec, output=False)
     p_spec.set_defaults(func=_cmd_spectrum)
 

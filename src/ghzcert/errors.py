@@ -14,7 +14,8 @@ class InvalidLevelsError(GhzError, ValueError):
 
 
 class ParityError(GhzError, ValueError):
-    """Level parities are mixed, or a parity precondition is violated."""
+    """A parity precondition is violated: an odd KS level count, or a party
+    count of the wrong parity for a proof-set construction."""
 
 
 class PartyMismatchError(GhzError, ValueError):

@@ -149,6 +149,13 @@ class MonomialMatrix:
                 counts[-w] = counts.get(-w, 0) + 1
         return tuple(sorted(counts.items()))
 
+    @cached_property
+    def sign_counts(self) -> tuple[int, int, int]:
+        """(positive, negative, zero) eigenvalue counts, computed once per operator."""
+        counts = self.eigenvalue_counts
+        return (sum(m for v, m in counts if v > 0), sum(m for v, m in counts if v < 0),
+                sum(m for v, m in counts if not v))
+
 
 def monomial_multiply(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
     """Matrix product a*b of two monomial matrices (always monomial)."""

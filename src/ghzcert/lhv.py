@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SearchBoundError
 from .exact import format_rational
@@ -96,7 +97,9 @@ class ConstraintSystem:
             for word in self.letter_words
         ])
 
+    @cached_property
     def plan_slot_multiplicities(self) -> dict[Slot, int]:
+        """How often each slot enters the plan; counted once per system."""
         counts: dict[Slot, int] = {}
         for i in self.plan:
             word = self.letter_words[i]
@@ -121,7 +124,7 @@ def parity_unsat(cs: ConstraintSystem) -> bool:
     across the plan, and the planned right-hand product is negative. When
     both hold, no nonzero assignment can work, and zero values are excluded
     by the nonzero right-hand sides."""
-    counts = cs.plan_slot_multiplicities()
+    counts = cs.plan_slot_multiplicities
     if any(m % 2 for m in counts.values()):
         return False
     return eigen_tuple_plan_product(cs.rhs, cs.plan) < 0
@@ -186,7 +189,7 @@ def analyze_lhv(cs: ConstraintSystem, bound: int = DEFAULT_BOUND) -> LhvReport:
 def explain_parity(cs: ConstraintSystem) -> str:
     """Human-readable account of the analytic obstruction with the actual
     slot multiplicities and right-hand product."""
-    counts = cs.plan_slot_multiplicities()
+    counts = cs.plan_slot_multiplicities
     usage = ", ".join(
         f"{slot_label(slot)}:{counts[slot]}" for slot in sorted(counts)
     )

@@ -24,6 +24,9 @@ spectrum depends only on the multiset of its site spectra. A plan product
 whose one-particle operators all occur an even number of times has a
 diagonal factor at every site; `plan_product` multiplies out each distinct
 (site pair, plan column of letters) once. Any other site factor is rejected.
+A certificate needs only how many eigenvalues are positive, negative and
+zero, and those counts follow the same rule one site at a time
+(`kronecker_signs`), in O(sum of the level counts).
 
 The simultaneous eigenbasis is read off in closed form. An orbit splits into
 components that join x to t_k(x) wherever word k has a nonzero weight at x.
@@ -76,10 +79,6 @@ class Spectrum:
     entries: tuple[tuple[int, int], ...]
     scale: int = 1
 
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def multiplicity(self, value: int) -> int:
         """Multiplicity of the eigenvalue ``value / scale``."""
         k = bisect_left(self.entries, (value,))
@@ -99,18 +98,19 @@ class Spectrum:
         return sum(m for v, m in self.entries if v < 0)
 
     def classify(self) -> str:
-        # entries ascend: the first and the last tell whether either sign occurs
-        neg = bool(self.entries) and self.entries[0][0] < 0
-        pos = bool(self.entries) and self.entries[-1][0] > 0
-        zero = self.zero_count
-        if pos and neg:
-            return INDEFINITE
-        if neg:
-            return NEGATIVE_SEMIDEFINITE if zero else NEGATIVE_DEFINITE
-        if pos:
-            return POSITIVE_SEMIDEFINITE if zero else POSITIVE_DEFINITE
-        # all-zero spectrum: conventionally reported on the positive side
-        return POSITIVE_SEMIDEFINITE
+        return classify_signs(self.positive_count, self.negative_count, self.zero_count)
+
+
+def classify_signs(positive: int, negative: int, zero: int) -> str:
+    """The definiteness class of a spectrum with these sign counts."""
+    if positive and negative:
+        return INDEFINITE
+    if negative:
+        return NEGATIVE_SEMIDEFINITE if zero else NEGATIVE_DEFINITE
+    if positive:
+        return POSITIVE_SEMIDEFINITE if zero else POSITIVE_DEFINITE
+    # all-zero spectrum: conventionally reported on the positive side
+    return POSITIVE_SEMIDEFINITE
 
 
 def _orbit_walk(dim: int, images) -> Iterator[tuple[int, ...]]:
@@ -166,6 +166,17 @@ def spectrum_of_factored(op: FactoredMonomial) -> Spectrum:
         counts = product
     # one positive scale for all values, so integer order is value order
     return Spectrum(tuple(sorted(counts.items())), scale)
+
+
+def kronecker_signs(site_signs) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a Kronecker product,
+    from its factors' (positive, negative, zero) counts: a product of site
+    eigenvalues is positive when an even number of them are negative and
+    none is zero (the module docstring's rule, kept to signs)."""
+    p, n, z = 1, 0, 0
+    for sp, sn, sz in site_signs:
+        p, n, z = p * sp + n * sn, p * sn + n * sp, z * (sp + sn + sz) + (p + n) * sz
+    return p, n, z
 
 
 def plan_product(ps: ProofSet, pairs: SitePairs) -> FactoredMonomial:

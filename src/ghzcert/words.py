@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     InvalidLevelsError,
@@ -47,15 +47,13 @@ SitePairs = tuple[tuple[MonomialMatrix, MonomialMatrix], ...]
 
 @dataclass(frozen=True)
 class PartySpec:
-    """Level counts per party, n >= 3, uniform parity unless overridden.
-
-    ``allow_mixed_parity`` is an experimental escape hatch: constructions on
-    mixed-parity level lists carry no analytic guarantee and are only as good
-    as the downstream oracle verification.
-    """
+    """Level counts per party: n >= 3 parties with m >= 2 levels each, in any
+    mix of parities. On the span of a site's extreme levels e_0 and e_{m-1}
+    the canonical A(m) and B(m) are s*Z and s*X with s = (m-1)/2 > 0; every
+    word leaves that span invariant and acts there as a Pauli word times a
+    positive scalar, so the qubit argument holds for any level list."""
 
     levels: tuple[int, ...]
-    allow_mixed_parity: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -67,11 +65,6 @@ class PartySpec:
             )
         if any(m < 2 for m in self.levels):
             raise InvalidLevelsError("every party needs at least 2 levels")
-        parities = {m % 2 for m in self.levels}
-        if len(parities) > 1 and not self.allow_mixed_parity:
-            raise ParityError(
-                f"level counts {self.levels} do not share one parity"
-            )
 
     @property
     def n(self) -> int:
@@ -83,10 +76,6 @@ class PartySpec:
         for m in self.levels:
             out *= m
         return out
-
-    @property
-    def mixed_parity(self) -> bool:
-        return len({m % 2 for m in self.levels}) > 1
 
     def canonical_pairs(self) -> SitePairs:
         return tuple([canonical_pair(m) for m in self.levels])
@@ -380,7 +369,7 @@ def extend_even_set(parties: PartySpec) -> ProofSet:
         raise ParityError(f"party count {parties.n} is odd; use generate_odd_set")
     if parties.n < 4:
         raise InvalidLevelsError("even extension needs at least 4 parties")
-    sub = PartySpec(parties.levels[:-1], allow_mixed_parity=parties.allow_mixed_parity)
+    sub = PartySpec(parties.levels[:-1])
     base = generate_odd_set(sub)
     common = base.words[0].a_count
     fifth = "A" * (common - 1) + "B" * (parties.n - common) + "A"

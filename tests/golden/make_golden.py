@@ -56,8 +56,8 @@ COMMANDS = (
     ["build", "3", "3", "3", "--tuple-hint", "1,1,1,-1"],
     # an eligible tuple that no vector of the first orbit carries
     ["build", *["4"] * 4, "--tuple-hint=-1/16,-1/16,-1/16,1/16,-1/16"],
-    ["build", "2", "3", "2", "--allow-mixed-parity"],
-    ["build", "3", "2", "4", "--allow-mixed-parity"],
+    ["build", "2", "3", "2"],
+    ["build", "3", "2", "4"],
 )
 # the command line examples of the README, in the order it lists them
 README_EXAMPLES = (

@@ -36,6 +36,10 @@ monomial form was left in it: products, Kronecker products and vector
 application entry by entry, the conversions to and from monomial form, and
 the dense view of a site operator.
 
+The sixth part holds the full eigenvalue multisets certificates stored
+before format 2, folded site by site from dense site matrices; their sign
+counts are what a format-2 certificate stores.
+
 The package computes with integers over positive scales; the searches and
 the eigenbasis here take its operators and values in that form, while the
 dense part works with the rationals themselves (``densify`` divides by the
@@ -373,7 +377,7 @@ def extend_even_set(parties: PartySpec) -> ProofSet:
         raise ParityError(f"party count {parties.n} is odd; use generate_odd_set")
     if parties.n < 4:
         raise InvalidLevelsError("even extension needs at least 4 parties")
-    sub = PartySpec(parties.levels[:-1], allow_mixed_parity=parties.allow_mixed_parity)
+    sub = PartySpec(parties.levels[:-1])
     base = generate_odd_set(sub)
     extended = tuple(w.letters + "B" for w in base.words)
     base_parity = base.words[0].a_count % 2
@@ -750,3 +754,64 @@ def sparsify(dense: DenseMatrix) -> MonomialMatrix:
         if target[j] < 0:
             target[j] = free_rows.pop(0)
     return MonomialMatrix(n, tuple(target), *scaled_to_integers(weight))
+
+
+# -- full multisets against the certificate's sign counts ---------------------
+
+
+def kronecker_multiset(sites: Sequence[DenseMatrix]) -> dict[Fraction, int]:
+    """The full eigenvalue multiset of the Kronecker product of dense site
+    matrices: every product of one eigenvalue per site, multiplicities
+    multiplied (the rule the package used before it kept only signs)."""
+    counts = {ONE: 1}
+    for site in sites:
+        spectrum = dense_spectrum(site)
+        product: dict[Fraction, int] = {}
+        for v, m in counts.items():
+            for w, k in spectrum.items():
+                product[v * w] = product.get(v * w, 0) + m * k
+        counts = product
+    return counts
+
+
+def sign_counts_doc(counts: dict[Fraction, int]) -> dict[str, str]:
+    """A multiset's sign counts and classification as a certificate stores them."""
+    positive = sum(m for v, m in counts.items() if v > 0)
+    negative = sum(m for v, m in counts.items() if v < 0)
+    zero = counts.get(ZERO, 0)
+    if positive and negative:
+        classification = "indefinite"
+    elif negative:
+        classification = "negative-semidefinite" if zero else "negative-definite"
+    else:
+        # an all-zero multiset is reported on the positive side
+        classification = "positive-semidefinite" if zero or not positive else "positive-definite"
+    return {"classification": classification, "negative": str(negative),
+            "positive": str(positive), "zero": str(zero)}
+
+
+def certificate_spectra(doc: dict) -> dict:
+    """The ``spectra`` section of a GHZ certificate, from its site operators,
+    words and plan through dense site matrices and full multisets."""
+    sites = []
+    for entry in doc["site_operators"]:
+        a = [Fraction(w) for w in entry["a_weights"]]
+        b = [Fraction(w) for w in entry["b_weights"]]
+        m = len(b)
+        anti = [ZERO] * (m * m)
+        for i, w in enumerate(b):
+            anti[i * m + m - 1 - i] = w
+        sites.append({"A": DenseMatrix.diagonal(a), "B": DenseMatrix(m, m, tuple(anti))})
+    words, plan = doc["words"], doc["product_plan"]
+    product = []
+    for party, site in enumerate(sites):
+        factor = DenseMatrix.identity(site["A"].rows)
+        for i in plan:
+            factor = mat_multiply(factor, site[words[i][party]])
+        product.append(factor)
+    return {
+        "words": [
+            sign_counts_doc(kronecker_multiset([s[c] for s, c in zip(sites, w)])) for w in words
+        ],
+        "plan_product": sign_counts_doc(kronecker_multiset(product)),
+    }

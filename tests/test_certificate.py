@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzcert.certificate import (
     StateVector,
@@ -54,10 +56,12 @@ def test_determinism_byte_identical(m3_doc):
 def test_document_contents_m3(m3_doc):
     assert m3_doc["words"] == ["ABB", "BAB", "BBA", "AAA"]
     assert m3_doc["product_plan"] == [0, 1, 2, 3]
-    assert m3_doc["spectra"]["plan_product"] == {"-1": 8, "0": 19}
+    assert m3_doc["spectra"]["plan_product"] == {
+        "classification": "negative-semidefinite", "negative": "8", "positive": "0", "zero": "19"
+    }
     assert m3_doc["lhv"]["status"] == "UNSAT"
     assert m3_doc["lhv"]["assignments_checked"] == 729
-    assert m3_doc["parties"]["mixed_parity_experimental"] is False
+    assert m3_doc["parties"] == {"levels": [3, 3, 3]}
 
 
 def test_hinted_build_matches_displayed_state():
@@ -117,8 +121,8 @@ def test_tamper_zero_eigenvalue(m3_doc):
 
 def test_tamper_spectrum(m3_doc):
     def mutate(d):
-        d["spectra"]["words"][0]["0"] = 18
-        d["spectra"]["words"][0]["1"] = 5
+        d["spectra"]["words"][0]["zero"] = "18"
+        d["spectra"]["words"][0]["positive"] = "5"
     ok, reason = _verify_copy(m3_doc, mutate)
     assert not ok
     assert "spectrum" in reason
@@ -189,12 +193,6 @@ def test_negative_stored_bound_rejected(m3_doc):
     assert verify_document(tampered) == (
         False, "malformed certificate: bound must be non-negative, got -1"
     )
-
-
-def test_missing_mixed_parity_marker_rejected(m3_doc):
-    tampered = copy.deepcopy(m3_doc)
-    del tampered["parties"]["mixed_parity_experimental"]
-    _assert_malformed(tampered)
 
 
 def test_ks_missing_observables_rejected():
@@ -281,8 +279,6 @@ GHZ_INTEGER_FIELDS = {
     "support digit": ("state", "support", 1, 1),
     "assignments_checked": ("lhv", "assignments_checked"),
     "bound": ("lhv", "bound"),
-    "word multiplicity": ("spectra", "words", 0, "1"),
-    "plan-product multiplicity": ("spectra", "plan_product", "-1"),
 }
 # each keeps the value that int() would read back, or (bool) one it would
 # read as an index
@@ -297,6 +293,42 @@ def test_integer_field_must_be_int(m3_doc, field, change):
     _assert_malformed(tampered)
 
 
+SIGN_COUNT_FIELDS = {
+    "word count": ("spectra", "words", 0, "zero"),
+    "plan-product count": ("spectra", "plan_product", "negative"),
+}
+# other types, and other spellings than the one str() writes for an int
+NON_DECIMAL_CHANGES = {
+    "int": int, "float": float, "bool": bool, "plus half": lambda text: f"{text}.5",
+    "padded": lambda text: f" {text}", "signed": lambda text: f"+{text}",
+    "leading zero": lambda text: f"0{text}", "fraction": lambda text: f"{text}/1",
+}
+
+
+@pytest.mark.parametrize("change", sorted(NON_DECIMAL_CHANGES))
+@pytest.mark.parametrize("field", sorted(SIGN_COUNT_FIELDS))
+def test_sign_count_must_be_a_decimal_string(m3_doc, field, change):
+    tampered = copy.deepcopy(m3_doc)
+    _replace_at(tampered, SIGN_COUNT_FIELDS[field], NON_DECIMAL_CHANGES[change])
+    ok, reason = verify_document(tampered)
+    assert not ok
+    assert reason.startswith("malformed certificate: a sign count must be a decimal string")
+
+
+def test_format_1_document_rejected(m3_doc):
+    # the format-1 layout: spectra as value -> multiplicity maps and the
+    # mixed-parity marker
+    old = copy.deepcopy(m3_doc)
+    old["format_version"] = 1
+    old["parties"]["mixed_parity_experimental"] = False
+    old["spectra"] = {"words": [{"-1": 4, "0": 19, "1": 4}] * 4,
+                      "plan_product": {"-1": 8, "0": 19},
+                      "plan_product_classification": "negative-semidefinite"}
+    assert verify_document(old) == (
+        False, "malformed certificate: unsupported format version 1"
+    )
+
+
 @pytest.mark.parametrize("value", (0.9, "0", True, False))
 def test_plan_index_must_be_int(m3_doc, value):
     tampered = copy.deepcopy(m3_doc)
@@ -309,11 +341,6 @@ def test_ks_patterns_checked_must_be_int(change):
     tampered = build_ks_document(2, SIGN_ONLY)
     _replace_at(tampered, ("search", "patterns_checked"), NON_INT_CHANGES[change])
     _assert_malformed(tampered)
-
-
-@pytest.fixture(scope="module")
-def mixed_doc():
-    return build_ghz_document(PartySpec((2, 3, 2), allow_mixed_parity=True))
 
 
 def _flags_as_pairs(flags):
@@ -334,15 +361,6 @@ def _one_flag_zero(flags):
 def test_requirement_flags_must_be_booleans(m3_doc, change):
     tampered = copy.deepcopy(m3_doc)
     _replace_at(tampered, ("requirement_flags",), change)
-    _assert_malformed(tampered)
-
-
-@pytest.mark.parametrize(
-    "doc_name, marker", (("m3_doc", 0), ("mixed_doc", "no"), ("mixed_doc", 1))
-)
-def test_mixed_parity_marker_must_be_boolean(request, doc_name, marker):
-    tampered = copy.deepcopy(request.getfixturevalue(doc_name))
-    tampered["parties"]["mixed_parity_experimental"] = marker
     _assert_malformed(tampered)
 
 
@@ -461,11 +479,19 @@ def test_ks_tamper_rejects():
     assert not ok
 
 
-def test_mixed_parity_certificate_marked():
-    doc = build_ghz_document(PartySpec((2, 3, 2), allow_mixed_parity=True))
-    assert doc["parties"]["mixed_parity_experimental"] is True
+def test_mixed_parity_certificate_verifies():
+    doc = build_ghz_document(PartySpec((2, 3, 2)))
+    assert doc["parties"] == {"levels": [2, 3, 2]}
     ok, reason = verify_ghz_document(doc)
     assert ok, reason
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(2, 8), min_size=3, max_size=5).filter(
+    lambda levels: len({m % 2 for m in levels}) == 2))
+def test_mixed_level_lists_build_and_verify(levels):
+    doc = build_ghz_document(PartySpec(tuple(levels)))
+    assert verify_ghz_document(json.loads(dumps_document(doc))) == (True, "accept")
 
 
 # -- state vectors and criteria ----------------------------------------------
@@ -611,13 +637,13 @@ def test_verifier_bound_is_the_callers():
 
 
 def test_unsupported_site_factor_is_a_rejection(m3_doc, monkeypatch):
-    from ghzcert import spectral
     from ghzcert.errors import ShapeError
+    from ghzcert.exact import MonomialMatrix
 
     def refuse(op):
         raise ShapeError("spectrum requires a diagonal or involutive operator")
 
-    monkeypatch.setattr(spectral, "spectrum_of_monomial", refuse)
+    monkeypatch.setattr(MonomialMatrix, "sign_counts", property(refuse))
     ok, reason = verify_ghz_document(copy.deepcopy(m3_doc))
     assert not ok
     assert reason.startswith("spectrum recomputation failed: ")

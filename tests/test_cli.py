@@ -9,6 +9,7 @@ import pytest
 
 from ghzcert.certificate import build_ghz_document, load_document
 from ghzcert.cli import main
+from ghzcert.exact import parse_rational
 from ghzcert.words import PartySpec
 from test_document_checks import LEAKED_REASONS
 
@@ -46,19 +47,21 @@ def test_build_with_tuple_hint(tmp_path, capsys):
     assert doc["state"]["support"] == [[0, 0, 2], [0, 2, 0], [2, 0, 0], [2, 2, 2]]
 
 
-def test_build_mixed_parity_rejected(capsys):
-    code, _, err = run(capsys, "build", "2", "3", "2")
-    assert code == 2
-    assert "parity" in err
+@pytest.mark.parametrize("command", ("build", "lhv", "spectrum"))
+def test_allow_mixed_parity_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "2", "3", "2", "--allow-mixed-parity"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --allow-mixed-parity" in capsys.readouterr().err
 
 
-def test_build_mixed_parity_override(tmp_path, capsys):
+def test_build_mixed_parity(tmp_path, capsys):
     cert = tmp_path / "mixed.json"
-    code, _, _ = run(capsys, "build", "2", "3", "2", "--allow-mixed-parity",
-                     "--output", str(cert))
+    code, _, _ = run(capsys, "build", "2", "3", "2", "--output", str(cert))
     assert code == 0
-    doc = load_document(str(cert))
-    assert doc["parties"]["mixed_parity_experimental"] is True
+    assert load_document(str(cert))["parties"] == {"levels": [2, 3, 2]}
+    code, out, _ = run(capsys, "verify", str(cert))
+    assert (code, out) == (0, "accept: accept\n")
 
 
 def test_build_ineligible_hint(capsys):
@@ -142,8 +145,18 @@ def test_spectrum_structured_matches_certificate(capsys):
     doc = json.loads(out)
     cert = build_ghz_document(PartySpec((3, 3, 3)))
     assert cert["words"] == ["ABB", "BAB", "BBA", "AAA"]
-    assert doc["spectrum"] == cert["spectra"]["words"][0]
-    assert doc["plan_product_spectrum"] == cert["spectra"]["plan_product"]
+    # the full multiset against the certificate's sign counts
+    for spectrum, classification, signs in (
+        (doc["spectrum"], doc["classification"], cert["spectra"]["words"][0]),
+        (doc["plan_product_spectrum"], doc["plan_product_classification"],
+         cert["spectra"]["plan_product"]),
+    ):
+        counts = dict.fromkeys(("negative", "positive", "zero"), 0)
+        for value, multiplicity in spectrum.items():
+            sign = parse_rational(value)
+            counts["positive" if sign > 0 else "negative" if sign < 0 else "zero"] += multiplicity
+        assert signs == {"classification": classification,
+                         **{k: str(c) for k, c in counts.items()}}
 
 
 def test_criteria_w_state(tmp_path, capsys):

@@ -37,12 +37,48 @@ def _count_calls(monkeypatch, names, modules=(certificate,)):
     return counts
 
 
+SECTION_STEPS = ("analyze_lhv", "kronecker_signs", "spectrum_of_factored")
+
+
 def test_ghz_build_derives_each_section_once(monkeypatch):
-    counts = _count_calls(monkeypatch, ("analyze_lhv", "spectrum_of_factored"))
+    counts = _count_calls(monkeypatch, SECTION_STEPS, (certificate, spectral))
     build_ghz_document(PartySpec((3, 3, 3)))
-    # one spectrum for the four words, which share their site spectra, and
-    # one for the plan product
-    assert counts == {"analyze_lhv": 1, "spectrum_of_factored": 2}
+    # sign counts once for the four words, which share their site sign
+    # counts, and once for the plan product; no full spectrum
+    assert counts == {"analyze_lhv": 1, "kronecker_signs": 2, "spectrum_of_factored": 0}
+
+
+def test_ghz_derivation_counts_plan_slots_once(monkeypatch):
+    from functools import cached_property
+
+    from ghzcert.lhv import ConstraintSystem
+
+    calls = []
+    original = ConstraintSystem.plan_slot_multiplicities.func
+
+    def counted(cs):
+        calls.append(cs)
+        return original(cs)
+
+    prop = cached_property(counted)
+    prop.__set_name__(ConstraintSystem, "plan_slot_multiplicities")
+    monkeypatch.setattr(ConstraintSystem, "plan_slot_multiplicities", prop)
+    doc = build_ghz_document(PartySpec((3, 3, 3)))
+    assert len(calls) == 1
+    assert verify_document(doc) == (True, "accept")
+    assert len(calls) == 2
+
+
+def test_large_levels_build_and_verify_without_full_spectra(monkeypatch):
+    def refuse(op):
+        raise AssertionError("a GHZ certificate needs no full spectrum")
+
+    for module in (spectral, certificate):
+        if hasattr(module, "spectrum_of_factored"):
+            monkeypatch.setattr(module, "spectrum_of_factored", refuse)
+    doc = build_ghz_document(PartySpec((60, 62, 64, 66, 68)))
+    assert len(dumps_document(doc).encode()) < 20_000
+    assert verify_document(json.loads(dumps_document(doc))) == (True, "accept")
 
 
 @pytest.mark.parametrize("levels", ((3,) * 7, (2,) * 10), ids=("3 x7", "2 x10"))
@@ -61,7 +97,7 @@ def test_shared_word_spectra_are_separate_objects():
     doc = build_ghz_document(PartySpec((3, 3, 3)))
     spectra = doc["spectra"]["words"]
     before = [dict(s) for s in spectra]
-    spectra[1]["5"] = 1
+    spectra[1]["zero"] = "5"
     assert spectra[0] == before[0] and spectra[2:] == before[2:]
     assert verify_document(doc) == (
         False, "stored spectrum for word 2 does not match recomputation"
@@ -71,11 +107,11 @@ def test_shared_word_spectra_are_separate_objects():
 def test_malformed_stored_section_rejected_before_derivation(monkeypatch):
     doc = build_ghz_document(PartySpec((3, 3, 3)))
     doc["spectra"] = {}
-    counts = _count_calls(monkeypatch, ("analyze_lhv", "spectrum_of_factored"))
+    counts = _count_calls(monkeypatch, SECTION_STEPS, (certificate, spectral))
     assert verify_document(doc) == (
         False, "malformed certificate: missing key 'spectra.words'"
     )
-    assert counts == {"analyze_lhv": 0, "spectrum_of_factored": 0}
+    assert counts == dict.fromkeys(SECTION_STEPS, 0)
 
 
 def test_ks_build_derives_each_section_once(monkeypatch):
@@ -136,7 +172,7 @@ ONE_PATH_GRID = {
 
 @pytest.mark.parametrize("levels", ONE_PATH_GRID.values(), ids=ONE_PATH_GRID)
 def test_criteria_and_verify_share_the_claim_steps(levels):
-    doc = build_ghz_document(PartySpec(levels, allow_mixed_parity=True))
+    doc = build_ghz_document(PartySpec(levels))
     assert check_ghz_criteria(*_criteria_args(doc)) == (True, "is-ghz")
     # the first party's pair no longer anticommutes
     ones = ["1"] * levels[0]
@@ -192,12 +228,8 @@ NON_CANONICAL_FIELDS = {
     "eigen tuple": ("ghz", _set_item(("eigen_tuple", 2)), "malformed"),
     "coefficient": ("ghz", _set_item(("state", "coefficients", 3)), "malformed"),
     "norm_sq": ("ghz", _set_item(("state", "norm_sq")), "malformed"),
-    "word spectrum key": (
-        "ghz", _rename_key(("spectra", "words", 0), "-1"), "stored spectrum for word 1"
-    ),
-    "plan-product key": (
-        "ghz", _rename_key(("spectra", "plan_product"), "-1"), "stored plan-product spectrum"
-    ),
+    "word count": ("ghz", _set_item(("spectra", "words", 0, "zero")), "malformed"),
+    "plan-product count": ("ghz", _set_item(("spectra", "plan_product", "negative")), "malformed"),
     "ks spectrum key": (
         "ks", _rename_key(("structure", "horizontal_spectrum"), "-1/4096"),
         "stored horizontal spectrum",

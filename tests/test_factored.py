@@ -1,10 +1,11 @@
 """Factored operators against their expansions and the composite-dimension
 oracles of ``tests/oracles.py``."""
 
+import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -22,6 +23,7 @@ from ghzcert.exact import (
 from ghzcert.kochen_specker import build_ks
 from ghzcert.siteops import check_anticommute, custom_site
 from ghzcert.spectral import (
+    kronecker_signs,
     plan_product,
     select_ghz,
     simultaneous_eigenbasis,
@@ -165,7 +167,7 @@ def custom_systems(draw, max_parties=5):
     n = draw(st.integers(3, max_parties))
     levels = tuple(draw(st.lists(st.integers(2, 3), min_size=n, max_size=n)))
     pairs = tuple(draw(site_pairs(m)) for m in levels)
-    return PartySpec(levels, allow_mixed_parity=True), pairs
+    return PartySpec(levels), pairs
 
 
 @given(custom_systems(), st.data())
@@ -201,18 +203,42 @@ def test_grouped_word_spectra_match_each_word(pairs, data):
         st.text("AB", min_size=len(levels), max_size=len(levels)), min_size=1, max_size=6
     ))
     ops = [factor_letters(w, pairs, levels) for w in letter_words]
-    grouped = certificate._word_spectra(ops)
+    grouped = certificate._word_signs(ops)
     assert grouped == [
-        certificate._spectrum_to_doc(spectrum_of_factored(op)) for op in ops
+        oracles.sign_counts_doc(oracles.kronecker_multiset(list(map(oracles.densify, op.factors))))
+        for op in ops
     ]
     assert len({id(s) for s in grouped}) == len(grouped)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(anticommuting_pairs(3), min_size=1, max_size=3), st.data())
+def test_sign_counts_past_2_53_match_oracle(pool, data):
+    # 61 three-level parties from a pool of custom pairs: the counts sum to
+    # 3**61, past 2**53
+    pairs = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=61, max_size=61)))
+    ps = build_proof_set(PartySpec((3,) * 61))
+    dense = [{"A": oracles.densify(a), "B": oracles.densify(b)} for a, b in pairs]
+    word_signs = certificate._word_signs([w.factored(pairs) for w in ps.words])
+    for word, signs in zip(ps.words, word_signs):
+        assert signs == oracles.sign_counts_doc(
+            oracles.kronecker_multiset([site[c] for site, c in zip(dense, word.letters)]))
+    dense_product = [
+        functools.reduce(oracles.mat_multiply, [site[ps.letter_words[i][party]]
+                                                for i in ps.product_plan])
+        for party, site in enumerate(dense)
+    ]
+    product = kronecker_signs([f.sign_counts for f in plan_product(ps, pairs).factors])
+    assert sum(product) == 3**61
+    assert certificate._signs_to_doc(product) == oracles.sign_counts_doc(
+        oracles.kronecker_multiset(dense_product))
 
 
 @given(st.lists(st.integers(2, 3), min_size=3, max_size=4), st.data())
 def test_custom_pair_commutation_matches_oracle(levels, data):
     # one direction only: zero weights can make words commute that the
     # letter rule rejects
-    spec = PartySpec(tuple(levels), allow_mixed_parity=True)
+    spec = PartySpec(tuple(levels))
     pairs = tuple(data.draw(anticommuting_pairs(m)) for m in levels)
     assert all(check_anticommute(a, b) for a, b in pairs)
     letter_words = data.draw(

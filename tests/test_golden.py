@@ -5,15 +5,21 @@ with the exponential word-set searches of ``tests/oracles.py``: the proof
 set for every party count from 3 to 12, the sha256 of the certificate
 bytes for a fixed grid of ``ghzcert build`` and ``ghzcert ks`` commands, and
 the stdout and exit code of the README's command line examples.
+
+The sign counts that certificates store are compared with the full
+eigenvalue multisets of ``tests/oracles.py`` on the same grid.
 """
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import oracles
+from ghzcert.certificate import build_ghz_document
 from ghzcert.cli import main
 from ghzcert.words import PartySpec, build_proof_set
 
@@ -47,3 +53,20 @@ def test_certificate_bytes_match_corpus(entry, tmp_path):
 )
 def test_readme_example_matches_corpus(entry):
     assert make_golden.run_example(entry["command"]) == entry
+
+
+# every level list the corpus builds, and 61 three-level parties, whose zero
+# counts pass 2**53
+GRID_LEVELS = [*dict.fromkeys(
+    tuple([int(a) for a in itertools.takewhile(str.isdigit, command[1:])])
+    for command in make_golden.COMMANDS if command[0] == "build"
+), (3,) * 61]
+
+
+@pytest.mark.parametrize("levels", GRID_LEVELS, ids=lambda levels: " ".join(map(str, levels)))
+def test_sign_counts_match_full_multiset_oracle(levels):
+    # bound 0: the spectra do not depend on how the LHV claim is derived
+    doc = build_ghz_document(PartySpec(levels), bound=0)
+    assert doc["spectra"] == oracles.certificate_spectra(doc)
+    if len(levels) == 61:
+        assert int(doc["spectra"]["plan_product"]["zero"]) > 2**53

@@ -2,7 +2,7 @@
 
 Every scalar in the pipeline is an integer over a positive scale, and
 rationals appear only where documents are read and written. Here the
-spectra, classifications, document strings and selected states of random
+spectra, sign counts, classifications, document strings and selected states of random
 custom pairs are compared with dense ``Fraction`` matrices built by
 ``tests/oracles.py``, which share no arithmetic with the core.
 """
@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import oracles
 from oracles import dense_spectrum, densify, mat_apply, mat_multiply, mat_tensor
 from test_spectral import anticommuting_pairs
-from ghzcert.certificate import _spectrum_to_doc
+from ghzcert.certificate import _signs_to_doc, _spectrum_to_doc
 from ghzcert.errors import NoGhzStateError
 from ghzcert.exact import FactoredMonomial, MonomialMatrix
-from ghzcert.spectral import select_ghz, spectrum_of_factored
+from ghzcert.spectral import kronecker_signs, select_ghz, spectrum_of_factored
 from ghzcert.words import PartySpec, build_proof_set
 
 
@@ -65,7 +65,7 @@ def custom_systems(draw):
 @given(custom_systems())
 def test_integer_core_matches_rational_oracles_on_custom_pairs(problem):
     levels, pairs = problem
-    ps = build_proof_set(PartySpec(levels, allow_mixed_parity=True))
+    ps = build_proof_set(PartySpec(levels))
     ops = [w.factored(pairs) for w in ps.words]
     dense = [dense_word(w.letters, pairs) for w in ps.words]
     plan_dense = dense[ps.product_plan[0]]
@@ -78,6 +78,8 @@ def test_integer_core_matches_rational_oracles_on_custom_pairs(problem):
         assert oracles.rational_spectrum(spectrum) == expected
         assert spectrum.classify() == rational_classification(expected)
         assert _spectrum_to_doc(spectrum) == rational_doc(expected)
+        signs = kronecker_signs([f.sign_counts for f in op.factors])
+        assert _signs_to_doc(signs) == oracles.sign_counts_doc(expected)
 
     try:
         state = select_ghz(ps, None, pairs)

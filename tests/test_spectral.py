@@ -48,7 +48,7 @@ def moments_match(word, spectrum):
     on the dense side for enough powers to pin the multiplicities."""
     dense = densify(word.realize())
     dim = dense.rows
-    assert spectrum.total == dim
+    assert sum(m for _, m in spectrum.entries) == dim
     values = rational_spectrum(spectrum)
     power = DenseMatrix.identity(dim)
     for p in range(1, len(values) + 2):
@@ -346,7 +346,7 @@ def test_orbit_decomposition_matches_oracle(problem):
 def _matches_oracle(levels, pairs=None):
     """The closed-form basis equals the projector refinement of the oracle,
     vector for vector and in the same order."""
-    spec = PartySpec(levels, allow_mixed_parity=True)
+    spec = PartySpec(levels)
     ps = build_proof_set(spec)
     if pairs is None:
         pairs = spec.canonical_pairs()

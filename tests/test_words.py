@@ -37,12 +37,9 @@ def test_party_spec_validation():
         PartySpec((3, 3))
     with pytest.raises(InvalidLevelsError):
         PartySpec((3, 1, 3))
-    with pytest.raises(ParityError):
-        PartySpec((2, 3, 2))
-    # same parity, mixed levels is fine
+    # any mix of level counts and parities is fine
     assert PartySpec((3, 5, 3)).dim == 45
-    # explicit override allows mixed parity
-    assert PartySpec((2, 3, 2), allow_mixed_parity=True).mixed_parity
+    assert PartySpec((2, 3, 2)).dim == 12
 
 
 @pytest.mark.parametrize(
