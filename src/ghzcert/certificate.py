@@ -259,13 +259,6 @@ def _misshapen(value, shape, path: str = "") -> str | None:
     return None
 
 
-def _malformed(doc, shape, exc: Exception) -> str:
-    """The reason a document is malformed: a failed check's own message, or
-    for a failed lookup the first departure from ``shape``."""
-    found = None if isinstance(exc, CertificateError) else _misshapen(doc, shape)
-    return f"malformed certificate: {found or exc}"
-
-
 def _read_input_file(path: str, name: str, shape: dict, parse):
     """``parse`` of a file with ``shape``; a departure names the file and field."""
     doc = load_document(path)
@@ -288,8 +281,11 @@ def load_pairs_file(path: str) -> SitePairs:
 
 
 def _check_format_version(doc: dict) -> None:
+    """Reject a document of another format as it stands, not by this
+    format's shape."""
     if _exact(doc["format_version"], int, "format_version") != FORMAT_VERSION:
-        raise CertificateError(f"unsupported format version {doc['format_version']!r}")
+        raise _Rejected(f"malformed certificate: unsupported format version "
+                        f"{doc['format_version']!r}")
 
 
 def dumps_document(doc: dict) -> str:
@@ -550,7 +546,7 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
              "stored LHV explanation does not match re-derivation"),
         ]
     except (CertificateError, KeyError, TypeError, AttributeError) as exc:
-        return False, _malformed(doc, _GHZ_SHAPE, exc)
+        return False, f"malformed certificate: {_misshapen(doc, _GHZ_SHAPE) or exc}"
     except _Rejected as exc:
         return False, str(exc)
     return _first_mismatch(comparisons)
@@ -622,7 +618,9 @@ def verify_ks_document(doc: dict) -> tuple[bool, str]:
         _stored_spectrum(structure["horizontal_spectrum"])
         _stored_spectrum(structure["side_spectrum"])
     except (CertificateError, KeyError, TypeError) as exc:
-        return False, _malformed(doc, _KS_SHAPE, exc)
+        return False, f"malformed certificate: {_misshapen(doc, _KS_SHAPE) or exc}"
+    except _Rejected as exc:
+        return False, str(exc)
     if mode not in (SIGN_ONLY, FULL_SPECTRUM):
         return False, f"unknown search mode {mode!r}"
     try:
