@@ -5,6 +5,7 @@ under single mutations of real certificates."""
 import json
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -18,6 +19,7 @@ from ghzcert.certificate import (
     verify_document,
 )
 from ghzcert.kochen_specker import FULL_SPECTRUM, SIGN_ONLY
+from ghzcert.lhv import ConstraintSystem
 from ghzcert.words import PartySpec
 
 
@@ -49,10 +51,6 @@ def test_ghz_build_derives_each_section_once(monkeypatch):
 
 
 def test_ghz_derivation_counts_plan_slots_once(monkeypatch):
-    from functools import cached_property
-
-    from ghzcert.lhv import ConstraintSystem
-
     calls = []
     original = ConstraintSystem.plan_slot_multiplicities.func
 
@@ -63,6 +61,8 @@ def test_ghz_derivation_counts_plan_slots_once(monkeypatch):
     prop = cached_property(counted)
     prop.__set_name__(ConstraintSystem, "plan_slot_multiplicities")
     monkeypatch.setattr(ConstraintSystem, "plan_slot_multiplicities", prop)
+    # build and verify each run one derivation, whose LHV decision and
+    # explanation share the counts
     doc = build_ghz_document(PartySpec((3, 3, 3)))
     assert len(calls) == 1
     assert verify_document(doc) == (True, "accept")
