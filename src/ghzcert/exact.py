@@ -49,6 +49,15 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def format_integer(n: int) -> str:
+    """``str(n)`` at any size: ``str`` refuses an int past the interpreter's
+    digit limit (640 digits at the least), ``Decimal`` has no such limit."""
+    if n.bit_length() < 2000:
+        return str(n)
+    from decimal import Decimal
+    return str(Decimal(n))
+
+
 def format_rational(x: int | Fraction, scale: int = 1) -> str:
     """Render x / scale (scale positive) in lowest terms as ``num`` or
     ``num/den`` with positive denominator."""
@@ -57,8 +66,8 @@ def format_rational(x: int | Fraction, scale: int = 1) -> str:
         g = gcd(num, den)
         num, den = num // g, den // g
     if den == 1:
-        return str(num)
-    return f"{num}/{den}"
+        return format_integer(num)
+    return f"{format_integer(num)}/{format_integer(den)}"
 
 
 def as_rational(value: int | Fraction | str) -> Fraction:

@@ -276,6 +276,18 @@ def test_bad_input_exits_2_with_one_error_line(argv, files, tmp_path, monkeypatc
     assert err.count("\n") == 1
 
 
+def test_integer_literal_past_the_digit_limit_is_an_input_error(
+        int_digit_limit, tmp_path, monkeypatch, capsys):
+    int_digit_limit(4300)  # the interpreter's default
+    doc = build_ghz_document(PartySpec((3, 3, 3)))
+    doc["lhv"]["bound"] = 0
+    text = json.dumps(doc).replace('"bound": 0', '"bound": ' + "9" * 5000)
+    files = {"big.json": text.encode()}
+    code, out, err = run_in(tmp_path, monkeypatch, capsys, ["verify", "big.json"], files)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse error: ") and err.count("\n") == 1
+
+
 # The error line of each `criteria` case above: a misshapen input file names
 # the field by its dotted path.
 CRITERIA_ERRORS = {
@@ -285,7 +297,7 @@ CRITERIA_ERRORS = {
     "state-without-dims": "malformed state file: missing key 'dims'",
     "state-list-root": "document root must be an object",
     "state-junk-coefficient": "malformed state file: not a rational literal: 'x'",
-    "state-float-dims": "malformed state file: a level count must be an integer, got 2.7",
+    "state-float-dims": "malformed state file: dims[0] must be an integer",
     "state-int-dims": "malformed state file: dims must be a list",
     "state-string-coefficients": "malformed state file: coefficients must be a list",
     "pairs-without-site-operators": "malformed pairs file: missing key 'site_operators'",

@@ -1,13 +1,17 @@
 """One derivation per certificate kind: build runs it once, verify compares
-against it; document rationals have one spelling; the verifier is total
-under single mutations of real certificates."""
+against it; document rationals have one spelling; the declared document
+shapes match what build emits; the verifier is total under single mutations
+and arbitrary subtree replacements of real certificates."""
 
 import json
 import re
+import time
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzcert import certificate, kochen_specker, siteops, spectral, words
 from ghzcert.certificate import (
@@ -69,15 +73,31 @@ def test_ghz_derivation_counts_plan_slots_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_large_levels_build_and_verify_without_full_spectra(monkeypatch):
+LARGE_LEVELS = ((60, 62, 64, 66, 68), (40, 42, 44, 46))
+
+
+@pytest.mark.parametrize("levels", LARGE_LEVELS, ids=lambda levels: " ".join(map(str, levels)))
+def test_large_levels_build_and_verify_without_full_spectra(monkeypatch, levels):
     def refuse(op):
         raise AssertionError("a GHZ certificate needs no full spectrum")
 
     for module in (spectral, certificate):
         if hasattr(module, "spectrum_of_factored"):
             monkeypatch.setattr(module, "spectrum_of_factored", refuse)
-    doc = build_ghz_document(PartySpec((60, 62, 64, 66, 68)))
-    assert len(dumps_document(doc).encode()) < 20_000
+    start = time.perf_counter()
+    doc = build_ghz_document(PartySpec(levels))
+    text = dumps_document(doc)
+    assert verify_document(json.loads(text)) == (True, "accept")
+    # about 0.1 s for both on a 2-vCPU machine; multiplied-out spectra took
+    # 0.6 s (40 ... 46) and 13 s (60 ... 68)
+    assert time.perf_counter() - start < 2.0
+    assert len(text.encode()) < 20_000
+
+
+def test_counts_past_the_int_digit_limit_build_and_verify(int_digit_limit):
+    int_digit_limit(640)  # the lowest limit the interpreter accepts
+    doc = build_ghz_document(PartySpec((3,) * 1401))
+    assert len(doc["spectra"]["plan_product"]["zero"]) > 640
     assert verify_document(json.loads(dumps_document(doc))) == (True, "accept")
 
 
@@ -340,8 +360,16 @@ def test_every_single_mutation_is_rejected(name):
         (lambda d: d["site_operators"][1].pop("b_weights"),
          "missing key 'site_operators[1].b_weights'"),
         (lambda d: d["state"]["support"].__setitem__(0, 3), "state.support[0] must be a list"),
+        (lambda d: d["parties"]["levels"].__setitem__(0, 3.0),
+         "parties.levels[0] must be an integer"),
+        (lambda d: d["state"]["support"][2].__setitem__(1, True),
+         "state.support[2][1] must be an integer"),
+        (lambda d: d["requirement_flags"].__setitem__("even_slot_usage", 1),
+         "requirement_flags['even_slot_usage'] must be a boolean"),
+        (lambda d: d["lhv"].__setitem__("bound", "5"), "lhv.bound must be an integer"),
     ),
-    ids=("spectra.words", "spectra", "lhv.status", "parties.levels", "b_weights", "support"),
+    ids=("spectra.words", "spectra", "lhv.status", "parties.levels", "b_weights", "support",
+         "level float", "support bool", "flag int", "bound str"),
 )
 def test_malformed_reason_names_the_section(docs, mutate, reason):
     tampered = json.loads(dumps_document(docs["ghz"]))
@@ -349,8 +377,119 @@ def test_malformed_reason_names_the_section(docs, mutate, reason):
     assert verify_document(tampered) == (False, f"malformed certificate: {reason}")
 
 
+@pytest.mark.parametrize(
+    "mutate, reason",
+    (
+        (lambda d: d.__setitem__("levels", 2.0), "levels must be an integer"),
+        (lambda d: d["contexts"][1].__setitem__(0, True), "contexts[1][0] must be an integer"),
+        (lambda d: d["observables"][0]["letters"].__setitem__(0, 1),
+         "observables[0].letters[0] must be a string"),
+        (lambda d: d["structure"]["side_spectrum"].__setitem__("1/3", "4"),
+         "structure.side_spectrum['1/3'] must be an integer"),
+        (lambda d: d["structure"]["side_spectrum"].__setitem__(1, 4),
+         "structure.side_spectrum keys must be strings"),
+        (lambda d: d.pop("provenance"), "missing key 'provenance'"),
+    ),
+    ids=("levels", "context index", "letter", "multiplicity", "spectrum key", "provenance"),
+)
+def test_ks_malformed_reason_names_the_field(docs, mutate, reason):
+    tampered = json.loads(dumps_document(docs["ks"]))
+    mutate(tampered)
+    assert verify_document(tampered) == (False, f"malformed certificate: {reason}")
+
+
+def _undeclared(value, shape, path=""):
+    """The keys ``value`` holds that ``shape`` does not declare, and those it
+    declares that ``value`` lacks, at every level the shape spells out."""
+    if isinstance(shape, list):
+        for i, entry in enumerate(value):
+            yield from _undeclared(entry, shape[0], f"{path}[{i}]")
+    elif isinstance(shape, dict) and str not in shape:
+        yield from (f"{path}.{key}" for key in set(value) ^ set(shape))
+        for key in set(value) & set(shape):
+            yield from _undeclared(value[key], shape[key], f"{path}.{key}")
+
+
+BUILT_DOCS = {
+    **MUTATED_DOCS,
+    "2 3 2": lambda: build_ghz_document(PartySpec((2, 3, 2))),
+    "3 x5 hinted": lambda: build_ghz_document(
+        PartySpec((3,) * 5), (Fraction(1), Fraction(1), Fraction(1), Fraction(-1))),
+    "ks 6 sign-only": lambda: build_ks_document(6, SIGN_ONLY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_DOCS))
+def test_declared_shape_matches_what_build_emits(name):
+    doc = BUILT_DOCS[name]()
+    shape = certificate._GHZ_SHAPE if doc["kind"] == "ghz-certificate" else certificate._KS_SHAPE
+    assert sorted(_undeclared(doc, shape)) == []
+    assert certificate._misshapen(doc, shape) is None
+
+
 @pytest.mark.parametrize("root", NON_OBJECT_ROOTS, ids=repr)
 def test_non_object_root_rejected(root):
     ok, reason = verify_document(root)
     assert not ok
     assert reason.startswith("malformed certificate: ")
+
+
+# -- any subtree replaced by any JSON value ----------------------------------
+
+
+@cache
+def _mutated_texts():
+    return {name: dumps_document(make()) for name, make in MUTATED_DOCS.items()}
+
+
+@cache
+def _document_strings():
+    """Every key and string leaf of the documents, so replacements often
+    hold the names and spellings a verifier looks for."""
+    found = set()
+    for text in _mutated_texts().values():
+        for parent, key, _ in _nodes(json.loads(text)):
+            found.update(s for s in (key, parent[key]) if isinstance(s, str))
+    return sorted(found)
+
+
+_STRINGS = st.text(max_size=6) | st.deferred(lambda: st.sampled_from(_document_strings()))
+# Integers stay small, since a large KS level count is work the verifier does
+# not cap. Half the draws are a scalar that equals or reads like a stored
+# leaf: true for 1, 1.0 for 1, "1" for 1.
+JSON_VALUES = st.sampled_from((True, False, 0, 1, -1, 2, 0.0, 1.0, None, "", "0", "1", "-1")) \
+    | st.recursive(
+        st.none() | st.booleans() | st.integers(-16, 16)
+        | st.floats(allow_nan=False, allow_infinity=False) | _STRINGS,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+        max_leaves=8,
+    )
+
+
+def _same_json(a, b):
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@settings(max_examples=600)
+@given(data=st.data())
+def test_any_subtree_replacement_is_rejected(data):
+    name = data.draw(st.sampled_from(sorted(MUTATED_DOCS)))
+    doc = json.loads(_mutated_texts()[name])
+    # descend from the root, stopping at each container with chance 1/4, so a
+    # small section is replaced as often as a large one
+    path, old = (), doc
+    while isinstance(old, (dict, list)) and old and data.draw(st.integers(0, 3)):
+        key = data.draw(st.sampled_from(sorted(old) if isinstance(old, dict) else range(len(old))))
+        path, old = path + (key,), old[key]
+    new = data.draw(JSON_VALUES)
+    if path:
+        reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = new
+    else:
+        doc = new
+    result = verify_document(doc)
+    assert type(result) is tuple and len(result) == 2
+    ok, reason = result
+    assert type(ok) is bool and type(reason) is str
+    assert not LEAKED_REASONS.search(reason), reason
+    if ok:
+        assert _same_json(old, new) or any(path[:len(p)] == p for p in UNCHECKED), (path, new)

@@ -17,6 +17,7 @@ from oracles import (
 from ghzcert.errors import ShapeError
 from ghzcert.exact import (
     MonomialMatrix,
+    format_integer,
     format_rational,
     monomial_compose,
     monomial_multiply,
@@ -36,6 +37,16 @@ def _random_matrix(rng, rows, cols):
 def test_rational_round_trip():
     for text in ("0", "7", "-3", "1/2", "-5/8", "12/35"):
         assert format_rational(parse_rational(text)) == text
+
+
+def test_format_integer_past_the_digit_limit(int_digit_limit):
+    values = (0, -1, 2 ** 1999, -(2 ** 2000), 10 ** 5000, -(7 ** 3000))
+    int_digit_limit(0)  # no limit, for the expected texts
+    expected = [str(n) for n in values]
+    fraction_text = str(10 ** 700) + "/3"
+    int_digit_limit(640)
+    assert [format_integer(n) for n in values] == expected
+    assert format_rational(Fraction(10 ** 700, 3)) == fraction_text
 
 
 def test_rational_parse_rejects_junk():
