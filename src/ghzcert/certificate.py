@@ -13,18 +13,20 @@ document with it; verifying compares each stored section with it as strings
 and exact integers. Before anything is read, one walk checks the document
 against its kind's declared shape, type-exact down to the leaves; rationals
 must then be spelled as ``format_rational`` writes them. Within one
-derivation each distinct site pair is read once and each distinct word's
-sign counts derived once; nothing is kept between calls. A GHZ certificate
-stores a spectrum as its classification and sign counts, decimal strings
-that may pass 2**53: criterion III needs only that the plan product has no
-positive eigenvalue.
+derivation each distinct rational string and site pair is read once, and
+each distinct word's and plan column's sign counts derived once, the plan's
+with no matrix product (`spectral.column_signs`); nothing is kept between
+calls. A GHZ certificate stores a spectrum as its classification and sign
+counts, decimal strings that may pass 2**53: criterion III needs only that
+the plan product has no positive eigenvalue.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__ as _tool_version
@@ -52,7 +54,7 @@ from .spectral import (
     eigen_tuple_plan_product,
     eigenvalue_of,
     kronecker_signs,
-    plan_product,
+    plan_product_signs,
     select_ghz,
 )
 from .words import (
@@ -89,40 +91,37 @@ def _read_rational(text) -> Fraction:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Sparse state with exact coefficients and a separate squared norm."""
+    """Sparse state with exact coefficients and a separate squared norm;
+    ``vec`` keys the coefficients, scaled to integers over one scale, by
+    their digit tuples, and the norm is checked on those integers."""
 
     dims: tuple[int, ...]
     support: tuple[tuple[int, ...], ...]
     coefficients: tuple[Fraction, ...]
     norm_sq: Fraction
+    vec: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.support) != len(self.coefficients):
             raise CertificateError("support and coefficient counts differ")
         if not self.support:
             raise CertificateError("state has empty support")
-        seen = set()
-        for digits in self.support:
+        coefficients, scale = scaled_to_integers(self.coefficients)
+        vec: dict[tuple[int, ...], int] = {}
+        for digits, c in zip(self.support, coefficients):
             if len(digits) != len(self.dims):
                 raise CertificateError("support entry has wrong arity")
             if any(not 0 <= d < m for d, m in zip(digits, self.dims)):
                 raise CertificateError(f"support entry {digits} out of range")
-            if digits in seen:
+            if digits in vec:
                 raise CertificateError(f"duplicate support entry {digits}")
-            seen.add(digits)
-        if any(not c for c in self.coefficients):
+            vec[digits] = c
+        if 0 in coefficients:
             raise CertificateError("zero coefficient on the support")
-        if sum(c * c for c in self.coefficients) != self.norm_sq:
+        norm_sq = sum([c * c for c in coefficients])
+        if norm_sq * self.norm_sq.denominator != self.norm_sq.numerator * scale**2:
             raise CertificateError("norm_sq does not match the coefficients")
-
-    def flat_vec(self) -> dict[int, int]:
-        """The state on the composite basis, scaled to integer coefficients."""
-        spec = PartySpec(self.dims)
-        coefficients, _ = scaled_to_integers(self.coefficients)
-        return {
-            spec.flat_index(digits): c
-            for digits, c in zip(self.support, coefficients)
-        }
+        object.__setattr__(self, "vec", vec)
 
     def to_doc(self) -> dict:
         return {
@@ -132,10 +131,10 @@ class StateVector:
         }
 
     @classmethod
-    def from_doc(cls, dims: tuple[int, ...], doc: dict) -> StateVector:
+    def from_doc(cls, dims: tuple[int, ...], doc: dict, read=_read_rational) -> StateVector:
         support = tuple([tuple(entry) for entry in doc["support"]])
-        coeffs = tuple([_read_rational(c) for c in doc["coefficients"]])
-        return cls(dims, support, coeffs, _read_rational(doc["norm_sq"]))
+        coeffs = tuple([read(c) for c in doc["coefficients"]])
+        return cls(dims, support, coeffs, read(doc["norm_sq"]))
 
 
 def _spectrum_to_doc(spectrum: Spectrum) -> dict:
@@ -174,16 +173,16 @@ def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
     ]
 
 
-def _pairs_from_doc(doc: list) -> SitePairs:
+def _pairs_from_doc(doc: list, read=_read_rational) -> SitePairs:
     """One site pair per entry; entries with the same weight strings share one."""
-    read: dict = {}
+    built: dict = {}
     pairs = []
     for entry in doc:
         key = (tuple(entry["a_weights"]), tuple(entry["b_weights"]))
-        if key not in read:
-            read[key] = (custom_site("A", [_read_rational(w) for w in key[0]]),
-                         custom_site("B", [_read_rational(w) for w in key[1]]))
-        pairs.append(read[key])
+        if key not in built:
+            built[key] = (custom_site("A", [read(w) for w in key[0]]),
+                          custom_site("B", [read(w) for w in key[1]]))
+        pairs.append(built[key])
     return tuple(pairs)
 
 
@@ -404,7 +403,7 @@ def check_ghz_criteria(
         if not ps.requirement_flags.even_slot_usage:
             raise _Rejected("criterion III: a one-particle observable enters the plan "
                             "an odd number of times")
-        _check_eigen_tuple(ps, ops, state.flat_vec())
+        _check_eigen_tuple(ps, ops, state.vec)
     except _Rejected as exc:
         return False, str(exc)
     return True, "is-ghz"
@@ -430,14 +429,16 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
     """Check the claims of the input sections, from ``parties`` to ``state``,
     and return ``requirement_flags``, ``spectra`` and ``lhv`` in document
     form; ``bound`` caps the LHV enumeration and is recorded in ``lhv``."""
+    # each distinct rational string is read, and its spelling checked, once
+    read = functools.cache(_read_rational)
     try:
         levels = tuple(doc["parties"]["levels"])
         parties = PartySpec(levels)
-        pairs = _pairs_from_doc(doc["site_operators"])
+        pairs = _pairs_from_doc(doc["site_operators"], read)
         word_strings = tuple(doc["words"])
         plan = tuple(doc["product_plan"])
-        eigen_tuple = tuple([_read_rational(t) for t in doc["eigen_tuple"]])
-        state = StateVector.from_doc(levels, doc["state"])
+        eigen_tuple = tuple([read(t) for t in doc["eigen_tuple"]])
+        state = StateVector.from_doc(levels, doc["state"], read)
     except (ValueError, GhzError) as exc:
         raise _Rejected(f"malformed certificate: {exc}") from None
 
@@ -450,13 +451,14 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
     ps, ops = _word_set(word_strings, plan, parties, pairs)
     if not ps.requirement_flags.all_ok:
         raise _Rejected("requirement flags are not all satisfied")
-    rhs = _check_eigen_tuple(ps, ops, state.flat_vec(), eigen_tuple)
+    rhs = _check_eigen_tuple(ps, ops, state.vec, eigen_tuple)
 
     try:
         word_signs = _word_signs(ops)
-        product_signs = kronecker_signs([f.sign_counts for f in plan_product(ps, pairs).factors])
     except ShapeError as exc:
         raise _Rejected(f"spectrum recomputation failed: {exc}") from None
+    # the site pairs anticommute and the flags hold, as the per-site rule needs
+    product_signs = plan_product_signs(ps, pairs)
 
     # the unsatisfiability claim, derived from the stored tuple
     cs = ConstraintSystem.build(ps, rhs, pairs)
@@ -497,8 +499,8 @@ def build_ghz_document(
         "words": list(ps.letter_words),
         "product_plan": list(ps.product_plan),
         "eigen_tuple": [format_rational(t, s) for t, s in zip(state.eigen_tuple, scales)],
-        "state": StateVector(parties.levels, tuple([parties.digits(i) for i in state.support]),
-                             state.coefficients, state.norm_sq).to_doc(),
+        "state": StateVector(parties.levels, state.support, state.coefficients,
+                             state.norm_sq).to_doc(),
         "provenance": {
             "tool": f"ghzcert {_tool_version}",
             "state_selection": STATE_SELECTION_NOTE,

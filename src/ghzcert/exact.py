@@ -11,9 +11,10 @@ nonzero per row and column). Each site operator is one (diagonal or
 anti-diagonal), and so is every tensor word.
 
 A tensor word, and any product of words, is kept as a `FactoredMonomial`:
-the tuple of its per-site monomial factors. It applies to sparse vectors and
-multiplies site by site, so nothing of composite dimension is ever formed;
-`expand()` gives the `MonomialMatrix` of the whole operator. Factored
+the tuple of its per-site monomial factors. It applies to sparse vectors
+keyed by digit tuples and multiplies site by site, so nothing of composite
+dimension is ever formed; `expand()` gives the `MonomialMatrix` of the whole
+operator. Factored
 operators are never compared: `words.letters_commute` decides commutation.
 
 All forms are immutable; every operation is a pure function.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm, prod
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ShapeError
@@ -44,9 +46,18 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = parse_integer(m.group(1))
+    den = parse_integer(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
+
+
+def parse_integer(text: str) -> int:
+    """``int(text)`` at any size, the inverse of `format_integer`: ``int``
+    refuses a string past the interpreter's digit limit."""
+    if len(text) < 640:
+        return int(text)
+    from decimal import Decimal
+    return int(Decimal(text))
 
 
 def format_integer(n: int) -> str:
@@ -207,36 +218,41 @@ def monomial_tensor(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
 class FactoredMonomial:
     """Kronecker product of per-site monomial matrices, kept factored.
 
-    Composite indices use the mixed-radix order of `monomial_tensor` (left
-    factor most significant), so ``expand()`` equals the fold of
-    `monomial_tensor` over ``factors``; entries are over ``scale``, the
-    product of the factors' scales. ``==`` is identity.
+    A composite index is a tuple of digits, one per site; ``expand()``, the
+    fold of `monomial_tensor` over ``factors``, indexes it by its mixed-radix
+    value, so lexicographic order is that index's order. Entries are over
+    ``scale``, the product of the factors' scales. ``==`` is identity.
     """
 
     factors: tuple[MonomialMatrix, ...]
 
     @property
+    def levels(self) -> tuple[int, ...]:
+        return tuple([f.dim for f in self.factors])
+
+    @property
     def dim(self) -> int:
-        return prod(f.dim for f in self.factors)
+        return prod(self.levels)
 
     @property
     def scale(self) -> int:
         return prod(f.scale for f in self.factors)
 
-    def entry(self, j: int) -> tuple[int, int]:
-        """Target row and weight (over ``scale``) of composite column ``j``."""
-        target, weight, stride = 0, 1, 1
-        for f in reversed(self.factors):
-            j, digit = divmod(j, f.dim)
-            target += f.target[digit] * stride
-            weight *= f.weight[digit]
-            stride *= f.dim
-        return target, weight
+    @cached_property
+    def _tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        return (tuple([f.target for f in self.factors]),
+                tuple([f.weight for f in self.factors]))
 
-    def apply(self, vector: Mapping[int, int]) -> dict[int, int]:
-        """Apply to a sparse vector {index: coefficient}, one support index
+    def entry(self, digits: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """Target row and weight (over ``scale``) of composite column
+        ``digits``: each site's digit is looked up in its factor's tables."""
+        targets, weights = self._tables
+        return tuple(map(getitem, targets, digits)), prod(map(getitem, weights, digits))
+
+    def apply(self, vector: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+        """Apply to a sparse vector {digits: coefficient}, one support index
         at a time (the result is over ``scale``); zero results dropped."""
-        out: dict[int, int] = {}
+        out: dict[tuple[int, ...], int] = {}
         for j, c in vector.items():
             t, w = self.entry(j)
             if w and c:

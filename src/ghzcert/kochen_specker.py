@@ -114,7 +114,8 @@ def build_ks(m: int) -> KsConfiguration:
         for k, word in enumerate(COMPOSITE_WORDS)
     ]
     sign_targets = [-1] + [1] * len(COMPOSITE_WORDS)
-    ops = [obs.factored((canonical_pair(m),) * 3) for obs in observables]
+    pairs = (canonical_pair(m),) * 3
+    ops = [obs.factored(pairs) for obs in observables]
     horizontal, side = (
         spectrum_of_factored(FactoredMonomial.product(ops[i] for i in ctx))
         for ctx in contexts[:2]

@@ -20,13 +20,20 @@ here: a diagonal factor and an involution with symmetric weights are both
 real symmetric matrices, so each site space has a basis of eigenvectors
 with rational eigenvalues (w, or +-w on a 2-cycle), and the tensor products
 of those bases are a basis of eigenvectors of the product. So a word's
-spectrum depends only on the multiset of its site spectra. A plan product
-whose one-particle operators all occur an even number of times has a
-diagonal factor at every site; `plan_product` multiplies out each distinct
-(site pair, plan column of letters) once. Any other site factor is rejected.
-A certificate needs only how many eigenvalues are positive, negative and
-zero, and those counts follow the same rule one site at a time
-(`kronecker_signs`), in O(sum of the level counts).
+spectrum depends only on the multiset of its site spectra. A certificate
+needs only how many eigenvalues are positive, negative and zero, and those
+counts follow the same rule one site at a time (`kronecker_signs`), in
+O(sum of the level counts).
+
+A plan product whose one-particle operators all occur an even number of
+times is diagonal at every site, and `column_signs` reads a site's counts
+off its weights and letter order with no matrix product. `plan_product`
+multiplies the factors out, for the eigenvalues the ``spectrum`` command
+prints.
+
+A composite index is a tuple of digits, one per party, never an integer:
+lexicographic order on tuples is the ascending mixed-radix order of the
+dense expansion, and an index costs O(n) for n parties.
 
 The simultaneous eigenbasis is read off in closed form. An orbit splits into
 components that join x to t_k(x) wherever word k has a nonzero weight at x.
@@ -62,7 +69,10 @@ from dataclasses import dataclass
 from .errors import NoGhzStateError, NonCommutingSetError
 from .exact import FactoredMonomial, MonomialMatrix, monomial_compose
 from .siteops import check_anticommute
-from .words import LETTERS, ProofSet, SitePairs, words_commute
+from .words import LETTERS, ProofSet, SitePairs, column_inversions, words_commute
+
+# A composite index: one digit per party.
+Index = tuple[int, ...]
 
 NEGATIVE_DEFINITE = "negative-definite"
 NEGATIVE_SEMIDEFINITE = "negative-semidefinite"
@@ -113,16 +123,17 @@ def classify_signs(positive: int, negative: int, zero: int) -> str:
     return POSITIVE_SEMIDEFINITE
 
 
-def _orbit_walk(dim: int, images) -> Iterator[tuple[int, ...]]:
-    """Yield the orbits of the index maps, each sorted, as they are reached.
+def _orbit_walk(levels: tuple[int, ...], images) -> Iterator[tuple[Index, ...]]:
+    """Yield the orbits of the index maps on the digit tuples of ``levels``,
+    each sorted, as they are reached.
 
     ``images(x)`` gives the image of index ``x`` under every map; it is
-    called once for each index, when the walk reaches it. Seeds
-    ascend and each one is the smallest index left, so the orbits come out
-    ordered by their smallest index.
+    called once for each index, when the walk reaches it. Seeds ascend in
+    lexicographic order and each one is the smallest index left, so the
+    orbits come out ordered by their smallest index.
     """
-    visited: set[int] = set()
-    for seed in range(dim):
+    visited: set[Index] = set()
+    for seed in itertools.product(*[range(m) for m in levels]):
         if seed in visited:
             continue
         frontier = [seed]
@@ -179,30 +190,59 @@ def kronecker_signs(site_signs) -> tuple[int, int, int]:
     return p, n, z
 
 
+def _per_plan_column(ps: ProofSet, pairs: SitePairs, derive) -> list:
+    """``derive(pair, column)`` for each party's site pair and plan column of
+    letters, once per distinct (site pair, plan column)."""
+    derived: dict = {}
+    out = []
+    for key in zip(pairs, zip(*[ps.words[i].letters for i in ps.product_plan])):
+        if key not in derived:
+            derived[key] = derive(*key)
+        out.append(derived[key])
+    return out
+
+
 def plan_product(ps: ProofSet, pairs: SitePairs) -> FactoredMonomial:
-    """The product of the words along the plan, kept factored; a party's factor
-    is built once per distinct (site pair, plan column of letters)."""
-    built: dict = {}
-    factors = []
-    for pair, column in zip(pairs, zip(*[ps.words[i].letters for i in ps.product_plan])):
-        if (pair, column) not in built:
-            built[pair, column] = monomial_compose(pair[LETTERS.index(c)] for c in column)
-        factors.append(built[pair, column])
-    return FactoredMonomial(tuple(factors))
+    """The product of the words along the plan, kept factored."""
+    return FactoredMonomial(tuple(_per_plan_column(ps, pairs, lambda pair, column: (
+        monomial_compose(pair[LETTERS.index(c)] for c in column)))))
+
+
+def column_signs(pair, column) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of the product of the
+    letters ``column``, in which A and B each occur an even number of times,
+    on an anticommuting pair (A diagonal, B anti-diagonal with symmetric
+    weights). Moving each B past the As after it flips the sign k times, k
+    the column's B-before-A pairs (`words.column_inversions`), and leaves
+    A^#A B^#B = diag(a_j^#A b_j^#B): zero where a letter that occurs has
+    weight 0, elsewhere of sign (-1)^k."""
+    used = [op.weight for op, letter in zip(pair, LETTERS) if letter in column]
+    zero = sum(1 for row in zip(*used) if 0 in row)
+    nonzero = pair[0].dim - zero
+    return (0, nonzero, zero) if column_inversions(column) % 2 else (nonzero, 0, zero)
+
+
+def plan_product_signs(ps: ProofSet, pairs: SitePairs) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of the plan product by
+    `column_signs`, with no matrix product. The site pairs must anticommute
+    and every one-particle operator must enter the plan an even number of
+    times (`RequirementFlags.even_slot_usage`)."""
+    return kronecker_signs(_per_plan_column(ps, pairs, column_signs))
 
 
 # -- joint eigenvectors ------------------------------------------------------
 
-Vec = dict[int, int]
+Vec = dict[Index, int]
 
 
 @dataclass(frozen=True)
 class JointEigenvector:
     """One simultaneous eigenvector with its per-word eigenvalues, each over
-    its word's scale; the coefficients are +-1."""
+    its word's scale; the support is digit tuples and the coefficients are
+    +-1."""
 
     eigen_tuple: tuple[int, ...]
-    support: tuple[int, ...]
+    support: tuple[Index, ...]
     coefficients: tuple[int, ...]
 
     @property
@@ -224,7 +264,7 @@ def _commuting_operators(ps: ProofSet, pairs: SitePairs | None) -> list[Factored
 
 
 # Every word's entry at one index: (target index, weight) per word.
-Row = tuple[tuple[int, int], ...]
+Row = tuple[tuple[Index, int], ...]
 
 
 def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvector]:
@@ -235,13 +275,13 @@ def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvecto
     after it. Each word's entry at an index is read once, by the orbit walk.
     The words must commute (see ``_commuting_operators``).
     """
-    rows: dict[int, Row] = {}
+    rows: dict[Index, Row] = {}
 
-    def images(x: int) -> list[int]:
+    def images(x: Index) -> list[Index]:
         row = rows[x] = tuple([op.entry(x) for op in ops])
         return [t for t, _ in row]
 
-    for orbit in _orbit_walk(ops[0].dim, images):
+    for orbit in _orbit_walk(ops[0].levels, images):
         found: list[JointEigenvector] = []
         for x0 in orbit:
             if x0 in rows:
@@ -252,7 +292,7 @@ def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvecto
         yield from found
 
 
-def _component_eigenvectors(x0: int, rows: dict[int, Row]) -> list[JointEigenvector]:
+def _component_eigenvectors(x0: Index, rows: dict[Index, Row]) -> list[JointEigenvector]:
     """The joint eigenvectors on the component of ``x0`` (see the module
     docstring); the rows of the component's indices are consumed.
 

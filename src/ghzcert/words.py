@@ -80,21 +80,6 @@ class PartySpec:
     def canonical_pairs(self) -> SitePairs:
         return tuple([canonical_pair(m) for m in self.levels])
 
-    def flat_index(self, digits: tuple[int, ...]) -> int:
-        idx = 0
-        for m, d in zip(self.levels, digits):
-            if not 0 <= d < m:
-                raise IndexError(f"digit {d} out of range for {m} levels")
-            idx = idx * m + d
-        return idx
-
-    def digits(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for m in reversed(self.levels):
-            out.append(flat % m)
-            flat //= m
-        return tuple(reversed(out))
-
 
 @dataclass(frozen=True)
 class TensorWord:
@@ -232,16 +217,19 @@ def plan_product_sign(letter_words: tuple[str, ...], plan: tuple[int, ...]) -> i
     to the number of B-before-A letter pairs. Commutation makes the total
     parity independent of the plan order.
     """
-    seq = [letter_words[i] for i in plan]
-    inversions = 0
-    n = len(seq[0])
-    for party in range(n):
-        col = [w[party] for w in seq]
-        for p in range(len(col)):
-            for q in range(p + 1, len(col)):
-                if col[p] == "B" and col[q] == "A":
-                    inversions += 1
-    return -1 if inversions % 2 else 1
+    columns = zip(*[letter_words[i] for i in plan])
+    return -1 if sum(map(column_inversions, columns)) % 2 else 1
+
+
+def column_inversions(column: Sequence[str]) -> int:
+    """The number of B-before-A letter pairs in one party's plan column."""
+    inversions = b_seen = 0
+    for letter in column:
+        if letter == "B":
+            b_seen += 1
+        elif letter == "A":
+            inversions += b_seen
+    return inversions
 
 
 def _check_plan(word_count: int, plan: tuple[int, ...]) -> None:

@@ -22,6 +22,10 @@ The third part holds the orbit decomposition loop the package used before
 its orbit walk (``spectral._orbit_walk``) took its seeds in one pass over the
 indices: it seeds each orbit with ``min`` of the unvisited set.
 
+It also holds the mixed-radix map between the package's composite indices,
+digit tuples, and the flat indices of the dense oracles: the package turned
+every digit tuple into a flat index before its indices stayed digit tuples.
+
 The fourth part holds the composite-dimension path the package used before
 words stayed factored: realization as a fold of ``monomial_tensor`` (for
 the KS observables and their shared side product too), the pairwise
@@ -400,6 +404,37 @@ def build_proof_set(parties: PartySpec) -> ProofSet:
     if parties.n % 2 == 1:
         return generate_odd_set(parties)
     return extend_even_set(parties)
+
+
+def flat_index(levels: Sequence[int], digits: Sequence[int]) -> int:
+    """The flat index of a digit tuple: its mixed-radix value, left digit
+    most significant, as in `monomial_tensor`."""
+    if len(digits) != len(levels):
+        raise IndexError(f"{len(digits)} digits for {len(levels)} levels")
+    idx = 0
+    for m, d in zip(levels, digits):
+        if not 0 <= d < m:
+            raise IndexError(f"digit {d} out of range for {m} levels")
+        idx = idx * m + d
+    return idx
+
+
+def digits(levels: Sequence[int], flat: int) -> tuple[int, ...]:
+    """The digit tuple of a flat index, the inverse of `flat_index`."""
+    out = []
+    for m in reversed(levels):
+        flat, d = divmod(flat, m)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+def flat_basis(basis, levels: Sequence[int]) -> tuple[JointEigenvector, ...]:
+    """Package eigenvectors with each support index mapped to its flat index."""
+    return tuple([
+        JointEigenvector(v.eigen_tuple, tuple([flat_index(levels, x) for x in v.support]),
+                         v.coefficients)
+        for v in basis
+    ])
 
 
 def orbit_decomposition(dim: int, targets: list[tuple[int, ...]]):

@@ -536,12 +536,7 @@ def test_criteria_accepts_constructed_analogue():
     spec = PartySpec((2, 2, 2))
     ps = generate_odd_set(spec)
     state = select_ghz(ps)
-    sv = StateVector(
-        spec.levels,
-        tuple(spec.digits(i) for i in state.support),
-        state.coefficients,
-        state.norm_sq,
-    )
+    sv = StateVector(spec.levels, state.support, state.coefficients, state.norm_sq)
     ok, reason = check_ghz_criteria(sv, spec.canonical_pairs(), ps.letter_words)
     assert ok, reason
 
@@ -562,12 +557,7 @@ def test_criteria_accepts_five_word_even_extension():
     spec = PartySpec((3, 3, 3, 3))
     ps = extend_even_set(spec)
     state = select_ghz(ps)
-    sv = StateVector(
-        spec.levels,
-        tuple(spec.digits(i) for i in state.support),
-        state.coefficients,
-        state.norm_sq,
-    )
+    sv = StateVector(spec.levels, state.support, state.coefficients, state.norm_sq)
     ok, reason = check_ghz_criteria(sv, spec.canonical_pairs(), ps.letter_words)
     assert ok, reason
 
@@ -588,12 +578,7 @@ def test_criteria_rejects_non_anticommuting_pair():
     spec = PartySpec((2, 2, 2))
     ps = generate_odd_set(spec)
     state = select_ghz(ps)
-    sv = StateVector(
-        spec.levels,
-        tuple(spec.digits(i) for i in state.support),
-        state.coefficients,
-        state.norm_sq,
-    )
+    sv = StateVector(spec.levels, state.support, state.coefficients, state.norm_sq)
     ok, reason = check_ghz_criteria(sv, pairs, ps.letter_words)
     assert not ok
     assert reason == "site operators for party 1 do not anticommute"
@@ -611,12 +596,7 @@ def test_criteria_custom_scaled_pair_still_ghz():
     )
     ps = generate_odd_set(spec)
     state = select_ghz(ps, pairs=scaled)
-    sv = StateVector(
-        spec.levels,
-        tuple(spec.digits(i) for i in state.support),
-        state.coefficients,
-        state.norm_sq,
-    )
+    sv = StateVector(spec.levels, state.support, state.coefficients, state.norm_sq)
     ok, reason = check_ghz_criteria(sv, scaled, ps.letter_words)
     assert ok, reason
 

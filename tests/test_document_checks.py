@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzcert import certificate, kochen_specker, siteops, spectral, words
+from ghzcert import certificate, exact, kochen_specker, siteops, spectral, words
 from ghzcert.certificate import (
     StateVector,
     build_ghz_document,
@@ -92,6 +92,47 @@ def test_large_levels_build_and_verify_without_full_spectra(monkeypatch, levels)
     # 0.6 s (40 ... 46) and 13 s (60 ... 68)
     assert time.perf_counter() - start < 2.0
     assert len(text.encode()) < 20_000
+
+
+def test_norm_past_the_int_digit_limit_gets_its_own_reason(int_digit_limit):
+    int_digit_limit(4300)  # the interpreter's default
+    doc = build_ghz_document(PartySpec((3, 3, 3)))
+    doc["state"]["norm_sq"] = "9" * 5000
+    assert verify_document(doc) == (
+        False, "malformed certificate: norm_sq does not match the coefficients"
+    )
+
+
+def test_party_count_costs_linear_time():
+    # about 0.25 s for both on a 2-vCPU machine; 0.75 s while composite
+    # indices were integers with a digit per party
+    start = time.perf_counter()
+    doc = build_ghz_document(PartySpec((3,) * 6001))
+    assert verify_document(json.loads(dumps_document(doc))) == (True, "accept")
+    assert time.perf_counter() - start < 5.0
+
+
+def test_ghz_build_verify_and_criteria_multiply_no_matrices(monkeypatch):
+    # the plan product's sign counts come from the per-site rule
+    args = _criteria_args(build_ghz_document(PartySpec((3, 4, 3, 2))))
+    counts = _count_calls(monkeypatch, ("monomial_compose", "monomial_multiply"),
+                          (exact, spectral))
+    doc = build_ghz_document(PartySpec((3, 4, 3, 2)))
+    assert verify_document(doc) == (True, "accept")
+    assert check_ghz_criteria(*args) == (True, "is-ghz")
+    assert counts == {"monomial_compose": 0, "monomial_multiply": 0}
+
+
+def test_ghz_verify_reads_each_distinct_rational_once(monkeypatch):
+    doc = build_ghz_document(PartySpec((12, 12, 12)))
+    texts = {w for entry in doc["site_operators"] for w in entry["a_weights"] + entry["b_weights"]}
+    texts |= {*doc["eigen_tuple"], *doc["state"]["coefficients"], doc["state"]["norm_sq"]}
+    counts = _count_calls(monkeypatch, ("parse_rational",))
+    assert verify_document(doc) == (True, "accept")
+    assert counts == {"parse_rational": len(texts)}
+    # nothing is kept between derivations
+    assert verify_document(doc) == (True, "accept")
+    assert counts == {"parse_rational": 2 * len(texts)}
 
 
 def test_counts_past_the_int_digit_limit_build_and_verify(int_digit_limit):

@@ -49,6 +49,15 @@ def test_format_integer_past_the_digit_limit(int_digit_limit):
     assert format_rational(Fraction(10 ** 700, 3)) == fraction_text
 
 
+def test_parse_rational_past_the_digit_limit(int_digit_limit):
+    int_digit_limit(0)  # no limit, for the expected values
+    texts = ("9" * 5000, "-" + "7" * 640, "1/" + "3" * 700, "-" + "8" * 639)
+    expected = [Fraction(text) for text in texts]
+    int_digit_limit(640)
+    assert [parse_rational(text) for text in texts] == expected
+    assert [format_rational(value) for value in expected] == list(texts)
+
+
 def test_rational_parse_rejects_junk():
     for bad in ("", "1.5", "3/0", "1/-2", "a/b", "--1", "1 / 2",
                 3, 1.5, None, True, ["1"]):

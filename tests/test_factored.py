@@ -21,16 +21,19 @@ from ghzcert.exact import (
     monomial_multiply,
 )
 from ghzcert.kochen_specker import build_ks
-from ghzcert.siteops import check_anticommute, custom_site
+from ghzcert.siteops import canonical_pair, check_anticommute, custom_site
 from ghzcert.spectral import (
+    column_signs,
     kronecker_signs,
     plan_product,
+    plan_product_signs,
     select_ghz,
     simultaneous_eigenbasis,
     spectrum_of_factored,
     spectrum_of_monomial,
 )
 from ghzcert.words import (
+    LETTERS,
     PartySpec,
     TensorWord,
     build_proof_set,
@@ -73,8 +76,8 @@ def test_ks_observables_match_oracle(m):
 )
 def test_eigenbasis_matches_oracle(levels):
     ps = build_proof_set(PartySpec(levels))
-    assert simultaneous_eigenbasis(ps) == oracles.simultaneous_eigenbasis(
-        [w.realize() for w in ps.words]
+    assert oracles.flat_basis(simultaneous_eigenbasis(ps), levels) == (
+        oracles.simultaneous_eigenbasis([w.realize() for w in ps.words])
     )
 
 
@@ -228,10 +231,44 @@ def test_sign_counts_past_2_53_match_oracle(pool, data):
                                                 for i in ps.product_plan])
         for party, site in enumerate(dense)
     ]
-    product = kronecker_signs([f.sign_counts for f in plan_product(ps, pairs).factors])
+    product = plan_product_signs(ps, pairs)
+    assert product == kronecker_signs([f.sign_counts for f in plan_product(ps, pairs).factors])
     assert sum(product) == 3**61
     assert certificate._signs_to_doc(product) == oracles.sign_counts_doc(
         oracles.kronecker_multiset(dense_product))
+
+
+@st.composite
+def even_columns(draw):
+    """A plan column in which A and B each occur an even number of times."""
+    a_count = 2 * draw(st.integers(0, 3))
+    b_count = 2 * draw(st.integers(0 if a_count else 1, 3))
+    return tuple(draw(st.permutations("A" * a_count + "B" * b_count)))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.integers(2, 6).flatmap(anticommuting_pairs),
+              st.integers(2, 9).map(canonical_pair)),
+    even_columns(),
+)
+def test_column_signs_match_dense_product(pair, column):
+    # the per-site rule against the product multiplied out, both as a
+    # monomial and as a dense matrix
+    product = monomial_compose(pair[LETTERS.index(c)] for c in column)
+    assert column_signs(pair, column) == product.sign_counts
+    dense = functools.reduce(
+        oracles.mat_multiply, [oracles.densify(pair[LETTERS.index(c)]) for c in column])
+    assert certificate._signs_to_doc(column_signs(pair, column)) == (
+        oracles.sign_counts_doc(oracles.dense_spectrum(dense)))
+
+
+@given(st.lists(st.integers(2, 4), min_size=3, max_size=5).flatmap(
+    lambda levels: st.tuples(*[anticommuting_pairs(m) for m in levels])))
+def test_plan_product_signs_match_multiplied_product(pairs):
+    ps = build_proof_set(PartySpec(tuple([a.dim for a, _ in pairs])))
+    product = kronecker_signs([f.sign_counts for f in plan_product(ps, pairs).factors])
+    assert plan_product_signs(ps, pairs) == product
 
 
 @given(st.lists(st.integers(2, 3), min_size=3, max_size=4), st.data())
@@ -309,8 +346,10 @@ def test_apply_matches_expansion(pair, data):
     vector = data.draw(
         st.dictionaries(st.integers(0, x.dim - 1), WEIGHTS, max_size=x.dim)
     )
+    levels = x.levels
+    flat = functools.partial(oracles.flat_index, levels)
     expanded = x.expand()
-    assert x.apply(vector) == oracles.apply(expanded, vector)
-    assert [x.entry(j) for j in range(x.dim)] == list(
-        zip(expanded.target, expanded.weight)
-    )
+    image = x.apply({oracles.digits(levels, j): c for j, c in vector.items()})
+    assert {flat(t): c for t, c in image.items()} == oracles.apply(expanded, vector)
+    entries = [x.entry(oracles.digits(levels, j)) for j in range(x.dim)]
+    assert [(flat(t), w) for t, w in entries] == list(zip(expanded.target, expanded.weight))

@@ -92,7 +92,7 @@ def test_integer_core_matches_rational_oracles_on_custom_pairs(problem):
         return
     full = [Fraction(0)] * prod(levels)
     for index, c in zip(state.support, state.coefficients):
-        full[index] = Fraction(c)
+        full[oracles.flat_index(levels, index)] = Fraction(c)
     eigenvalues = []
     for matrix, t, op in zip(dense, state.eigen_tuple, ops):
         lam = Fraction(t, op.scale)

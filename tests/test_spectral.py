@@ -146,7 +146,12 @@ def test_orbit_decomposition_partitions():
     spec = PartySpec((3, 3, 3))
     mats = [w.realize() for w in canonical((3, 3, 3)).words]
     targets = [m.target for m in mats]
-    orbits = tuple(spectral._orbit_walk(27, lambda x: (t[x] for t in targets)))
+    orbits = tuple(
+        tuple([oracles.flat_index(spec.levels, x) for x in orbit])
+        for orbit in spectral._orbit_walk(spec.levels, lambda x: (
+            oracles.digits(spec.levels, t[oracles.flat_index(spec.levels, x)])
+            for t in targets))
+    )
     assert orbits == oracles.orbit_decomposition(27, targets)
     flat = sorted(i for orbit in orbits for i in orbit)
     assert flat == list(range(27))
@@ -155,9 +160,8 @@ def test_orbit_decomposition_partitions():
 
 @pytest.mark.parametrize("m", (2, 3, 4))
 def test_eigenbasis_complete_exact_orthogonal(m):
-    spec = PartySpec((m, m, m))
     ps = canonical((m, m, m))
-    basis = simultaneous_eigenbasis(ps)
+    basis = oracles.flat_basis(simultaneous_eigenbasis(ps), (m, m, m))
     assert len(basis) == m**3
     dense = [densify(w.realize()) for w in ps.words]
     scales = [w.factored().scale for w in ps.words]
@@ -198,7 +202,7 @@ def test_eigenbasis_single_diagonal_word():
     ps = ProofSet.assemble((TensorWord("AAA", spec),))
     basis = simultaneous_eigenbasis(ps)
     assert len(basis) == 8
-    assert all(v.support == (i,) for i, v in zip(range(8), basis))
+    assert [v.support for v in basis] == [(oracles.digits((2, 2, 2), i),) for i in range(8)]
 
 
 def test_eigenbasis_rejects_non_commuting():
@@ -227,8 +231,7 @@ def test_commuting_site_pairs_rejected():
 def test_select_ghz_m3_reproduces_displayed_state():
     ps = canonical((3, 3, 3))
     state = select_ghz(ps, (F(1), F(1), F(1), F(-1)))
-    spec = ps.parties
-    assert tuple(spec.digits(i) for i in state.support) == (
+    assert state.support == (
         (0, 0, 2), (0, 2, 0), (2, 0, 0), (2, 2, 2)
     )
     assert state.coefficients == (F(1), F(1), F(1), F(-1))
@@ -239,8 +242,7 @@ def test_select_ghz_m2_two_level_analogue():
     ps = canonical((2, 2, 2))
     h = F(1, 8)
     state = select_ghz(ps, (h, h, h, -h))
-    spec = ps.parties
-    assert tuple(spec.digits(i) for i in state.support) == (
+    assert state.support == (
         (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)
     )
     assert state.coefficients == (F(1), F(1), F(1), F(-1))
@@ -275,8 +277,10 @@ def _fields(vec):
 
 
 def _orbits(ps):
+    """The oracle's orbits, with each flat index mapped to its digit tuple."""
     mats = [w.realize() for w in ps.words]
-    return oracles.orbit_decomposition(mats[0].dim, [m.target for m in mats])
+    orbits = oracles.orbit_decomposition(mats[0].dim, [m.target for m in mats])
+    return [tuple([oracles.digits(ps.parties.levels, x) for x in orbit]) for orbit in orbits]
 
 
 SELECTION_GRID = [(m,) * n for n in (3, 4, 5) for m in (2, 3, 4)] + [(3,) * 7]
@@ -313,7 +317,7 @@ def test_select_ghz_hint_from_later_orbit(levels):
 
 def test_select_ghz_refines_only_the_first_orbit(monkeypatch):
     ps = canonical((3,) * 7)
-    projected: set[int] = set()
+    projected: set[tuple[int, ...]] = set()
     original = FactoredMonomial.entry
 
     def counting(op, j):
@@ -337,8 +341,10 @@ def permutation_sets(draw):
 @given(permutation_sets())
 def test_orbit_decomposition_matches_oracle(problem):
     dim, targets = problem
+    # one site of ``dim`` levels, so a digit tuple holds the flat index
+    orbits = spectral._orbit_walk((dim,), lambda x: ((t[x[0]],) for t in targets))
     assert (
-        tuple(spectral._orbit_walk(dim, lambda x: (t[x] for t in targets)))
+        tuple(tuple([x for x, in orbit]) for orbit in orbits)
         == oracles.orbit_decomposition(dim, targets)
     )
 
@@ -351,7 +357,9 @@ def _matches_oracle(levels, pairs=None):
     if pairs is None:
         pairs = spec.canonical_pairs()
     mats = [oracles.realize(w.letters, pairs, levels) for w in ps.words]
-    return simultaneous_eigenbasis(ps, pairs) == oracles.simultaneous_eigenbasis(mats)
+    return oracles.flat_basis(simultaneous_eigenbasis(ps, pairs), levels) == (
+        oracles.simultaneous_eigenbasis(mats)
+    )
 
 
 def _level_lists(max_dim, mixed):

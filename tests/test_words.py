@@ -51,9 +51,10 @@ def test_party_spec_levels_must_be_int(levels):
 
 
 def test_flat_index_round_trip():
-    spec = PartySpec((3, 5, 3))
-    for flat in range(spec.dim):
-        assert spec.flat_index(spec.digits(flat)) == flat
+    levels = (3, 5, 3)
+    indices = [oracles.digits(levels, flat) for flat in range(45)]
+    assert indices == list(itertools.product(range(3), range(5), range(3)))
+    assert [oracles.flat_index(levels, x) for x in indices] == list(range(45))
 
 
 def test_commute_even_distance():
