@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__ as _tool_version
-from .errors import CertificateError, GhzError, ShapeError
+from .errors import CertificateError, GhzError
 from .exact import format_integer, format_rational, parse_rational, scaled_to_integers
 from .kochen_specker import (
     FULL_SPECTRUM,
@@ -453,11 +453,9 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
         raise _Rejected("requirement flags are not all satisfied")
     rhs = _check_eigen_tuple(ps, ops, state.vec, eigen_tuple)
 
-    try:
-        word_signs = _word_signs(ops)
-    except ShapeError as exc:
-        raise _Rejected(f"spectrum recomputation failed: {exc}") from None
+    # word factors are diagonal or symmetric anti-diagonals, so have sign counts;
     # the site pairs anticommute and the flags hold, as the per-site rule needs
+    word_signs = _word_signs(ops)
     product_signs = plan_product_signs(ps, pairs)
 
     # the unsatisfiability claim, derived from the stored tuple

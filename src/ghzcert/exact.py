@@ -12,10 +12,11 @@ anti-diagonal), and so is every tensor word.
 
 A tensor word, and any product of words, is kept as a `FactoredMonomial`:
 the tuple of its per-site monomial factors. It applies to sparse vectors
-keyed by digit tuples and multiplies site by site, so nothing of composite
-dimension is ever formed; `expand()` gives the `MonomialMatrix` of the whole
-operator. Factored
-operators are never compared: `words.letters_commute` decides commutation.
+keyed by digit tuples, so nothing of composite dimension is ever formed;
+`expand()` gives the `MonomialMatrix` of the whole operator. Products are
+not multiplied: `spectral.column_product` reads each site factor of a
+product off its letters. Factored operators are never compared:
+`words.letters_commute` decides commutation.
 
 All forms are immutable; every operation is a pure function.
 """
@@ -258,24 +259,6 @@ class FactoredMonomial:
             if w and c:
                 out[t] = w * c
         return out
-
-    def multiply(self, other: FactoredMonomial) -> FactoredMonomial:
-        """The product self*other, site by site."""
-        if len(self.factors) != len(other.factors):
-            raise ShapeError(
-                f"site count mismatch: {len(self.factors)} vs {len(other.factors)}"
-            )
-        return FactoredMonomial(tuple([
-            monomial_multiply(a, b) for a, b in zip(self.factors, other.factors)
-        ]))
-
-    @classmethod
-    def product(cls, ops: Iterable[FactoredMonomial]) -> FactoredMonomial:
-        """Left-to-right product of factored operators."""
-        ops = list(ops)
-        if not ops:
-            raise ShapeError("cannot compose an empty sequence")
-        return reduce(cls.multiply, ops)
 
     def expand(self) -> MonomialMatrix:
         """The operator as one monomial matrix on the composite space."""

@@ -23,12 +23,14 @@ Even level counts are essential: they keep every eigenvalue away from zero,
 which is what makes the context products definite.
 
 Every context commutes by the letter rule (`words.letters_commute`), every
-observable sits in exactly two contexts, and every side context multiplies
-out to the squares of its composite word's letters, one operator for all
-four since A^2 = B^2. These are facts of the fixed configuration, pinned by
-the tests. `build_ks` asserts only the definiteness of the horizontal and
-the side product, which depends on m and which the sign targets rest on;
-the configuration carries both spectra.
+observable sits in exactly two contexts, and every side context is the
+product of the squares of its composite word's letters, one operator for
+all four since A^2 = B^2. These are facts of the fixed configuration,
+pinned by the tests. In every context each one-particle operator occurs an
+even number of times, so `build_ks` reads the horizontal and the side
+product off site by site (`spectral.context_product`), with no matrix
+product. It asserts only their definiteness, which depends on m and which
+the sign targets rest on; the configuration carries both spectra.
 """
 
 from __future__ import annotations
@@ -37,11 +39,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParityError
-from .exact import FactoredMonomial
 from .search import Check, first_assignment
 from .siteops import canonical_pair
-from .spectral import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, Spectrum, spectrum_of_factored
-from .words import SitePairs, factor_letters
+from .spectral import (
+    NEGATIVE_DEFINITE,
+    POSITIVE_DEFINITE,
+    Spectrum,
+    context_product,
+    spectrum_of_factored,
+)
+from .words import SitePairs
 
 COMPOSITE_WORDS = ("ABB", "BAB", "BBA", "AAA")
 
@@ -59,9 +66,6 @@ class KsObservable:
 
     label: str
     letters: tuple[str, ...]  # per party: "A", "B", or "I"
-
-    def factored(self, pairs: SitePairs) -> FactoredMonomial:
-        return factor_letters(self.letters, pairs, tuple([a.dim for a, _ in pairs]))
 
     @property
     def is_composite(self) -> bool:
@@ -115,9 +119,8 @@ def build_ks(m: int) -> KsConfiguration:
     ]
     sign_targets = [-1] + [1] * len(COMPOSITE_WORDS)
     pairs = (canonical_pair(m),) * 3
-    ops = [obs.factored(pairs) for obs in observables]
     horizontal, side = (
-        spectrum_of_factored(FactoredMonomial.product(ops[i] for i in ctx))
+        spectrum_of_factored(context_product(pairs, [observables[i].letters for i in ctx]))
         for ctx in contexts[:2]
     )
     if horizontal.classify() != NEGATIVE_DEFINITE:

@@ -25,11 +25,12 @@ needs only how many eigenvalues are positive, negative and zero, and those
 counts follow the same rule one site at a time (`kronecker_signs`), in
 O(sum of the level counts).
 
-A plan product whose one-particle operators all occur an even number of
-times is diagonal at every site, and `column_signs` reads a site's counts
-off its weights and letter order with no matrix product. `plan_product`
-multiplies the factors out, for the eigenvalues the ``spectrum`` command
-prints.
+A product of words in which every one-particle operator occurs an even
+number of times is diagonal at every site, and one rule reads each site
+factor off the pair's weights and the column's letter order
+(`column_product`), with no matrix product; `column_signs` reads only its
+sign counts. The GHZ plan product (`plan_product`) and the KS context
+products are formed this way (`context_product`).
 
 A composite index is a tuple of digits, one per party, never an integer:
 lexicographic order on tuples is the ascending mixed-radix order of the
@@ -67,9 +68,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NoGhzStateError, NonCommutingSetError
-from .exact import FactoredMonomial, MonomialMatrix, monomial_compose
+from .exact import FactoredMonomial, MonomialMatrix
 from .siteops import check_anticommute
-from .words import LETTERS, ProofSet, SitePairs, column_inversions, words_commute
+from .words import LETTERS, ProofSet, SitePairs, column_inversions
 
 # A composite index: one digit per party.
 Index = tuple[int, ...]
@@ -190,32 +191,47 @@ def kronecker_signs(site_signs) -> tuple[int, int, int]:
     return p, n, z
 
 
-def _per_plan_column(ps: ProofSet, pairs: SitePairs, derive) -> list:
-    """``derive(pair, column)`` for each party's site pair and plan column of
-    letters, once per distinct (site pair, plan column)."""
+def _per_column(pairs: SitePairs, rows, derive) -> list:
+    """``derive(pair, column)`` for each party's site pair and column of the
+    letter strings ``rows``, once per distinct (site pair, column)."""
     derived: dict = {}
     out = []
-    for key in zip(pairs, zip(*[ps.words[i].letters for i in ps.product_plan])):
+    for key in zip(pairs, zip(*rows)):
         if key not in derived:
             derived[key] = derive(*key)
         out.append(derived[key])
     return out
 
 
+def column_product(pair, column) -> MonomialMatrix:
+    """The product of the letters ``column`` (A, B or I), in which A and B
+    each occur an even number of times, on an anticommuting pair (A
+    diagonal, B anti-diagonal with symmetric weights). Moving each B past
+    the As after it flips the sign k times, k the column's B-before-A pairs
+    (`words.column_inversions`), and leaves A^#A B^#B = diag(a_j^#A b_j^#B)."""
+    (a_op, b_op), a, b = pair, column.count("A"), column.count("B")
+    sign = -1 if column_inversions(column) % 2 else 1
+    return MonomialMatrix.diagonal([sign * x**a * y**b for x, y in zip(a_op.weight, b_op.weight)],
+                                   a_op.scale**a * b_op.scale**b)
+
+
+def context_product(pairs: SitePairs, rows) -> FactoredMonomial:
+    """The product of the letter strings ``rows``, kept factored: `column_product`
+    at every site, with its preconditions."""
+    return FactoredMonomial(tuple(_per_column(pairs, rows, column_product)))
+
+
 def plan_product(ps: ProofSet, pairs: SitePairs) -> FactoredMonomial:
-    """The product of the words along the plan, kept factored."""
-    return FactoredMonomial(tuple(_per_plan_column(ps, pairs, lambda pair, column: (
-        monomial_compose(pair[LETTERS.index(c)] for c in column)))))
+    """The product of the words along the plan by `context_product`: the site
+    pairs must anticommute, and every one-particle operator must enter the
+    plan an even number of times (`RequirementFlags.even_slot_usage`)."""
+    return context_product(pairs, [ps.words[i].letters for i in ps.product_plan])
 
 
 def column_signs(pair, column) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of the product of the
-    letters ``column``, in which A and B each occur an even number of times,
-    on an anticommuting pair (A diagonal, B anti-diagonal with symmetric
-    weights). Moving each B past the As after it flips the sign k times, k
-    the column's B-before-A pairs (`words.column_inversions`), and leaves
-    A^#A B^#B = diag(a_j^#A b_j^#B): zero where a letter that occurs has
-    weight 0, elsewhere of sign (-1)^k."""
+    """(positive, negative, zero) eigenvalue counts of `column_product`, read
+    off without forming it: zero where a letter that occurs has weight 0,
+    elsewhere of sign (-1)^k."""
     used = [op.weight for op, letter in zip(pair, LETTERS) if letter in column]
     zero = sum(1 for row in zip(*used) if 0 in row)
     nonzero = pair[0].dim - zero
@@ -223,11 +239,10 @@ def column_signs(pair, column) -> tuple[int, int, int]:
 
 
 def plan_product_signs(ps: ProofSet, pairs: SitePairs) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of the plan product by
-    `column_signs`, with no matrix product. The site pairs must anticommute
-    and every one-particle operator must enter the plan an even number of
-    times (`RequirementFlags.even_slot_usage`)."""
-    return kronecker_signs(_per_plan_column(ps, pairs, column_signs))
+    """(positive, negative, zero) eigenvalue counts of `plan_product`, by
+    `column_signs`, with no matrix product."""
+    rows = [ps.words[i].letters for i in ps.product_plan]
+    return kronecker_signs(_per_column(pairs, rows, column_signs))
 
 
 # -- joint eigenvectors ------------------------------------------------------
@@ -252,12 +267,10 @@ class JointEigenvector:
 
 def _commuting_operators(ps: ProofSet, pairs: SitePairs | None) -> list[FactoredMonomial]:
     """The words' operators, once they are known to commute (module
-    docstring). Only pairs from outside are checked: canonical ones
-    (``pairs`` None) anticommute by construction."""
-    outside_ok = pairs is None or all(check_anticommute(a, b) for a, b in pairs)
-    if not outside_ok or not all(
-        words_commute(u, v) for u, v in itertools.combinations(ps.words, 2)
-    ):
+    docstring). A `ProofSet`'s words pass the letter rule by construction,
+    so only pairs from outside are checked: canonical ones (``pairs`` None)
+    anticommute by construction too."""
+    if pairs is not None and not all(check_anticommute(a, b) for a, b in pairs):
         raise NonCommutingSetError("word set is not mutually commuting")
     site_pairs = ps.parties.canonical_pairs() if pairs is None else pairs
     return [w.factored(site_pairs) for w in ps.words]

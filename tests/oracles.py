@@ -28,8 +28,10 @@ every digit tuple into a flat index before its indices stayed digit tuples.
 
 The fourth part holds the composite-dimension path the package used before
 words stayed factored: realization as a fold of ``monomial_tensor`` (for
-the KS observables and their shared side product too), the pairwise
-commutation check on full products, and the simultaneous
+the KS observables and their shared side product too), the site-by-site
+product of factored operators the package multiplied out before
+``spectral.column_product`` read each site factor off its letters, the
+pairwise commutation check on full products, and the simultaneous
 eigenbasis the package computed before it read the joint eigenvectors off in
 closed form: each word in turn splits an orbit's subspaces by Lagrange
 projectors onto its possible eigenvalues, with every subspace kept in
@@ -60,6 +62,7 @@ from typing import Sequence
 
 from ghzcert.errors import InvalidLevelsError, ParityError, SearchBoundError, ShapeError
 from ghzcert.exact import (
+    FactoredMonomial,
     MonomialMatrix,
     as_rational,
     monomial_compose,
@@ -477,6 +480,12 @@ def realized(cfg: KsConfiguration) -> list[MonomialMatrix]:
     """The ten KS observables as composite monomials, in observable order."""
     pairs = cfg.pairs()
     return [realize(obs.letters, pairs, (cfg.levels,) * 3) for obs in cfg.observables]
+
+
+def factored_product(ops) -> FactoredMonomial:
+    """Left-to-right product of factored operators, multiplied site by site."""
+    sites = zip(*[op.factors for op in ops])
+    return FactoredMonomial(tuple([monomial_compose(site) for site in sites]))
 
 
 def shared_side_product(cfg: KsConfiguration) -> MonomialMatrix:

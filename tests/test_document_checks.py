@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzcert import certificate, exact, kochen_specker, siteops, spectral, words
+from ghzcert import certificate, cli, exact, kochen_specker, siteops, spectral, words
 from ghzcert.certificate import (
     StateVector,
     build_ghz_document,
@@ -112,15 +112,31 @@ def test_party_count_costs_linear_time():
     assert time.perf_counter() - start < 5.0
 
 
-def test_ghz_build_verify_and_criteria_multiply_no_matrices(monkeypatch):
-    # the plan product's sign counts come from the per-site rule
+def test_ghz_build_verify_and_criteria_multiply_no_matrices(monkeypatch, capsys):
+    # every product, the plan's, the KS contexts' and the one ``spectrum
+    # --product`` prints, is read off site by site by the per-site rule
     args = _criteria_args(build_ghz_document(PartySpec((3, 4, 3, 2))))
     counts = _count_calls(monkeypatch, ("monomial_compose", "monomial_multiply"),
-                          (exact, spectral))
+                          (exact, spectral, kochen_specker, certificate, cli))
     doc = build_ghz_document(PartySpec((3, 4, 3, 2)))
     assert verify_document(doc) == (True, "accept")
     assert check_ghz_criteria(*args) == (True, "is-ghz")
+    for mode in (SIGN_ONLY, FULL_SPECTRUM):
+        assert verify_document(build_ks_document(4, mode)) == (True, "accept")
+    assert cli.main(["spectrum", "3", "3", "3", "--product"]) == 0
+    assert "plan product over" in capsys.readouterr().out
     assert counts == {"monomial_compose": 0, "monomial_multiply": 0}
+
+
+def test_ghz_build_and_verify_check_the_letter_rule_once_each(monkeypatch):
+    # a ProofSet's constructor checks its words' commutation; the eigenbasis
+    # does not check it again. A build constructs two proof sets (its own
+    # and its derivation's), a verify one: six word pairs each.
+    counts = _count_calls(monkeypatch, ("letters_commute",), (words,))
+    doc = build_ghz_document(PartySpec((3, 3, 3)))
+    assert counts == {"letters_commute": 12}
+    assert verify_document(doc) == (True, "accept")
+    assert counts == {"letters_commute": 18}
 
 
 def test_ghz_verify_reads_each_distinct_rational_once(monkeypatch):

@@ -18,16 +18,15 @@ from ghzcert.exact import (
     FactoredMonomial,
     MonomialMatrix,
     monomial_compose,
-    monomial_multiply,
 )
 from ghzcert.kochen_specker import build_ks
 from ghzcert.siteops import canonical_pair, check_anticommute, custom_site
 from ghzcert.spectral import (
+    column_product,
     column_signs,
     kronecker_signs,
     plan_product,
     plan_product_signs,
-    select_ghz,
     simultaneous_eigenbasis,
     spectrum_of_factored,
     spectrum_of_monomial,
@@ -56,7 +55,7 @@ def test_word_and_plan_spectra_match_expansion(levels):
             word.letters, ps.parties.canonical_pairs(), levels
         )
         assert spectrum_of_factored(op) == spectrum_of_monomial(expanded)
-    product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
+    product = oracles.factored_product([ops[i] for i in ps.product_plan])
     assert plan_product(ps, ps.parties.canonical_pairs()).factors == product.factors
     dense_product = monomial_compose([ops[i].expand() for i in ps.product_plan])
     assert oracles.monomial_equal(product.expand(), dense_product)
@@ -68,7 +67,8 @@ def test_ks_observables_match_oracle(m):
     cfg = build_ks(m)
     pairs = cfg.pairs()
     for obs in cfg.observables:
-        assert obs.factored(pairs).expand() == oracles.realize(obs.letters, pairs, (m,) * 3)
+        factored = factor_letters(obs.letters, pairs, (m,) * 3)
+        assert factored.expand() == oracles.realize(obs.letters, pairs, (m,) * 3)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +100,8 @@ def test_word_factors_are_the_site_operators(scale):
     cfg = build_ks(2)
     pairs = cfg.pairs()
     for obs in cfg.observables:
-        for (a_op, b_op), letter, factor in zip(pairs, obs.letters, obs.factored(pairs).factors):
+        factors = factor_letters(obs.letters, pairs, (2,) * 3).factors
+        for (a_op, b_op), letter, factor in zip(pairs, obs.letters, factors):
             if letter != "I":
                 assert factor is (a_op if letter == "A" else b_op)
 
@@ -128,25 +129,6 @@ def test_build_and_verify_never_expand_a_word(monkeypatch):
     monkeypatch.setattr(TensorWord, "realize", counting_realize)
     doc = build_ghz_document(PartySpec((2,) * 11), bound=5000)
     assert verify_document(doc, 5000) == (True, "accept")
-    assert calls == []
-
-
-def test_only_context_products_multiply(monkeypatch):
-    # commutation is decided by the letter rule, so the only factored
-    # products left are the KS horizontal and side context products, three
-    # multiplications each
-    calls = []
-    multiply = FactoredMonomial.multiply
-
-    def counting_multiply(self, other):
-        calls.append(1)
-        return multiply(self, other)
-
-    monkeypatch.setattr(FactoredMonomial, "multiply", counting_multiply)
-    build_ks(4)
-    assert len(calls) == 6
-    calls.clear()
-    select_ghz(build_proof_set(PartySpec((3, 3, 3))))
     assert calls == []
 
 
@@ -181,8 +163,7 @@ def test_custom_pair_spectra_match_expansion(system, data):
     assert spectrum_of_factored(word.factored(pairs)) == spectrum_of_monomial(word.realize(pairs))
     ps = build_proof_set(spec)
     ops = [w.factored(pairs) for w in ps.words]
-    product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
-    assert plan_product(ps, pairs).factors == product.factors
+    product = oracles.factored_product([ops[i] for i in ps.product_plan])
     assert spectrum_of_factored(product) == spectrum_of_monomial(product.expand())
 
 
@@ -240,10 +221,12 @@ def test_sign_counts_past_2_53_match_oracle(pool, data):
 
 @st.composite
 def even_columns(draw):
-    """A plan column in which A and B each occur an even number of times."""
+    """A column in which A and B each occur an even number of times, between
+    identity letters."""
     a_count = 2 * draw(st.integers(0, 3))
     b_count = 2 * draw(st.integers(0 if a_count else 1, 3))
-    return tuple(draw(st.permutations("A" * a_count + "B" * b_count)))
+    i_count = draw(st.integers(0, 2))
+    return tuple(draw(st.permutations("A" * a_count + "B" * b_count + "I" * i_count)))
 
 
 @settings(max_examples=300)
@@ -254,11 +237,13 @@ def even_columns(draw):
 )
 def test_column_signs_match_dense_product(pair, column):
     # the per-site rule against the product multiplied out, both as a
-    # monomial and as a dense matrix
-    product = monomial_compose(pair[LETTERS.index(c)] for c in column)
-    assert column_signs(pair, column) == product.sign_counts
+    # monomial and as a dense matrix, with I the identity
+    letter_ops = dict(zip(LETTERS, pair), I=MonomialMatrix.identity(pair[0].dim))
+    product = monomial_compose(letter_ops[c] for c in column)
+    assert column_product(pair, column) == product
+    assert column_signs(pair, column) == column_product(pair, column).sign_counts
     dense = functools.reduce(
-        oracles.mat_multiply, [oracles.densify(pair[LETTERS.index(c)]) for c in column])
+        oracles.mat_multiply, [oracles.densify(letter_ops[c]) for c in column])
     assert certificate._signs_to_doc(column_signs(pair, column)) == (
         oracles.sign_counts_doc(oracles.dense_spectrum(dense)))
 
@@ -267,8 +252,11 @@ def test_column_signs_match_dense_product(pair, column):
     lambda levels: st.tuples(*[anticommuting_pairs(m) for m in levels])))
 def test_plan_product_signs_match_multiplied_product(pairs):
     ps = build_proof_set(PartySpec(tuple([a.dim for a, _ in pairs])))
-    product = kronecker_signs([f.sign_counts for f in plan_product(ps, pairs).factors])
-    assert plan_product_signs(ps, pairs) == product
+    ops = [w.factored(pairs) for w in ps.words]
+    product = oracles.factored_product([ops[i] for i in ps.product_plan])
+    assert plan_product(ps, pairs).factors == product.factors
+    signs = kronecker_signs([f.sign_counts for f in product.factors])
+    assert plan_product_signs(ps, pairs) == signs
 
 
 @given(st.lists(st.integers(2, 3), min_size=3, max_size=4), st.data())
@@ -301,48 +289,19 @@ def site_matrices(draw, dim):
 
 
 @st.composite
-def factored_pairs(draw):
-    """Two factored operators on the same sites: independent, sitewise
-    proportional (with or without a unit product of the scales), or with
-    zero factors whose targets differ."""
+def factored_operators(draw):
+    """A factored operator, one of whose factors may be zero."""
     dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    x = [draw(site_matrices(d)) for d in dims]
-    mode = draw(st.sampled_from(("independent", "scaled", "unit-scaled", "zeroed")))
-    if mode == "independent":
-        y = [draw(site_matrices(d)) for d in dims]
-    elif mode in ("scaled", "unit-scaled"):
-        scales = [draw(RATIONALS.filter(bool)) for _ in dims]
-        if mode == "unit-scaled":
-            rest = Fraction(1)
-            for c in scales[:-1]:
-                rest *= c
-            scales[-1] = 1 / rest
-        y = [
-            MonomialMatrix(f.dim, f.target, tuple(c.numerator * w for w in f.weight),
-                           f.scale * c.denominator)
-            for f, c in zip(x, scales)
-        ]
-    else:
-        y = list(x)
-        for ops in (x, y):
-            if draw(st.booleans()):
-                k = draw(st.integers(0, len(dims) - 1))
-                target = tuple(draw(st.permutations(range(dims[k]))))
-                ops[k] = MonomialMatrix(dims[k], target, (0,) * dims[k])
-    return FactoredMonomial(tuple(x)), FactoredMonomial(tuple(y))
+    factors = [draw(site_matrices(d)) for d in dims]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(dims) - 1))
+        target = tuple(draw(st.permutations(range(dims[k]))))
+        factors[k] = MonomialMatrix(dims[k], target, (0,) * dims[k])
+    return FactoredMonomial(tuple(factors))
 
 
-@given(factored_pairs())
-def test_multiply_matches_expansion(pair):
-    x, y = pair
-    assert oracles.monomial_equal(
-        x.multiply(y).expand(), monomial_multiply(x.expand(), y.expand())
-    )
-
-
-@given(factored_pairs(), st.data())
-def test_apply_matches_expansion(pair, data):
-    x, _ = pair
+@given(factored_operators(), st.data())
+def test_apply_matches_expansion(x, data):
     vector = data.draw(
         st.dictionaries(st.integers(0, x.dim - 1), WEIGHTS, max_size=x.dim)
     )

@@ -19,7 +19,7 @@ from oracles import dense_spectrum, densify, mat_apply, mat_multiply, mat_tensor
 from test_spectral import anticommuting_pairs
 from ghzcert.certificate import _signs_to_doc, _spectrum_to_doc
 from ghzcert.errors import NoGhzStateError
-from ghzcert.exact import FactoredMonomial, MonomialMatrix
+from ghzcert.exact import MonomialMatrix
 from ghzcert.spectral import kronecker_signs, select_ghz, spectrum_of_factored
 from ghzcert.words import PartySpec, build_proof_set
 
@@ -71,8 +71,8 @@ def test_integer_core_matches_rational_oracles_on_custom_pairs(problem):
     plan_dense = dense[ps.product_plan[0]]
     for i in ps.product_plan[1:]:
         plan_dense = mat_multiply(plan_dense, dense[i])
-    for op, matrix in (*zip(ops, dense),
-                       (FactoredMonomial.product(ops[i] for i in ps.product_plan), plan_dense)):
+    product = oracles.factored_product([ops[i] for i in ps.product_plan])
+    for op, matrix in (*zip(ops, dense), (product, plan_dense)):
         spectrum = spectrum_of_factored(op)
         expected = dense_spectrum(matrix)
         assert oracles.rational_spectrum(spectrum) == expected
@@ -105,7 +105,7 @@ def test_integer_core_matches_rational_oracles_on_custom_pairs(problem):
 def test_spectrum_of_plan_product_constructs_no_fraction(monkeypatch):
     ps = build_proof_set(PartySpec((12, 12, 12)))
     ops = [w.factored() for w in ps.words]
-    product = FactoredMonomial.product(ops[i] for i in ps.product_plan)
+    product = oracles.factored_product([ops[i] for i in ps.product_plan])
     made = []
     original = Fraction.__new__
 

@@ -54,13 +54,17 @@ def test_context_commutation_dense_oracle(m):
             assert mat_multiply(mats[i], mats[j]) == mat_multiply(mats[j], mats[i])
 
 
-@pytest.mark.parametrize("m", (2, 4))
+@pytest.mark.parametrize("m", (2, 4, 6))
 def test_context_products(m):
+    # the configuration's spectra, read off site by site, against the
+    # contexts multiplied out
     cfg = build_ks(m)
     mats = realized(cfg)
     horizontal = monomial_compose([mats[i] for i in cfg.contexts[0]])
+    assert cfg.horizontal_spectrum == spectrum_of_monomial(horizontal)
     assert spectrum_of_monomial(horizontal).classify() == NEGATIVE_DEFINITE
     side = shared_side_product(cfg)
+    assert cfg.side_spectrum == spectrum_of_monomial(side)
     assert spectrum_of_monomial(side).classify() == POSITIVE_DEFINITE
     for ctx in cfg.contexts[1:]:
         assert monomial_equal(monomial_compose([mats[i] for i in ctx]), side)

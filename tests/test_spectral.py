@@ -205,17 +205,6 @@ def test_eigenbasis_single_diagonal_word():
     assert [v.support for v in basis] == [(oracles.digits((2, 2, 2), i),) for i in range(8)]
 
 
-def test_eigenbasis_rejects_non_commuting():
-    spec = PartySpec((3, 3, 3))
-    words = (TensorWord("ABB", spec), TensorWord("BBB", spec))
-    ps = object.__new__(ProofSet)  # bypass the constructor's own check
-    object.__setattr__(ps, "words", words)
-    object.__setattr__(ps, "product_plan", (0, 1))
-    object.__setattr__(ps, "requirement_flags", None)
-    with pytest.raises(NonCommutingSetError):
-        simultaneous_eigenbasis(ps)
-
-
 def test_commuting_site_pairs_rejected():
     # A = diag(1, 1) and B = antidiag(1, 1) commute, so the letter rule does
     # not hold for them
