@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from test_spectral import anticommuting_pairs
 from ghzcert import exact
-from ghzcert import certificate
+from ghzcert import certificate, kochen_specker
 from ghzcert.certificate import build_ghz_document, verify_document
 from ghzcert.errors import ShapeError
 from ghzcert.exact import (
@@ -27,6 +27,7 @@ from ghzcert.spectral import (
     kronecker_signs,
     plan_product,
     plan_product_signs,
+    select_ghz,
     simultaneous_eigenbasis,
     spectrum_of_factored,
     spectrum_of_monomial,
@@ -129,6 +130,28 @@ def test_build_and_verify_never_expand_a_word(monkeypatch):
     monkeypatch.setattr(TensorWord, "realize", counting_realize)
     doc = build_ghz_document(PartySpec((2,) * 11), bound=5000)
     assert verify_document(doc, 5000) == (True, "accept")
+    assert calls == []
+
+
+def test_only_context_products_multiply(monkeypatch):
+    # the KS horizontal and side context products are the only products a
+    # build forms, and each is read off site by site: no matrix product.
+    # GHZ selection forms none; it reads its sign counts off without one.
+    calls = []
+
+    def counting(name, original):
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    for module, name in ((kochen_specker, "context_product"),
+                         (exact, "monomial_multiply"), (exact, "monomial_compose")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    build_ks(4)
+    assert calls == ["context_product"] * 2
+    calls.clear()
+    select_ghz(build_proof_set(PartySpec((3, 3, 3))))
     assert calls == []
 
 
