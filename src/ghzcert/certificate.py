@@ -15,8 +15,9 @@ against its kind's declared shape, type-exact down to the leaves; rationals
 must then be spelled as ``format_rational`` writes them. Within one
 derivation each distinct rational string and site pair is read once, and
 each distinct word's and plan column's sign counts derived once, the plan's
-with no matrix product (`spectral.column_signs`); nothing is kept between
-calls. A GHZ certificate stores a spectrum as its classification and sign
+with no matrix product (`spectral.column_signs`); a stored eigen-tuple is
+checked word by word, up to its first failing equation. Nothing is kept
+between calls. A GHZ certificate stores a spectrum as its classification and sign
 counts, decimal strings that may pass 2**53: criterion III needs only that
 the plan product has no positive eigenvalue.
 """
@@ -162,15 +163,19 @@ def _check_decimal_counts(doc: dict) -> None:
 
 
 def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
+    """The site pairs in document form, each distinct pair object formatted
+    once; each party gets its own lists, for editing."""
     # ``weight`` is indexed by column and the document stores row weights; they
     # agree because anti-diagonal weights are symmetric under row reversal
-    return [
-        {
-            "a_weights": [format_rational(w, a_op.scale) for w in a_op.weight],
-            "b_weights": [format_rational(w, b_op.scale) for w in b_op.weight],
-        }
-        for a_op, b_op in pairs
-    ]
+    formatted: dict[int, list[list[str]]] = {}
+    out = []
+    for pair in pairs:
+        if id(pair) not in formatted:
+            formatted[id(pair)] = [[format_rational(w, op.scale) for w in op.weight]
+                                   for op in pair]
+        a_weights, b_weights = formatted[id(pair)]
+        out.append({"a_weights": list(a_weights), "b_weights": list(b_weights)})
+    return out
 
 
 def _pairs_from_doc(doc: list, read=_read_rational) -> SitePairs:
@@ -364,19 +369,29 @@ def _word_set(word_strings, plan, parties: PartySpec, pairs: SitePairs):
 
 def _check_eigen_tuple(ps: ProofSet, ops, vec, eigen_tuple=None) -> tuple[int, ...]:
     """Criteria II and III for a stored ``eigen_tuple`` or the one derived from
-    ``vec``; returns the eigenvalues, over the operators' positive scales."""
-    values = [eigenvalue_of(op, vec) for op in ops]
-    if eigen_tuple is None and None in values:
-        raise _Rejected(f"not an eigenvector of word {ps.words[values.index(None)]}")
-    # criterion III before the equations, so a zeroed tuple is reported as such
-    claimed = values if eigen_tuple is None else eigen_tuple
+    ``vec``; returns the eigenvalues, over the operators' positive scales.
+
+    Criterion III runs first on the stored tuple, so a zeroed tuple is
+    reported as such; its equations then run word by word, and the first
+    that fails ends the check."""
+    if eigen_tuple is None:
+        claimed = [eigenvalue_of(op, vec) for op in ops]
+        if None in claimed:
+            raise _Rejected(f"not an eigenvector of word {ps.words[claimed.index(None)]}")
+    else:
+        claimed = eigen_tuple
     if any(not t for t in claimed):
         raise _Rejected("criterion III: zero eigenvalue")
     if eigen_tuple_plan_product(claimed, ps.product_plan) >= 0:
         raise _Rejected("criterion III: plan product of eigenvalues is not negative")
-    for i, (op, lam, value) in enumerate(zip(ops, eigen_tuple or (), values), start=1):
+    if eigen_tuple is None:
+        return tuple(claimed)
+    values = []
+    for i, (op, lam) in enumerate(zip(ops, eigen_tuple), start=1):
+        value = eigenvalue_of(op, vec)
         if value is None or value * lam.denominator != lam.numerator * op.scale:
             raise _Rejected(f"eigenvector equation fails for word {i}")
+        values.append(value)
     return tuple(values)
 
 
@@ -486,9 +501,12 @@ def build_ghz_document(
 ) -> dict:
     """Run the whole pipeline and emit a verifiable certificate document."""
     ps = build_proof_set(parties)
-    state = select_ghz(ps, tuple_hint)
     pairs = parties.canonical_pairs()
-    scales = [w.factored(pairs).scale for w in ps.words]
+    # canonical pairs anticommute by construction, so select_ghz takes the
+    # operators as they are
+    ops = [w.factored(pairs) for w in ps.words]
+    state = select_ghz(ps, tuple_hint, ops=ops)
+    scales = [op.scale for op in ops]
     doc = {
         "kind": GHZ_KIND,
         "format_version": FORMAT_VERSION,

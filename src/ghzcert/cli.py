@@ -129,14 +129,15 @@ def _cmd_lhv(args) -> int:
     parties = PartySpec(tuple(args.levels))
     ps = build_proof_set(parties)
     pairs = parties.canonical_pairs()
-    scales = [w.factored(pairs).scale for w in ps.words]
+    ops = [w.factored(pairs) for w in ps.words]
+    scales = [op.scale for op in ops]
     if args.rhs:
         # over each word's scale; a value off it is met by no assignment
         rhs = tuple([
             t * s for t, s in zip(_parse_tuple(args.rhs, "--rhs", len(ps.words)), scales)
         ])
     else:
-        rhs = select_ghz(ps).eigen_tuple
+        rhs = select_ghz(ps, ops=ops).eigen_tuple
     cs = ConstraintSystem.build(ps, rhs, pairs)
     analytic = parity_unsat(cs)
     report = brute_force_lhv(cs, args.bound, sign_only=args.sign_only)

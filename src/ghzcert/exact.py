@@ -252,12 +252,14 @@ class FactoredMonomial:
 
     def apply(self, vector: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
         """Apply to a sparse vector {digits: coefficient}, one support index
-        at a time (the result is over ``scale``); zero results dropped."""
+        at a time (the result is over ``scale``); zero results dropped. Both
+        tables are read in place, as `entry` reads them."""
+        targets, weights = self._tables
         out: dict[tuple[int, ...], int] = {}
         for j, c in vector.items():
-            t, w = self.entry(j)
+            w = prod(map(getitem, weights, j))
             if w and c:
-                out[t] = w * c
+                out[tuple(map(getitem, targets, j))] = w * c
         return out
 
     def expand(self) -> MonomialMatrix:

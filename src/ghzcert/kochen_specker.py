@@ -36,9 +36,10 @@ the sign targets rest on; the configuration carries both spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParityError
+from .exact import MonomialMatrix
 from .search import Check, first_assignment
 from .siteops import canonical_pair
 from .spectral import (
@@ -74,8 +75,9 @@ class KsObservable:
 
 @dataclass(frozen=True)
 class KsConfiguration:
-    """The ten observables, five contexts, required product signs, and the
-    spectra of the horizontal product and of the one side product."""
+    """The ten observables, five contexts, required product signs, the
+    spectra of the horizontal product and of the one side product, and the
+    site pair every party shares."""
 
     levels: int
     observables: tuple[KsObservable, ...]
@@ -83,9 +85,11 @@ class KsConfiguration:
     sign_targets: tuple[int, ...]
     horizontal_spectrum: Spectrum
     side_spectrum: Spectrum
+    pair: tuple[MonomialMatrix, MonomialMatrix] = field(repr=False, compare=False)
 
     def pairs(self) -> SitePairs:
-        return tuple([canonical_pair(self.levels) for _ in range(3)])
+        """Every party's site pair: the one `build_ks` built."""
+        return (self.pair,) * 3
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,8 @@ def build_ks(m: int) -> KsConfiguration:
         for k, word in enumerate(COMPOSITE_WORDS)
     ]
     sign_targets = [-1] + [1] * len(COMPOSITE_WORDS)
-    pairs = (canonical_pair(m),) * 3
+    pair = canonical_pair(m)
+    pairs = (pair,) * 3
     horizontal, side = (
         spectrum_of_factored(context_product(pairs, [observables[i].letters for i in ctx]))
         for ctx in contexts[:2]
@@ -128,7 +133,7 @@ def build_ks(m: int) -> KsConfiguration:
     if side.classify() != POSITIVE_DEFINITE:
         raise AssertionError("side-context products must be positive-definite")
     return KsConfiguration(
-        m, tuple(observables), tuple(contexts), tuple(sign_targets), horizontal, side
+        m, tuple(observables), tuple(contexts), tuple(sign_targets), horizontal, side, pair
     )
 
 

@@ -75,20 +75,33 @@ class ConstraintSystem:
         slots: list[Slot] = []
         domains: list[tuple[int, ...]] = []
         scales: list[int] = []
-        for party, (a_op, b_op) in enumerate(pairs):
-            for letter, op in zip(LETTERS, (a_op, b_op)):
+        # each distinct operator's eigenvalues are read once; operators are
+        # told apart by identity, so parties that share a pair share them
+        read: dict[int, tuple[int, ...]] = {}
+        for party, pair in enumerate(pairs):
+            for letter, op in zip(LETTERS, pair):
                 slots.append((party, letter))
-                domains.append(tuple([v for v, _ in op.eigenvalue_counts]))
+                if id(op) not in read:
+                    read[id(op)] = tuple([v for v, _ in op.eigenvalue_counts])
+                domains.append(read[id(op)])
                 scales.append(op.scale)
         return cls(ps.letter_words, tuple(rhs), ps.product_plan,
                    tuple(slots), tuple(domains), tuple(scales))
 
     @property
     def assignment_space(self) -> int:
+        return math.prod(len(d) for d in self.domains)
+
+    def space_exceeds(self, bound: int) -> bool:
+        """Whether ``assignment_space`` passes ``bound``. No domain is empty,
+        so the sizes are multiplied only until their product does, and a
+        space of n digits costs no n-digit product."""
         size = 1
         for d in self.domains:
             size *= len(d)
-        return size
+            if size > bound:
+                return True
+        return size > bound
 
     def word_slot_indices(self) -> tuple[tuple[int, ...], ...]:
         index = {slot: k for k, slot in enumerate(self.slots)}
@@ -171,7 +184,7 @@ def analyze_lhv(cs: ConstraintSystem, bound: int = DEFAULT_BOUND) -> LhvReport:
     the analytic result stands alone (reported as such).
     """
     analytic = parity_unsat(cs)
-    if cs.assignment_space > bound:
+    if cs.space_exceeds(bound):
         if not analytic:
             raise SearchBoundError(
                 "assignment space exceeds the bound and no analytic "

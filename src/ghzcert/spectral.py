@@ -22,8 +22,8 @@ with rational eigenvalues (w, or +-w on a 2-cycle), and the tensor products
 of those bases are a basis of eigenvectors of the product. So a word's
 spectrum depends only on the multiset of its site spectra. A certificate
 needs only how many eigenvalues are positive, negative and zero, and those
-counts follow the same rule one site at a time (`kronecker_signs`), in
-O(sum of the level counts).
+counts follow the same rule (`kronecker_signs`), in closed form for the
+sites that share their counts.
 
 A product of words in which every one-particle operator occurs an even
 number of times is diagonal at every site, and one rule reads each site
@@ -184,21 +184,35 @@ def kronecker_signs(site_signs) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a Kronecker product,
     from its factors' (positive, negative, zero) counts: a product of site
     eigenvalues is positive when an even number of them are negative and
-    none is zero (the module docstring's rule, kept to signs)."""
+    none is zero (the module docstring's rule, kept to signs).
+
+    The k factors with equal counts (p, n, z) fold in closed form, their
+    products being nonzero in (p+n)^k ways: ((p+n)^k +- (p-n)^k)/2 positive
+    and negative, (p+n+z)^k - (p+n)^k zero. The groups then fold one at a
+    time, so the work is a few big-integer powers per distinct triple."""
+    groups: dict[tuple[int, int, int], int] = {}
+    for signs in site_signs:
+        groups[signs] = groups.get(signs, 0) + 1
     p, n, z = 1, 0, 0
-    for sp, sn, sz in site_signs:
-        p, n, z = p * sp + n * sn, p * sn + n * sp, z * (sp + sn + sz) + (p + n) * sz
+    for (sp, sn, sz), k in groups.items():
+        nonzero, balance = (sp + sn) ** k, (sp - sn) ** k
+        gp, gn = (nonzero + balance) // 2, (nonzero - balance) // 2
+        gz = (sp + sn + sz) ** k - nonzero
+        p, n, z = p * gp + n * gn, p * gn + n * gp, z * (gp + gn + gz) + (p + n) * gz
     return p, n, z
 
 
 def _per_column(pairs: SitePairs, rows, derive) -> list:
     """``derive(pair, column)`` for each party's site pair and column of the
-    letter strings ``rows``, once per distinct (site pair, column)."""
+    letter strings ``rows``, once per distinct (site pair, column). A pair is
+    told apart by identity, so parties that share a pair object share its
+    derivations and no operator is hashed."""
     derived: dict = {}
     out = []
-    for key in zip(pairs, zip(*rows)):
+    for pair, column in zip(pairs, zip(*rows)):
+        key = (id(pair), column)
         if key not in derived:
-            derived[key] = derive(*key)
+            derived[key] = derive(pair, column)
         out.append(derived[key])
     return out
 
@@ -380,6 +394,7 @@ def select_ghz(
     ps: ProofSet,
     tuple_hint: tuple | None = None,
     pairs: SitePairs | None = None,
+    ops: list[FactoredMonomial] | None = None,
 ) -> JointEigenvector:
     """Pick the entangled eigenvector the contradiction is built on: its
     eigenvalues are nonzero and their planned product is negative.
@@ -389,10 +404,13 @@ def select_ghz(
     otherwise the first eligible one in the deterministic basis order of
     ``simultaneous_eigenbasis``. Orbits are refined in that order only until
     the vector is found, so the rest of the basis is never computed.
+    ``ops``, the words' operators on site pairs known to anticommute (a
+    caller that formed them already), replaces forming them from ``pairs``.
     """
     if tuple_hint is not None and len(tuple_hint) != len(ps.words):
         raise ValueError(f"hint has {len(tuple_hint)} entries for {len(ps.words)} words")
-    ops = _commuting_operators(ps, pairs)
+    if ops is None:
+        ops = _commuting_operators(ps, pairs)
     if tuple_hint is None:
         def wanted(t: tuple[int, ...]) -> bool:
             return is_eligible(t, ps.product_plan)

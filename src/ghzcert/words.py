@@ -78,7 +78,10 @@ class PartySpec:
         return out
 
     def canonical_pairs(self) -> SitePairs:
-        return tuple([canonical_pair(m) for m in self.levels])
+        """The canonical pair of every party, built once per distinct level
+        count: parties with equal level counts share one pair object."""
+        built = {m: canonical_pair(m) for m in dict.fromkeys(self.levels)}
+        return tuple([built[m] for m in self.levels])
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,10 @@ def letters_commute(x: Sequence[str], y: Sequence[str]) -> bool:
     """The letter rule: two letter strings over {A, B, I} commute iff they
     hold different letters from {A, B} at an even number of parties. It
     holds when every party's A and B anticommute."""
-    return sum(1 for p, q in zip(x, y) if p != q and "I" not in (p, q)) % 2 == 0
+    if "I" in x or "I" in y:
+        return sum(1 for p, q in zip(x, y) if p != q and "I" not in (p, q)) % 2 == 0
+    # over {A, B}, #A(x) + #A(y) counts the differing parties, plus twice the shared As
+    return (x.count("A") + y.count("A")) % 2 == 0
 
 
 def words_commute(u: TensorWord, v: TensorWord) -> bool:
@@ -177,13 +183,10 @@ class RequirementFlags:
 
 
 def _flags(letter_words: tuple[str, ...], plan: tuple[int, ...]) -> RequirementFlags:
-    n = len(letter_words[0])
-    plan_words = [letter_words[i] for i in plan]
-
     a_counts = [w.count("A") for w in letter_words]
     equal_a_parity = len({c % 2 for c in a_counts}) == 1
 
-    plan_counts = [w.count("A") for w in plan_words]
+    plan_counts = [a_counts[i] for i in plan]
     distinct: dict[int, int] = {}
     for c in plan_counts:
         distinct[c] = distinct.get(c, 0) + 1
@@ -193,15 +196,13 @@ def _flags(letter_words: tuple[str, ...], plan: tuple[int, ...]) -> RequirementF
         and len({c % 2 for c in distinct}) == 1
     )
 
-    even_slot_usage = True
-    for party in range(n):
-        for letter in LETTERS:
-            used = sum(1 for w in plan_words if w[party] == letter)
-            if used % 2 != 0:
-                even_slot_usage = False
-
+    # one string per party: its letters down the plan, and down the words
+    plan_columns = map("".join, zip(*[letter_words[i] for i in plan]))
+    even_slot_usage = all(
+        c.count("A") % 2 == 0 and c.count("B") % 2 == 0 for c in plan_columns
+    )
     both_letters_per_party = all(
-        {w[party] for w in letter_words} == set(LETTERS) for party in range(n)
+        "A" in c and "B" in c for c in map("".join, zip(*letter_words))
     )
 
     return RequirementFlags(

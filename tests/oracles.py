@@ -818,6 +818,16 @@ def kronecker_multiset(sites: Sequence[DenseMatrix]) -> dict[Fraction, int]:
     return counts
 
 
+def fold_signs(site_signs) -> tuple[int, int, int]:
+    """(positive, negative, zero) counts of a Kronecker product, folded one
+    site at a time from its factors' counts (what `spectral.kronecker_signs`
+    does in closed form for each group of equal factors)."""
+    p, n, z = 1, 0, 0
+    for sp, sn, sz in site_signs:
+        p, n, z = p * sp + n * sn, p * sn + n * sp, z * (sp + sn + sz) + (p + n) * sz
+    return p, n, z
+
+
 def sign_counts_doc(counts: dict[Fraction, int]) -> dict[str, str]:
     """A multiset's sign counts and classification as a certificate stores them."""
     positive = sum(m for v, m in counts.items() if v > 0)

@@ -170,6 +170,49 @@ def test_ghz_verify_reads_each_distinct_site_pair_once(monkeypatch, levels):
     assert counts == {"custom_site": 2, "check_anticommute": len(levels)}
 
 
+HASH_FREE_DOCS = {
+    "2 x11": lambda: build_ghz_document(PartySpec((2,) * 11)),
+    "12 12 12": lambda: build_ghz_document(PartySpec((12, 12, 12))),
+    **{f"ks {m} {mode}": (lambda m=m, mode=mode: build_ks_document(m, mode))
+       for m in (2, 4) for mode in (SIGN_ONLY, FULL_SPECTRUM)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASH_FREE_DOCS))
+def test_build_and_verify_hash_no_site_operator(monkeypatch, name):
+    # per-site derivations tell site pairs apart by identity, never by a
+    # field-by-field hash of their operators
+    def refuse(op):
+        raise AssertionError("a site operator was hashed")
+
+    monkeypatch.setattr(exact.MonomialMatrix, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(exact.MonomialMatrix.identity(2))
+    assert verify_document(HASH_FREE_DOCS[name]()) == (True, "accept")
+
+
+def test_builds_make_one_canonical_pair_per_level_count(monkeypatch):
+    counts = _count_calls(monkeypatch, ("canonical_pair",), (siteops, words, kochen_specker))
+    # the proof set's state selection and the document share one set of pairs
+    build_ghz_document(PartySpec((2,) * 11))
+    assert counts == {"canonical_pair": 1}
+    # the full-spectrum search reads the configuration's own pair
+    doc = build_ks_document(4, FULL_SPECTRUM)
+    assert counts == {"canonical_pair": 2}
+    assert verify_document(doc) == (True, "accept")
+    assert counts == {"canonical_pair": 3}
+
+
+@pytest.mark.parametrize("levels", ((3, 3, 3), (2,) * 10), ids=("3 3 3", "2 x10"))
+def test_tampered_eigen_tuple_stops_at_its_first_failing_equation(monkeypatch, levels):
+    doc = build_ghz_document(PartySpec(levels))
+    # doubled, the first eigenvalue keeps its sign, so criterion III passes
+    doc["eigen_tuple"][0] = exact.format_rational(2 * Fraction(doc["eigen_tuple"][0]))
+    counts = _count_calls(monkeypatch, ("eigenvalue_of",), (spectral, certificate))
+    assert verify_document(doc) == (False, "eigenvector equation fails for word 1")
+    assert counts == {"eigenvalue_of": 1}
+
+
 def test_shared_word_spectra_are_separate_objects():
     doc = build_ghz_document(PartySpec((3, 3, 3)))
     spectra = doc["spectra"]["words"]

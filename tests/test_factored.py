@@ -242,6 +242,13 @@ def test_sign_counts_past_2_53_match_oracle(pool, data):
         oracles.kronecker_multiset(dense_product))
 
 
+@given(st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=3), st.data())
+def test_grouped_kronecker_signs_match_the_one_site_fold(pool, data):
+    # a few distinct site triples, repeated: each group folds in closed form
+    site_signs = data.draw(st.lists(st.sampled_from(pool), max_size=120))
+    assert kronecker_signs(site_signs) == oracles.fold_signs(site_signs)
+
+
 @st.composite
 def even_columns(draw):
     """A column in which A and B each occur an even number of times, between

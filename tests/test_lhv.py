@@ -16,7 +16,14 @@ from ghzcert.lhv import (
     parity_unsat,
 )
 from ghzcert.spectral import select_ghz
-from ghzcert.words import PartySpec, ProofSet, TensorWord, extend_even_set, generate_odd_set
+from ghzcert.words import (
+    PartySpec,
+    ProofSet,
+    TensorWord,
+    build_proof_set,
+    extend_even_set,
+    generate_odd_set,
+)
 
 F = Fraction
 
@@ -106,6 +113,24 @@ def test_analyze_falls_back_to_parity_past_bound():
     assert report.status == UNSAT
     assert report.method == "parity-analytic"
     assert report.assignments_checked == 0
+
+
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_bound_verdict_at_and_beside_the_space(offset):
+    # a bound below the 729 assignments gets the analytic verdict alone; at
+    # or above them the search runs too
+    _, cs = canonical_system((3, 3, 3), (F(1), F(1), F(1), F(-1)))
+    bound = cs.assignment_space + offset
+    assert cs.space_exceeds(bound) == (offset < 0)
+    assert analyze_lhv(cs, bound).method == ("parity-analytic" if offset < 0 else "both")
+
+
+def test_bound_verdict_on_a_space_of_thousands_of_digits():
+    # 3 x12001 has 3**24002 assignments, 11,452 digits
+    cs = ConstraintSystem.build(build_proof_set(PartySpec((3,) * 12001)), (1, 1, 1, -1))
+    space = cs.assignment_space
+    assert cs.space_exceeds(space - 1) and not cs.space_exceeds(space)
+    assert analyze_lhv(cs).method == "parity-analytic"
 
 
 @pytest.mark.parametrize(
