@@ -13,13 +13,14 @@ document with it; verifying compares each stored section with it as strings
 and exact integers. Before anything is read, one walk checks the document
 against its kind's declared shape, type-exact down to the leaves; rationals
 must then be spelled as ``format_rational`` writes them. Within one
-derivation each distinct rational string and site pair is read once, and
-each distinct word's and plan column's sign counts derived once, the plan's
-with no matrix product (`spectral.column_signs`); a stored eigen-tuple is
-checked word by word, up to its first failing equation. Nothing is kept
-between calls. A GHZ certificate stores a spectrum as its classification and sign
-counts, decimal strings that may pass 2**53: criterion III needs only that
-the plan product has no positive eigenvalue.
+derivation each distinct rational string and site pair is read once, each
+distinct pair checked for anticommutation once, and each distinct word's
+and plan column's sign counts derived once, the plan's with no matrix
+product (`spectral.column_signs`); a stored eigen-tuple is checked word by
+word, up to its first failing equation. Nothing is kept between calls. A
+GHZ certificate stores a spectrum as its classification and sign counts,
+decimal strings that may pass 2**53: criterion III needs only that the
+plan product has no positive eigenvalue.
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ def load_document(path: str) -> dict:
         raise CertificateError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # past the digit or nesting limit
         raise CertificateError(f"parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise CertificateError("document root must be an object")
@@ -350,12 +351,16 @@ class _Rejected(Exception):
 
 
 def _check_site_pairs(pairs: SitePairs, levels: tuple[int, ...]) -> None:
-    """Criterion I: each party's pair has its level count and anticommutes."""
-    for party, (a_op, b_op) in enumerate(pairs):
-        if a_op.dim != levels[party] or b_op.dim != levels[party]:
+    """Criterion I: each party's pair has its level count and anticommutes.
+    Anticommutation is checked once per distinct pair object, so parties
+    that share a pair share its check; a failure names the first party."""
+    anticommuting: set[int] = set()
+    for party, pair in enumerate(pairs):
+        if pair[0].dim != levels[party] or pair[1].dim != levels[party]:
             raise _Rejected(f"site operators for party {party + 1} have the wrong dimension")
-        if not check_anticommute(a_op, b_op):
+        if id(pair) not in anticommuting and not check_anticommute(*pair):
             raise _Rejected(f"site operators for party {party + 1} do not anticommute")
+        anticommuting.add(id(pair))
 
 
 def _word_set(word_strings, plan, parties: PartySpec, pairs: SitePairs):
@@ -415,7 +420,7 @@ def check_ghz_criteria(
         if plan is None:
             plan = tuple(range(len(words))) if len(words) == 4 else (0, 1, 2, 3, 4, 4)
         ps, ops = _word_set(words, plan, PartySpec(state.dims), pairs)
-        if not ps.requirement_flags.even_slot_usage:
+        if not ps.requirement_flags["even_slot_usage"]:
             raise _Rejected("criterion III: a one-particle observable enters the plan "
                             "an odd number of times")
         _check_eigen_tuple(ps, ops, state.vec)
@@ -464,7 +469,7 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
 
     _check_site_pairs(pairs, levels)
     ps, ops = _word_set(word_strings, plan, parties, pairs)
-    if not ps.requirement_flags.all_ok:
+    if not all(ps.requirement_flags.values()):
         raise _Rejected("requirement flags are not all satisfied")
     rhs = _check_eigen_tuple(ps, ops, state.vec, eigen_tuple)
 
@@ -481,7 +486,7 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
         raise _Rejected(f"unsatisfiability re-derivation failed: {exc}") from None
 
     return {
-        "requirement_flags": ps.requirement_flags.as_dict(),
+        "requirement_flags": dict(ps.requirement_flags),
         "spectra": {"words": word_signs, "plan_product": _signs_to_doc(product_signs)},
         "lhv": {
             "status": report.status,

@@ -82,20 +82,7 @@ def format_rational(x: int | Fraction, scale: int = 1) -> str:
     return f"{format_integer(num)}/{format_integer(den)}"
 
 
-def as_rational(value: int | Fraction | str) -> Fraction:
-    """Coerce an int, Fraction, or rational literal; floats are rejected."""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational scalar")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
-
-
-def scaled_to_integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+def scaled_to_integers(values: Sequence[int | Fraction]) -> tuple[tuple[int, ...], int]:
     """The integers over the least common denominator that equal ``values``,
     with that denominator."""
     scale = reduce(lcm, (v.denominator for v in values), 1)
@@ -107,8 +94,9 @@ class MonomialMatrix:
     """Matrix with at most one nonzero entry per row and column.
 
     Column ``j`` holds ``weight[j] / scale`` at row ``target[j]`` (integer
-    weights, positive scale). ``target`` must be a permutation; weights may
-    be zero (the column is then empty).
+    weights, positive scale); weights may be zero (the column is then
+    empty). The constructors guarantee that ``target`` is a permutation
+    with one weight per column, so the fields are not checked again.
 
     Tensor-word realizations additionally satisfy ``target`` being an
     involution with ``weight[j] == weight[target[j]]``; products of such
@@ -120,14 +108,6 @@ class MonomialMatrix:
     target: tuple[int, ...]
     weight: tuple[int, ...]
     scale: int = 1
-
-    def __post_init__(self) -> None:
-        if len(self.target) != self.dim or len(self.weight) != self.dim:
-            raise ShapeError("target and weight must both have length dim")
-        if sorted(self.target) != list(range(self.dim)):
-            raise ShapeError("target is not a permutation of 0..dim-1")
-        if self.scale < 1:
-            raise ShapeError(f"scale must be positive, got {self.scale}")
 
     @classmethod
     def identity(cls, dim: int) -> MonomialMatrix:

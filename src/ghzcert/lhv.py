@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SearchBoundError
-from .exact import format_rational
+from .exact import format_integer, format_rational
 from .search import Check, first_assignment
 from .spectral import eigen_tuple_plan_product
 from .words import LETTERS, ProofSet, SitePairs
@@ -88,21 +88,6 @@ class ConstraintSystem:
         return cls(ps.letter_words, tuple(rhs), ps.product_plan,
                    tuple(slots), tuple(domains), tuple(scales))
 
-    @property
-    def assignment_space(self) -> int:
-        return math.prod(len(d) for d in self.domains)
-
-    def space_exceeds(self, bound: int) -> bool:
-        """Whether ``assignment_space`` passes ``bound``. No domain is empty,
-        so the sizes are multiplied only until their product does, and a
-        space of n digits costs no n-digit product."""
-        size = 1
-        for d in self.domains:
-            size *= len(d)
-            if size > bound:
-                return True
-        return size > bound
-
     def word_slot_indices(self) -> tuple[tuple[int, ...], ...]:
         index = {slot: k for k, slot in enumerate(self.slots)}
         return tuple([
@@ -143,6 +128,18 @@ def parity_unsat(cs: ConstraintSystem) -> bool:
     return eigen_tuple_plan_product(cs.rhs, cs.plan) < 0
 
 
+def _space_exceeds(domains: tuple[tuple[int, ...], ...], bound: int) -> bool:
+    """Whether the assignment space, the product of the domain sizes, passes
+    ``bound``. No domain is empty, so the sizes are multiplied only until
+    their product does, and a space of n digits costs no n-digit product."""
+    size = 1
+    for d in domains:
+        size *= len(d)
+        if size > bound:
+            return True
+    return size > bound
+
+
 def brute_force_lhv(
     cs: ConstraintSystem, bound: int = DEFAULT_BOUND, sign_only: bool = False
 ) -> LhvReport:
@@ -161,11 +158,9 @@ def brute_force_lhv(
     else:
         domains = cs.domains
         targets = cs.rhs
-    space = math.prod(len(d) for d in domains)
-    if space > bound:
-        raise SearchBoundError(
-            f"assignment space {space} exceeds the bound {bound}"
-        )
+    if _space_exceeds(domains, bound):
+        space = format_integer(math.prod(len(d) for d in domains))
+        raise SearchBoundError(f"assignment space {space} exceeds the bound {bound}")
     checks = [
         Check(slots, allowed=frozenset((target,)))
         for slots, target in zip(cs.word_slot_indices(), targets)
@@ -184,7 +179,7 @@ def analyze_lhv(cs: ConstraintSystem, bound: int = DEFAULT_BOUND) -> LhvReport:
     the analytic result stands alone (reported as such).
     """
     analytic = parity_unsat(cs)
-    if cs.space_exceeds(bound):
+    if _space_exceeds(cs.domains, bound):
         if not analytic:
             raise SearchBoundError(
                 "assignment space exceeds the bound and no analytic "

@@ -19,7 +19,7 @@ anti-diagonal ones must be symmetric (that makes the spectral engine exact).
 from __future__ import annotations
 
 from .errors import InvalidLevelsError, ShapeError
-from .exact import MonomialMatrix, as_rational, scaled_to_integers
+from .exact import MonomialMatrix, scaled_to_integers
 
 
 def _spin_weights(m: int) -> tuple[tuple[int, ...], int]:
@@ -44,8 +44,8 @@ def build_B(m: int) -> MonomialMatrix:
 
 def custom_site(kind: str, weights) -> MonomialMatrix:
     """A diagonal (kind "A") or anti-diagonal (kind "B") site operator from
-    outside row weights, structure checked."""
-    ws, scale = scaled_to_integers(tuple([as_rational(w) for w in weights]))
+    outside row weights (ints or Fractions), structure checked."""
+    ws, scale = scaled_to_integers(weights)
     if len(ws) < 2:
         raise InvalidLevelsError(f"level count must be at least 2, got {len(ws)}")
     if kind == "A":

@@ -238,7 +238,7 @@ def context_product(pairs: SitePairs, rows) -> FactoredMonomial:
 def plan_product(ps: ProofSet, pairs: SitePairs) -> FactoredMonomial:
     """The product of the words along the plan by `context_product`: the site
     pairs must anticommute, and every one-particle operator must enter the
-    plan an even number of times (`RequirementFlags.even_slot_usage`)."""
+    plan an even number of times (the ``even_slot_usage`` requirement flag)."""
     return context_product(pairs, [ps.words[i].letters for i in ps.product_plan])
 
 
@@ -279,17 +279,6 @@ class JointEigenvector:
         return sum(c * c for c in self.coefficients)
 
 
-def _commuting_operators(ps: ProofSet, pairs: SitePairs | None) -> list[FactoredMonomial]:
-    """The words' operators, once they are known to commute (module
-    docstring). A `ProofSet`'s words pass the letter rule by construction,
-    so only pairs from outside are checked: canonical ones (``pairs`` None)
-    anticommute by construction too."""
-    if pairs is not None and not all(check_anticommute(a, b) for a, b in pairs):
-        raise NonCommutingSetError("word set is not mutually commuting")
-    site_pairs = ps.parties.canonical_pairs() if pairs is None else pairs
-    return [w.factored(site_pairs) for w in ps.words]
-
-
 # Every word's entry at one index: (target index, weight) per word.
 Row = tuple[tuple[Index, int], ...]
 
@@ -300,7 +289,7 @@ def _joint_eigenvectors(ops: list[FactoredMonomial]) -> Iterator[JointEigenvecto
     An orbit is found and diagonalized only when the caller asks for its
     first vector, so a caller that stops early never pays for the orbits
     after it. Each word's entry at an index is read once, by the orbit walk.
-    The words must commute (see ``_commuting_operators``).
+    The words must commute (see ``simultaneous_eigenbasis``).
     """
     rows: dict[Index, Row] = {}
 
@@ -371,8 +360,13 @@ def simultaneous_eigenbasis(
     symmetric matrices). Deterministic: see the module docstring.
     ``select_ghz`` walks the same vectors in the same order but stops at the
     one it picks.
+
+    A `ProofSet`'s words pass the letter rule, so they commute once their
+    site pairs anticommute: outside pairs are checked, canonical ones are not.
     """
-    ops = _commuting_operators(ps, pairs)
+    if pairs is not None and not all(check_anticommute(a, b) for a, b in pairs):
+        raise NonCommutingSetError("word set is not mutually commuting")
+    ops = [w.factored(pairs) for w in ps.words]
     out = tuple(_joint_eigenvectors(ops))
     if len(out) != ops[0].dim:
         raise AssertionError("eigenbasis is incomplete")
@@ -393,7 +387,6 @@ def is_eligible(eigen_tuple: tuple[int, ...], plan: tuple[int, ...]) -> bool:
 def select_ghz(
     ps: ProofSet,
     tuple_hint: tuple | None = None,
-    pairs: SitePairs | None = None,
     ops: list[FactoredMonomial] | None = None,
 ) -> JointEigenvector:
     """Pick the entangled eigenvector the contradiction is built on: its
@@ -404,13 +397,13 @@ def select_ghz(
     otherwise the first eligible one in the deterministic basis order of
     ``simultaneous_eigenbasis``. Orbits are refined in that order only until
     the vector is found, so the rest of the basis is never computed.
-    ``ops``, the words' operators on site pairs known to anticommute (a
-    caller that formed them already), replaces forming them from ``pairs``.
+    ``ops`` are the words' operators on site pairs known to anticommute;
+    they default to the operators on the canonical pairs.
     """
     if tuple_hint is not None and len(tuple_hint) != len(ps.words):
         raise ValueError(f"hint has {len(tuple_hint)} entries for {len(ps.words)} words")
     if ops is None:
-        ops = _commuting_operators(ps, pairs)
+        ops = [w.factored() for w in ps.words]
     if tuple_hint is None:
         def wanted(t: tuple[int, ...]) -> bool:
             return is_eligible(t, ps.product_plan)

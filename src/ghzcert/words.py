@@ -29,6 +29,7 @@ the extra word of the even case: a proof set is built in O(n) for n parties.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -69,13 +70,6 @@ class PartySpec:
     @property
     def n(self) -> int:
         return len(self.levels)
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for m in self.levels:
-            out *= m
-        return out
 
     def canonical_pairs(self) -> SitePairs:
         """The canonical pair of every party, built once per distinct level
@@ -148,66 +142,21 @@ def letters_commute(x: Sequence[str], y: Sequence[str]) -> bool:
     return (x.count("A") + y.count("A")) % 2 == 0
 
 
-def words_commute(u: TensorWord, v: TensorWord) -> bool:
-    """True iff the words' operators commute, by `letters_commute`."""
-    if u.parties != v.parties:
-        raise PartyMismatchError("words belong to different party specs")
-    return letters_commute(u.letters, v.letters)
-
-
-@dataclass(frozen=True)
-class RequirementFlags:
-    """Validation record for the four proof-set requirements."""
-
-    equal_a_parity: bool
-    unique_count_outlier: bool
-    even_slot_usage: bool
-    both_letters_per_party: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.equal_a_parity
-            and self.unique_count_outlier
-            and self.even_slot_usage
-            and self.both_letters_per_party
-        )
-
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "equal_a_parity": self.equal_a_parity,
-            "unique_count_outlier": self.unique_count_outlier,
-            "even_slot_usage": self.even_slot_usage,
-            "both_letters_per_party": self.both_letters_per_party,
-        }
-
-
-def _flags(letter_words: tuple[str, ...], plan: tuple[int, ...]) -> RequirementFlags:
+def _flags(letter_words: tuple[str, ...], plan: tuple[int, ...]) -> dict[str, bool]:
+    """The four proof-set requirements by name, as a certificate stores them."""
     a_counts = [w.count("A") for w in letter_words]
-    equal_a_parity = len({c % 2 for c in a_counts}) == 1
-
-    plan_counts = [a_counts[i] for i in plan]
-    distinct: dict[int, int] = {}
-    for c in plan_counts:
-        distinct[c] = distinct.get(c, 0) + 1
-    unique_count_outlier = (
-        len(distinct) == 2
-        and sorted(distinct.values())[0] == 1
-        and len({c % 2 for c in distinct}) == 1
-    )
-
+    plan_counts = Counter([a_counts[i] for i in plan])
     # one string per party: its letters down the plan, and down the words
     plan_columns = map("".join, zip(*[letter_words[i] for i in plan]))
-    even_slot_usage = all(
-        c.count("A") % 2 == 0 and c.count("B") % 2 == 0 for c in plan_columns
-    )
-    both_letters_per_party = all(
-        "A" in c and "B" in c for c in map("".join, zip(*letter_words))
-    )
-
-    return RequirementFlags(
-        equal_a_parity, unique_count_outlier, even_slot_usage, both_letters_per_party
-    )
+    return {
+        "equal_a_parity": len({c % 2 for c in a_counts}) == 1,
+        "unique_count_outlier": (len(plan_counts) == 2 and min(plan_counts.values()) == 1
+                                 and len({c % 2 for c in plan_counts}) == 1),
+        "even_slot_usage": all(c.count("A") % 2 == 0 and c.count("B") % 2 == 0
+                               for c in plan_columns),
+        "both_letters_per_party": all("A" in c and "B" in c
+                                      for c in map("".join, zip(*letter_words))),
+    }
 
 
 def plan_product_sign(letter_words: tuple[str, ...], plan: tuple[int, ...]) -> int:
@@ -247,7 +196,7 @@ class ProofSet:
 
     words: tuple[TensorWord, ...]
     product_plan: tuple[int, ...]
-    requirement_flags: RequirementFlags
+    requirement_flags: dict[str, bool]
 
     def __post_init__(self) -> None:
         _check_plan(len(self.words), self.product_plan)
@@ -256,7 +205,7 @@ class ProofSet:
             if w.parties != parties:
                 raise PartyMismatchError("proof-set words span different party specs")
         for u, v in itertools.combinations(self.words, 2):
-            if not words_commute(u, v):
+            if not letters_commute(u.letters, v.letters):
                 raise ValueError(f"words {u} and {v} do not commute")
 
     @classmethod
@@ -288,7 +237,7 @@ _COLUMN_TYPES = ("AABB", "ABAB", "ABBA", "BAAB", "BABA", "BBAA")
 
 def _checked(ps: ProofSet) -> ProofSet:
     """A constructed set, once its flags all hold and its plan sign is -1."""
-    if not ps.requirement_flags.all_ok or ps.product_sign() != -1:
+    if not all(ps.requirement_flags.values()) or ps.product_sign() != -1:
         raise ValueError(
             f"constructed word set {' '.join(ps.letter_words)} is not a proof set"
         )

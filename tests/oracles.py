@@ -64,10 +64,10 @@ from ghzcert.errors import InvalidLevelsError, ParityError, SearchBoundError, Sh
 from ghzcert.exact import (
     FactoredMonomial,
     MonomialMatrix,
-    as_rational,
     monomial_compose,
     monomial_multiply,
     monomial_tensor,
+    parse_rational,
     scaled_to_integers,
 )
 from ghzcert.kochen_specker import (
@@ -270,7 +270,7 @@ def exhaustive_no_4set(parties: PartySpec) -> bool:
         )
     plan = (0, 1, 2, 3)
     for candidate in itertools.combinations(_all_words(parties.n), 4):
-        if _flags(tuple(candidate), plan).all_ok:
+        if all(_flags(tuple(candidate), plan).values()):
             return False
     return True
 
@@ -313,7 +313,7 @@ def generate_odd_set(parties: PartySpec) -> ProofSet:
         raise ParityError(f"party count {parties.n} is even; use extend_even_set")
     plan = (0, 1, 2, 3)
     for candidate in search_four_sets(parties.n):
-        if not _flags(candidate, plan).all_ok:
+        if not all(_flags(candidate, plan).values()):
             continue
         if plan_product_sign(candidate, plan) != -1:
             continue
@@ -394,7 +394,7 @@ def extend_even_set(parties: PartySpec) -> ProofSet:
         if fifth.count("A") % 2 != base_parity:
             continue
         candidate = extended + (fifth,)
-        if not _flags(candidate, plan).all_ok:
+        if not all(_flags(candidate, plan).values()):
             continue
         if plan_product_sign(candidate, plan) != -1:
             continue
@@ -633,6 +633,19 @@ def simultaneous_eigenbasis(mats: list[MonomialMatrix]) -> tuple[JointEigenvecto
                 support, coeffs = _primitive(v)
                 out.append(JointEigenvector(tup, support, coeffs))
     return tuple(out)
+
+
+def as_rational(value: int | Fraction | str) -> Fraction:
+    """Coerce an int, Fraction, or rational literal; floats are rejected."""
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational scalar")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
 @dataclass(frozen=True)

@@ -595,7 +595,7 @@ def test_criteria_custom_scaled_pair_still_ghz():
         for a, b in spec.canonical_pairs()
     )
     ps = generate_odd_set(spec)
-    state = select_ghz(ps, pairs=scaled)
+    state = select_ghz(ps, ops=[w.factored(scaled) for w in ps.words])
     sv = StateVector(spec.levels, state.support, state.coefficients, state.norm_sq)
     ok, reason = check_ghz_criteria(sv, scaled, ps.letter_words)
     assert ok, reason

@@ -3,12 +3,15 @@
 import json
 import os
 import stat
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzcert.certificate import build_ghz_document, load_document
 from ghzcert.cli import main
+from ghzcert.errors import CertificateError
 from ghzcert.exact import parse_rational
 from ghzcert.words import PartySpec
 from test_document_checks import LEAKED_REASONS
@@ -204,6 +207,9 @@ def _json(value):
     return json.dumps(value).encode()
 
 
+# nesting far past the JSON parser's recursion limit
+DEEP_NESTING = b"[" * 100_000 + b"]" * 100_000
+
 BAD_INPUTS = [
     pytest.param(["build", "3", "3", "3", "--tuple-hint", "1,x,1,1"], {},
                  id="tuple-hint-junk"),
@@ -257,6 +263,10 @@ BAD_INPUTS = [
     pytest.param(["verify", "."], {}, id="verify-directory"),
     pytest.param(["verify", "bin.json"], {"bin.json": b"\xff\xfe{}"},
                  id="verify-non-utf8"),
+    pytest.param(["verify", "deep.json"], {"deep.json": DEEP_NESTING},
+                 id="verify-deep-nesting"),
+    pytest.param(["criteria", "--state", "deep.json"], {"deep.json": DEEP_NESTING},
+                 id="criteria-deep-nesting"),
 ]
 
 
@@ -288,6 +298,37 @@ def test_integer_literal_past_the_digit_limit_is_an_input_error(
     assert err.startswith("error: parse error: ") and err.count("\n") == 1
 
 
+def test_lhv_bound_below_a_space_of_thousands_of_digits_is_an_input_error(
+        int_digit_limit, capsys):
+    int_digit_limit(4300)  # the interpreter's default
+    # 3 x4601 has 3**9202 assignments, 4,391 digits
+    code, out, err = run(capsys, "lhv", *["3"] * 4601, "--bound", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: assignment space 29497548938957486507")
+    assert err.endswith(" exceeds the bound 5\n") and err.count("\n") == 1
+
+
+# Arbitrary text, and nesting past the parser's recursion limit among it.
+NESTED_TEXT = st.builds(
+    lambda depth, brackets, inner: brackets[0] * depth + inner + brackets[1] * depth,
+    st.integers(0, 3000), st.sampled_from((("[", "]"), ('{"a": ', "}"))), st.text(max_size=8),
+)
+
+
+@settings(deadline=None)
+@given(st.text() | NESTED_TEXT)
+def test_load_document_returns_an_object_or_raises_certificate_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        try:
+            doc = load_document(path)
+        except CertificateError:
+            return
+    assert type(doc) is dict
+
+
 # The error line of each `criteria` case above: a misshapen input file names
 # the field by its dotted path.
 CRITERIA_ERRORS = {
@@ -307,6 +348,8 @@ CRITERIA_ERRORS = {
         "malformed pairs file: missing key 'site_operators[0].b_weights'",
     "pairs-junk-weight": "malformed pairs file: not a rational literal: 'y'",
     "pairs-int-site-operators": "malformed pairs file: site_operators must be a list",
+    "criteria-deep-nesting": "parse error: maximum recursion depth exceeded while "
+                             "decoding a JSON array from a unicode string",
 }
 
 

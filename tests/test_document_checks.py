@@ -165,9 +165,9 @@ def test_ghz_verify_reads_each_distinct_site_pair_once(monkeypatch, levels):
         monkeypatch, ("custom_site", "check_anticommute"), (siteops, spectral, certificate)
     )
     assert verify_document(doc) == (True, "accept")
-    # every party holds the same site_operators entry: its A and B are read
-    # once, and anticommutation is still checked for each party
-    assert counts == {"custom_site": 2, "check_anticommute": len(levels)}
+    # every party holds the same site_operators entry: its A and B are read,
+    # and their anticommutation checked, once
+    assert counts == {"custom_site": 2, "check_anticommute": 1}
 
 
 HASH_FREE_DOCS = {
@@ -272,13 +272,39 @@ def test_ghz_build_checks_each_eigenvector_equation_once(monkeypatch, checker):
 @pytest.mark.parametrize("checker", sorted(CLAIM_CHECKERS))
 def test_ghz_build_checks_each_site_pair_once(monkeypatch, checker):
     # select_ghz takes the canonical pairs as built; the claim steps check
-    # the stored or supplied pairs, once per party
+    # the stored or supplied pairs, once per distinct pair
     run = CLAIM_CHECKERS[checker]((3, 3, 3, 3))
     counts = _count_calls(
         monkeypatch, ("check_anticommute",), (siteops, spectral, certificate)
     )
     run()
-    assert counts == {"check_anticommute": 4}
+    assert counts == {"check_anticommute": 1}
+
+
+@pytest.mark.parametrize("checker", ("verify", "criteria"))
+def test_shared_pair_failure_names_its_first_party(monkeypatch, checker):
+    # parties 1 and 3 share an anticommuting pair, parties 2 and 4 one that
+    # commutes: the reason names party 2, after one check per distinct pair
+    doc = build_ghz_document(PartySpec((3, 2, 3, 2)))
+    for party in (1, 3):
+        doc["site_operators"][party] = {"a_weights": ["1", "1"], "b_weights": ["1", "1"]}
+    run = {"verify": lambda: verify_document(doc),
+           "criteria": lambda: check_ghz_criteria(*_criteria_args(doc))}[checker]
+    counts = _count_calls(monkeypatch, ("check_anticommute",), (siteops, certificate))
+    assert run() == (False, "site operators for party 2 do not anticommute")
+    assert counts == {"check_anticommute": 2}
+
+
+@pytest.mark.parametrize("checker", ("verify", "criteria"))
+def test_shared_pair_of_the_wrong_dimension_names_its_party(checker):
+    # parties 1 and 2 share the canonical 3-level entry, but party 2 has 2 levels
+    doc = build_ghz_document(PartySpec((3, 2, 3)))
+    doc["site_operators"][1] = dict(doc["site_operators"][0])
+    reason = "site operators for party 2 have the wrong dimension"
+    if checker == "verify":
+        assert verify_document(doc) == (False, reason)
+    else:
+        assert check_ghz_criteria(*_criteria_args(doc)) == (False, reason)
 
 
 ONE_PATH_GRID = {

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from oracles import (
     DenseMatrix,
     densify,
@@ -16,6 +17,7 @@ from oracles import (
 
 from ghzcert.errors import ShapeError
 from ghzcert.exact import (
+    FactoredMonomial,
     MonomialMatrix,
     format_integer,
     format_rational,
@@ -24,7 +26,8 @@ from ghzcert.exact import (
     monomial_tensor,
     parse_rational,
 )
-from ghzcert.siteops import build_A, build_B
+from ghzcert.siteops import build_A, build_B, custom_site
+from ghzcert.spectral import column_product
 
 
 def _random_matrix(rng, rows, cols):
@@ -236,3 +239,44 @@ def test_mat_apply_matches_columns():
         e = [Fraction(0)] * 4
         e[j] = Fraction(1)
         assert list(mat_apply(m, e)) == [m.at(i, j) for i in range(4)]
+
+
+# -- the constructors' invariant ---------------------------------------------
+# MonomialMatrix does not check its fields: every constructor builds a
+# permutation of 0..dim-1 with one weight per column over a positive scale.
+
+
+def _constructed(op):
+    return (sorted(op.target) == list(range(op.dim)) and len(op.weight) == op.dim
+            and op.scale >= 1)
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_constructors_build_a_permutation_over_a_positive_scale(m):
+    a, b = build_A(m), build_B(m)
+    ops = [
+        MonomialMatrix.identity(m),
+        MonomialMatrix.diagonal(a.weight, a.scale),
+        MonomialMatrix.anti_diagonal(b.weight, b.scale),
+        a,
+        b,
+        column_product((a, b), "ABBA"),
+        column_product((a, b), "BIAAB"),
+        monomial_multiply(a, b),
+        monomial_compose([b, a, b]),
+        monomial_tensor(a, b),
+        FactoredMonomial((b, a)).expand(),
+    ]
+    assert all(map(_constructed, ops))
+
+
+WEIGHT = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=6)
+
+
+@given(st.sampled_from("AB"), st.lists(WEIGHT, min_size=2, max_size=8))
+def test_custom_site_builds_a_permutation_over_a_positive_scale(kind, weights):
+    if kind == "B":  # anti-diagonal weights are symmetric under row reversal
+        weights = [weights[min(j, len(weights) - 1 - j)] for j in range(len(weights))]
+    op = custom_site(kind, weights)
+    assert _constructed(op)
+    assert _constructed(FactoredMonomial((op, op)).expand())

@@ -82,7 +82,7 @@ def test_integer_core_matches_rational_oracles_on_custom_pairs(problem):
         assert _signs_to_doc(signs) == oracles.sign_counts_doc(expected)
 
     try:
-        state = select_ghz(ps, None, pairs)
+        state = select_ghz(ps, None, ops)
     except NoGhzStateError:
         # then no joint eigenvector of the oracle's basis is eligible
         mats = [oracles.realize(w.letters, pairs, levels) for w in ps.words]
