@@ -153,9 +153,13 @@ class MonomialMatrix:
     @cached_property
     def sign_counts(self) -> tuple[int, int, int]:
         """(positive, negative, zero) eigenvalue counts, computed once per operator."""
-        counts = self.eigenvalue_counts
-        return (sum(m for v, m in counts if v > 0), sum(m for v, m in counts if v < 0),
-                sum(m for v, m in counts if not v))
+        return count_signs(self.eigenvalue_counts)
+
+
+def count_signs(entries: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) totals of a (value, multiplicity) list."""
+    return (sum(m for v, m in entries if v > 0), sum(m for v, m in entries if v < 0),
+            sum(m for v, m in entries if not v))
 
 
 def monomial_multiply(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:

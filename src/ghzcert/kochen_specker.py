@@ -49,7 +49,6 @@ from .spectral import (
     context_product,
     spectrum_of_factored,
 )
-from .words import SitePairs
 
 COMPOSITE_WORDS = ("ABB", "BAB", "BBA", "AAA")
 
@@ -68,10 +67,6 @@ class KsObservable:
     label: str
     letters: tuple[str, ...]  # per party: "A", "B", or "I"
 
-    @property
-    def is_composite(self) -> bool:
-        return "I" not in self.letters
-
 
 @dataclass(frozen=True)
 class KsConfiguration:
@@ -86,10 +81,6 @@ class KsConfiguration:
     horizontal_spectrum: Spectrum
     side_spectrum: Spectrum
     pair: tuple[MonomialMatrix, MonomialMatrix] = field(repr=False, compare=False)
-
-    def pairs(self) -> SitePairs:
-        """Every party's site pair: the one `build_ks` built."""
-        return (self.pair,) * 3
 
 
 @dataclass(frozen=True)
@@ -172,19 +163,11 @@ def _search_signs(cfg: KsConfiguration) -> KsReport:
 
 
 def _search_full(cfg: KsConfiguration) -> KsReport:
-    # One search slot per one-party observable, in observable order; each
-    # composite stands for the product of its three factors.
-    pairs = cfg.pairs()
-    slot_of: dict[int, tuple[int, ...]] = {}
-    domains = []
-    for idx, obs in enumerate(cfg.observables):
-        if obs.is_composite:
-            continue
-        party = next(p for p, c in enumerate(obs.letters) if c != "I")
-        a_op, b_op = pairs[party]
-        op = a_op if obs.letters[party] == "A" else b_op
-        slot_of[idx] = (len(domains),)
-        domains.append(tuple([v for v, _ in reversed(op.eigenvalue_counts)]))
+    # One search slot per one-party observable, in observable order: every
+    # party's A then B (A1 B1 A2 B2 A3 B3, as `build_ks` lists them), each on
+    # the shared pair. Each composite stands for the product of its three factors.
+    domains = [tuple([v for v, _ in reversed(op.eigenvalue_counts)]) for op in cfg.pair] * 3
+    slot_of = {len(COMPOSITE_WORDS) + k: (k,) for k in range(len(domains))}
     for ctx in cfg.contexts[1:]:
         slot_of[ctx[0]] = tuple([k for i in ctx[1:] for k in slot_of[i]])
     # the horizontal product and the product of its twelve slots' values are

@@ -5,8 +5,9 @@ product of the one-particle values chosen for its letters must equal the
 word's eigenvalue. Unsatisfiability is established twice, independently:
 
 * analytically -- every one-particle observable occurs an even number of
-  times across the product plan, so the left-hand side of the multiplied-out
-  system is a product of squares, while the right-hand side is negative;
+  times across the product plan (the proof set's ``even_slot_usage``
+  requirement flag), so the left-hand side of the multiplied-out system is a
+  product of squares, while the right-hand side is negative;
 * by the search kernel (``ghzcert.search``) over every assignment drawing
   each value from the exact spectrum of its site operator, an integer over
   the operator's scale -- it refutes the
@@ -24,8 +25,8 @@ was visited; it keeps certificate bytes stable and caps satisfiable walks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import SearchBoundError
 from .exact import format_integer, format_rational
@@ -48,15 +49,15 @@ def slot_label(slot: Slot) -> str:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Word equations over one value slot per (party, letter).
+    """The equations of a proof set's words over one value slot per (party,
+    letter), slot 2 * party + the letter's index in ``LETTERS``.
 
     Slot k takes its site operator's eigenvalues over ``scales[k]``, and a
     word's right-hand side is over its operator's scale, the product of its
     slots' scales: the equations are between integers."""
 
-    letter_words: tuple[str, ...]
+    proof_set: ProofSet
     rhs: tuple[int, ...]
-    plan: tuple[int, ...]
     slots: tuple[Slot, ...]
     domains: tuple[tuple[int, ...], ...]
     scales: tuple[int, ...]
@@ -85,25 +86,13 @@ class ConstraintSystem:
                     read[id(op)] = tuple([v for v, _ in op.eigenvalue_counts])
                 domains.append(read[id(op)])
                 scales.append(op.scale)
-        return cls(ps.letter_words, tuple(rhs), ps.product_plan,
-                   tuple(slots), tuple(domains), tuple(scales))
+        return cls(ps, tuple(rhs), tuple(slots), tuple(domains), tuple(scales))
 
     def word_slot_indices(self) -> tuple[tuple[int, ...], ...]:
-        index = {slot: k for k, slot in enumerate(self.slots)}
         return tuple([
-            tuple([index[(party, letter)] for party, letter in enumerate(word)])
-            for word in self.letter_words
+            tuple([2 * party + LETTERS.index(letter) for party, letter in enumerate(word)])
+            for word in self.proof_set.letter_words
         ])
-
-    @cached_property
-    def plan_slot_multiplicities(self) -> dict[Slot, int]:
-        """How often each slot enters the plan; counted once per system."""
-        counts: dict[Slot, int] = {}
-        for i in self.plan:
-            word = self.letter_words[i]
-            for party, letter in enumerate(word):
-                counts[(party, letter)] = counts.get((party, letter), 0) + 1
-        return counts
 
 
 @dataclass(frozen=True)
@@ -118,14 +107,13 @@ class LhvReport:
 
 
 def parity_unsat(cs: ConstraintSystem) -> bool:
-    """Analytic obstruction: every used slot occurs an even number of times
-    across the plan, and the planned right-hand product is negative. When
-    both hold, no nonzero assignment can work, and zero values are excluded
-    by the nonzero right-hand sides."""
-    counts = cs.plan_slot_multiplicities
-    if any(m % 2 for m in counts.values()):
-        return False
-    return eigen_tuple_plan_product(cs.rhs, cs.plan) < 0
+    """Analytic obstruction: every slot occurs an even number of times across
+    the plan (the ``even_slot_usage`` flag), and the planned right-hand product
+    is negative. When both hold, no nonzero assignment can work, and zero
+    values are excluded by the nonzero right-hand sides."""
+    ps = cs.proof_set
+    return (ps.requirement_flags["even_slot_usage"]
+            and eigen_tuple_plan_product(cs.rhs, ps.product_plan) < 0)
 
 
 def _space_exceeds(domains: tuple[tuple[int, ...], ...], bound: int) -> bool:
@@ -194,16 +182,22 @@ def analyze_lhv(cs: ConstraintSystem, bound: int = DEFAULT_BOUND) -> LhvReport:
     return LhvReport(report.status, report.witness, "both", report.assignments_checked)
 
 
+def plan_slot_counts(cs: ConstraintSystem) -> Counter[Slot]:
+    """How often each slot enters the plan, as `explain_parity` lists it."""
+    ps = cs.proof_set
+    return Counter([slot for i in ps.product_plan for slot in enumerate(ps.words[i].letters)])
+
+
 def explain_parity(cs: ConstraintSystem) -> str:
     """Human-readable account of the analytic obstruction with the actual
     slot multiplicities and right-hand product."""
-    counts = cs.plan_slot_multiplicities
+    counts = plan_slot_counts(cs)
     usage = ", ".join(
         f"{slot_label(slot)}:{counts[slot]}" for slot in sorted(counts)
     )
     scale_of = dict(zip(cs.slots, cs.scales))
     rhs_prod = format_rational(
-        eigen_tuple_plan_product(cs.rhs, cs.plan),
+        eigen_tuple_plan_product(cs.rhs, cs.proof_set.product_plan),
         math.prod(scale_of[slot] ** k for slot, k in counts.items()),
     )
     if parity_unsat(cs):

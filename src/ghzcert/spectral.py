@@ -63,12 +63,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NoGhzStateError, NonCommutingSetError
-from .exact import FactoredMonomial, MonomialMatrix
+from .exact import FactoredMonomial, MonomialMatrix, count_signs
 from .siteops import check_anticommute
 from .words import LETTERS, ProofSet, SitePairs, column_inversions
 
@@ -90,26 +89,8 @@ class Spectrum:
     entries: tuple[tuple[int, int], ...]
     scale: int = 1
 
-    def multiplicity(self, value: int) -> int:
-        """Multiplicity of the eigenvalue ``value / scale``."""
-        k = bisect_left(self.entries, (value,))
-        found = k < len(self.entries) and self.entries[k][0] == value
-        return self.entries[k][1] if found else 0
-
-    @property
-    def zero_count(self) -> int:
-        return self.multiplicity(0)
-
-    @property
-    def positive_count(self) -> int:
-        return sum(m for v, m in self.entries if v > 0)
-
-    @property
-    def negative_count(self) -> int:
-        return sum(m for v, m in self.entries if v < 0)
-
     def classify(self) -> str:
-        return classify_signs(self.positive_count, self.negative_count, self.zero_count)
+        return classify_signs(*count_signs(self.entries))
 
 
 def classify_signs(positive: int, negative: int, zero: int) -> str:

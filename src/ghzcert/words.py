@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InvalidLevelsError,
@@ -192,11 +192,12 @@ def _check_plan(word_count: int, plan: tuple[int, ...]) -> None:
 @dataclass(frozen=True)
 class ProofSet:
     """Mutually commuting words plus the plan of indices whose operator
-    product must have a nonpositive spectrum."""
+    product must have a nonpositive spectrum; the requirement flags are
+    derived from both."""
 
     words: tuple[TensorWord, ...]
     product_plan: tuple[int, ...]
-    requirement_flags: dict[str, bool]
+    requirement_flags: dict[str, bool] = field(init=False)
 
     def __post_init__(self) -> None:
         _check_plan(len(self.words), self.product_plan)
@@ -207,17 +208,14 @@ class ProofSet:
         for u, v in itertools.combinations(self.words, 2):
             if not letters_commute(u.letters, v.letters):
                 raise ValueError(f"words {u} and {v} do not commute")
+        # the flags index the words through the plan, so they come after its check
+        object.__setattr__(self, "requirement_flags", _flags(self.letter_words, self.product_plan))
 
     @classmethod
     def assemble(
         cls, words: tuple[TensorWord, ...], plan: tuple[int, ...] | None = None
     ) -> ProofSet:
-        if plan is None:
-            plan = tuple(range(len(words)))
-        # the flags index the words through the plan, so check it first
-        _check_plan(len(words), plan)
-        flags = _flags(tuple([w.letters for w in words]), plan)
-        return cls(words, plan, flags)
+        return cls(words, tuple(range(len(words))) if plan is None else plan)
 
     @property
     def parties(self) -> PartySpec:
@@ -242,14 +240,6 @@ def _checked(ps: ProofSet) -> ProofSet:
             f"constructed word set {' '.join(ps.letter_words)} is not a proof set"
         )
     return ps
-
-
-def _outlier_last(candidate: tuple[str, ...]) -> tuple[str, ...]:
-    counts = [w.count("A") for w in candidate]
-    outlier_value = next(c for c in counts if counts.count(c) == 1)
-    common = sorted(w for w in candidate if w.count("A") != outlier_value)
-    outlier = next(w for w in candidate if w.count("A") == outlier_value)
-    return tuple(common) + (outlier,)
 
 
 def generate_odd_set(parties: PartySpec) -> ProofSet:
@@ -281,6 +271,10 @@ def generate_odd_set(parties: PartySpec) -> ProofSet:
       with x4 = x5 = 0, the surplus s in BBAA and x2 = x3 = c - s. Every
       count then has the parity of n - s (c has that of 3c = n + s), and
       x2 + x5 = (n - 2s)/3 is odd since n is.
+
+    So row 0 is the outlier, and rows 1-3 come out ascending: row 1 starts
+    with A, rows 2 and 3 with B^c and then A and B, as c - s >= 1. The rows
+    are taken in the order 1, 2, 3, 0.
     """
     if parties.n % 2 == 0:
         raise ParityError(f"party count {parties.n} is even; use extend_even_set")
@@ -288,7 +282,7 @@ def generate_odd_set(parties: PartySpec) -> ProofSet:
     common = (parties.n + surplus) // 3
     counts = (common, common - surplus, common - surplus, 0, 0, surplus)
     rows = ["".join([t[row] * c for t, c in zip(_COLUMN_TYPES, counts)]) for row in range(4)]
-    words = tuple([TensorWord(w, parties) for w in _outlier_last(rows)])
+    words = tuple([TensorWord(w, parties) for w in rows[1:] + rows[:1]])
     return _checked(ProofSet.assemble(words, (0, 1, 2, 3)))
 
 

@@ -5,12 +5,15 @@ before its searches moved onto ``ghzcert.search.first_assignment``. They
 visit every assignment one by one, with no pruning, scaling or division, so
 agreement with the kernel on status, count and witness checks the kernel's
 prefix refutation and counting. A claimed LHV witness is checked by direct
-substitution into the word equations.
+substitution into the word equations. Beside them sits the analytic check
+the package made before it read the proof set's ``even_slot_usage`` flag: it
+counts every (party, letter) slot down the plan.
 
 The second part holds the word-set searches the package used before proof
 sets were constructed from column-type counts: the lexicographic search over
 four-word sets and the loop over every candidate fifth word, plus the
-enumeration showing that no four-word set exists for four parties. They take time
+enumeration showing that no four-word set exists for four parties, and the
+sort that put a candidate's outlying word last. They take time
 exponential in the party count, so they are the reference for small ``n``.
 Beside them sits the search the package used before the closed form: it
 walks every split of the party columns over the six column types in
@@ -55,6 +58,8 @@ scale), in ``Fraction`` arithmetic throughout.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -88,7 +93,6 @@ from ghzcert.words import (
     ProofSet,
     TensorWord,
     _flags,
-    _outlier_last,
     plan_product_sign,
 )
 
@@ -143,13 +147,24 @@ def brute_force_lhv(
 
 def verify_witness(cs: ConstraintSystem, witness: dict[tuple[int, str], Fraction]) -> bool:
     """Re-check a claimed satisfying assignment by direct substitution."""
-    for word, target in zip(cs.letter_words, cs.rhs):
+    for word, target in zip(cs.proof_set.letter_words, cs.rhs):
         prod = ONE
         for party, letter in enumerate(word):
             prod *= witness[(party, letter)]
         if prod != target:
             return False
     return True
+
+
+def parity_unsat(cs: ConstraintSystem) -> bool:
+    """The analytic obstruction by slot counts: every (party, letter) slot
+    that the plan uses enters it an even number of times, and the planned
+    right-hand product is negative."""
+    ps = cs.proof_set
+    counts = Counter(slot for i in ps.product_plan for slot in enumerate(ps.words[i].letters))
+    if any(m % 2 for m in counts.values()):
+        return False
+    return math.prod(cs.rhs[i] for i in ps.product_plan) < 0
 
 
 def ks_search_signs(cfg: KsConfiguration) -> KsReport:
@@ -174,9 +189,9 @@ def ks_search_signs(cfg: KsConfiguration) -> KsReport:
 
 
 def ks_search_full(cfg: KsConfiguration) -> KsReport:
-    pairs = cfg.pairs()
+    pairs = (cfg.pair,) * 3
     one_party = [
-        (idx, obs) for idx, obs in enumerate(cfg.observables) if not obs.is_composite
+        (idx, obs) for idx, obs in enumerate(cfg.observables) if "I" in obs.letters
     ]
     domains = []
     for _, obs in one_party:
@@ -185,7 +200,7 @@ def ks_search_full(cfg: KsConfiguration) -> KsReport:
         op = a_op if obs.letters[party] == "A" else b_op
         domains.append(tuple(sorted((v for v, _ in op.eigenvalue_counts), reverse=True)))
     factor_of = {idx: k for k, (idx, _) in enumerate(one_party)}
-    composite_ids = [i for i, obs in enumerate(cfg.observables) if obs.is_composite]
+    composite_ids = [i for i, obs in enumerate(cfg.observables) if "I" not in obs.letters]
     composite_factors = {
         ctx[0]: tuple(factor_of[i] for i in ctx[1:]) for ctx in cfg.contexts[1:]
     }
@@ -308,6 +323,16 @@ def search_four_sets(n: int):
     yield from recurse([], 0, [0] * n, [0] * n)
 
 
+def outlier_last(candidate: tuple[str, ...]) -> tuple[str, ...]:
+    """The words of a candidate set with the common A count sorted, and the
+    word of the outlying count last."""
+    counts = [w.count("A") for w in candidate]
+    outlier_value = next(c for c in counts if counts.count(c) == 1)
+    common = sorted(w for w in candidate if w.count("A") != outlier_value)
+    outlier = next(w for w in candidate if w.count("A") == outlier_value)
+    return tuple(common) + (outlier,)
+
+
 def generate_odd_set(parties: PartySpec) -> ProofSet:
     if parties.n % 2 == 0:
         raise ParityError(f"party count {parties.n} is even; use extend_even_set")
@@ -317,7 +342,7 @@ def generate_odd_set(parties: PartySpec) -> ProofSet:
             continue
         if plan_product_sign(candidate, plan) != -1:
             continue
-        ordered = _outlier_last(candidate)
+        ordered = outlier_last(candidate)
         words = tuple(TensorWord(w, parties) for w in ordered)
         return ProofSet.assemble(words, plan)
     raise ValueError(f"no valid four-word set exists for {parties.n} parties")
@@ -375,7 +400,7 @@ def split_search_odd_set(parties: PartySpec) -> ProofSet:
         raise ValueError(f"no valid four-word set exists for {parties.n} parties")
     columns = [t for t, c in zip(_COLUMN_TYPES, counts) for _ in range(c)]
     rows = tuple(["".join(col[row] for col in columns) for row in range(4)])
-    words = tuple([TensorWord(w, parties) for w in _outlier_last(rows)])
+    words = tuple([TensorWord(w, parties) for w in outlier_last(rows)])
     return ProofSet.assemble(words, (0, 1, 2, 3))
 
 
@@ -478,7 +503,7 @@ def realize(letters, pairs, levels) -> MonomialMatrix:
 
 def realized(cfg: KsConfiguration) -> list[MonomialMatrix]:
     """The ten KS observables as composite monomials, in observable order."""
-    pairs = cfg.pairs()
+    pairs = (cfg.pair,) * 3
     return [realize(obs.letters, pairs, (cfg.levels,) * 3) for obs in cfg.observables]
 
 

@@ -120,6 +120,19 @@ def test_lhv_sat_control(capsys):
     assert "witness:" in out
 
 
+def test_lhv_zero_on_the_doubled_word(capsys):
+    # a zero right-hand side on the twice-planned word: no parity
+    # obstruction, yet the brute force finds no assignment
+    code, out, _ = run(capsys, "lhv", "3", "3", "3", "3", "--rhs", "1/16,1/16,1/16,-1/16,0")
+    assert code == 0
+    assert out == (
+        "words: ABBB BABB BBAB AAAB BBBA   plan: 0 1 2 3 4 4\n"
+        "rhs: 1/16 1/16 1/16 -1/16 0\n"
+        "parity obstruction: no\n"
+        "brute force: UNSAT after 6561 assignments\n"
+    )
+
+
 def test_lhv_sign_only(capsys):
     code, out, _ = run(capsys, "lhv", "3", "3", "3", "--sign-only")
     assert code == 0

@@ -7,13 +7,13 @@ import json
 import re
 import time
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzcert import certificate, cli, exact, kochen_specker, siteops, spectral, words
+from ghzcert import certificate, cli, exact, kochen_specker, lhv, siteops, spectral, words
 from ghzcert.certificate import (
     StateVector,
     build_ghz_document,
@@ -23,8 +23,8 @@ from ghzcert.certificate import (
     verify_document,
 )
 from ghzcert.kochen_specker import FULL_SPECTRUM, SIGN_ONLY
-from ghzcert.lhv import ConstraintSystem
-from ghzcert.words import PartySpec
+from ghzcert.lhv import ConstraintSystem, parity_unsat
+from ghzcert.words import PartySpec, build_proof_set
 
 
 def _count_calls(monkeypatch, names, modules=(certificate,)):
@@ -55,22 +55,16 @@ def test_ghz_build_derives_each_section_once(monkeypatch):
 
 
 def test_ghz_derivation_counts_plan_slots_once(monkeypatch):
-    calls = []
-    original = ConstraintSystem.plan_slot_multiplicities.func
-
-    def counted(cs):
-        calls.append(cs)
-        return original(cs)
-
-    prop = cached_property(counted)
-    prop.__set_name__(ConstraintSystem, "plan_slot_multiplicities")
-    monkeypatch.setattr(ConstraintSystem, "plan_slot_multiplicities", prop)
-    # build and verify each run one derivation, whose LHV decision and
-    # explanation share the counts
+    counts = _count_calls(monkeypatch, ("plan_slot_counts",), (lhv,))
+    # build and verify each run one derivation, whose explanation counts the
+    # plan slots; its LHV decision reads the even_slot_usage flag instead
     doc = build_ghz_document(PartySpec((3, 3, 3)))
-    assert len(calls) == 1
+    assert counts == {"plan_slot_counts": 1}
     assert verify_document(doc) == (True, "accept")
-    assert len(calls) == 2
+    assert counts == {"plan_slot_counts": 2}
+    cs = ConstraintSystem.build(build_proof_set(PartySpec((3, 3, 3))), (1, 1, 1, -1))
+    assert parity_unsat(cs)
+    assert counts == {"plan_slot_counts": 2}
 
 
 LARGE_LEVELS = ((60, 62, 64, 66, 68), (40, 42, 44, 46))

@@ -66,7 +66,7 @@ def test_word_and_plan_spectra_match_expansion(levels):
 @pytest.mark.parametrize("m", (2, 4, 6))
 def test_ks_observables_match_oracle(m):
     cfg = build_ks(m)
-    pairs = cfg.pairs()
+    pairs = (cfg.pair,) * 3
     for obs in cfg.observables:
         factored = factor_letters(obs.letters, pairs, (m,) * 3)
         assert factored.expand() == oracles.realize(obs.letters, pairs, (m,) * 3)
@@ -99,7 +99,7 @@ def test_word_factors_are_the_site_operators(scale):
         for (a_op, b_op), letter, factor in zip(pairs, letters, factors):
             assert factor is (a_op if letter == "A" else b_op)
     cfg = build_ks(2)
-    pairs = cfg.pairs()
+    pairs = (cfg.pair,) * 3
     for obs in cfg.observables:
         factors = factor_letters(obs.letters, pairs, (2,) * 3).factors
         for (a_op, b_op), letter, factor in zip(pairs, obs.letters, factors):

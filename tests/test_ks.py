@@ -8,7 +8,7 @@ import pytest
 from oracles import densify, mat_multiply, monomial_equal, realized, shared_side_product
 
 from ghzcert.errors import ParityError
-from ghzcert.exact import monomial_compose
+from ghzcert.exact import count_signs, monomial_compose
 from ghzcert.kochen_specker import (
     FULL_SPECTRUM,
     KS_SAT,
@@ -121,10 +121,10 @@ def test_parity_identity_over_contexts():
 
 def test_horizontal_spectrum_all_negative():
     for m in (2, 4):
-        spect = build_ks(m).horizontal_spectrum
-        assert spect.positive_count == 0
-        assert spect.zero_count == 0
-        assert spect.negative_count == m**3
+        positive, negative, zero = count_signs(build_ks(m).horizontal_spectrum.entries)
+        assert positive == 0
+        assert zero == 0
+        assert negative == m**3
 
 
 def test_render_contexts():

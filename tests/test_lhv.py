@@ -1,8 +1,10 @@
 """Local value assignments: the analytic obstruction and the brute force."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import oracles
 import pytest
 from oracles import verify_witness
 
@@ -162,6 +164,51 @@ def test_agreement_full_grid(n, m):
     assert brute_force_lhv(cs).status == UNSAT
 
 
+def _flips(rhs):
+    """``rhs`` and every copy of it with one entry's sign flipped."""
+    yield tuple(rhs)
+    for k in range(len(rhs)):
+        yield tuple([-t if i == k else t for i, t in enumerate(rhs)])
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 5))
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_parity_flag_matches_the_slot_count_oracle(n, m):
+    # the flag-based check agrees with counting slots down the plan, on the
+    # canonical right-hand sides and on every single sign flip of them
+    ps, cs = canonical_system((m,) * n)
+    assert parity_unsat(cs) and oracles.parity_unsat(cs)
+    for rhs in _flips(cs.rhs):
+        flipped = ConstraintSystem.build(ps, rhs)
+        assert parity_unsat(flipped) == oracles.parity_unsat(flipped)
+
+
+def test_parity_flag_matches_the_oracle_on_a_zero_doubled_word():
+    # the even plan counts its fifth word twice; a zero right-hand side there
+    # zeroes the planned product, so neither check finds an obstruction
+    ps, cs = canonical_system((3, 3, 3, 3))
+    zeroed = ConstraintSystem.build(ps, cs.rhs[:4] + (0,))
+    assert ps.product_plan == (0, 1, 2, 3, 4, 4)
+    assert not parity_unsat(zeroed) and not oracles.parity_unsat(zeroed)
+    assert brute_force_lhv(zeroed).status == UNSAT
+
+
+def test_parity_flag_matches_the_oracle_on_every_short_plan():
+    # plans that use a slot an odd number of times clear the flag; the
+    # oracle must find the same verdict by counting
+    spec = PartySpec((3, 3, 3))
+    words = generate_odd_set(spec).words
+    verdicts = set()
+    for k in range(1, 6):
+        for plan in itertools.combinations_with_replacement(range(4), k):
+            ps = ProofSet(words, plan)
+            for rhs in _flips((1, 1, 1, -1)):
+                cs = ConstraintSystem.build(ps, rhs)
+                verdicts.add(parity_unsat(cs))
+                assert parity_unsat(cs) == oracles.parity_unsat(cs)
+    assert verdicts == {True, False}
+
+
 def test_monotone_impossibility():
     # appending a constraint that an all-diagonal word trivially satisfies
     # cannot turn an unsatisfiable system satisfiable
@@ -171,7 +218,7 @@ def test_monotone_impossibility():
     base = ConstraintSystem.build(ps, rhs)
     assert brute_force_lhv(base).status == UNSAT
     extended_words = ps.words + (TensorWord("AAA", spec),)
-    extended = ProofSet(extended_words, ps.product_plan, ps.requirement_flags)
+    extended = ProofSet(extended_words, ps.product_plan)
     achievable = F(1)  # product of the top eigenvalues 1 * 1 * 1
     cs2 = ConstraintSystem.build(extended, rhs + (achievable,))
     assert brute_force_lhv(cs2).status == UNSAT

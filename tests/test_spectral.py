@@ -12,7 +12,7 @@ import oracles
 from oracles import DenseMatrix, densify, mat_apply, mat_multiply, rational_spectrum
 from ghzcert import spectral
 from ghzcert.errors import NoGhzStateError, NonCommutingSetError
-from ghzcert.exact import FactoredMonomial, monomial_compose
+from ghzcert.exact import FactoredMonomial, count_signs, monomial_compose
 from ghzcert.spectral import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -86,10 +86,10 @@ def test_zero_count_law(m, k):
     assert k == 12 * s * s + 6 * s + 1
     spec = PartySpec((m, m, m))
     word = TensorWord("ABB", spec)
-    spect = spectrum_of_factored(word.factored())
-    assert spect.zero_count == k
-    assert spect.positive_count == (m**3 - k) // 2
-    assert spect.negative_count == (m**3 - k) // 2
+    positive, negative, zero = count_signs(spectrum_of_factored(word.factored()).entries)
+    assert zero == k
+    assert positive == (m**3 - k) // 2
+    assert negative == (m**3 - k) // 2
     # independent count: zero columns of the dense realization
     dense = densify(word.realize())
     zero_cols = sum(
@@ -105,10 +105,10 @@ def test_plan_product_counts_odd_m(m):
     ps = canonical((m, m, m))
     mats = [w.realize() for w in ps.words]
     product = monomial_compose([mats[i] for i in ps.product_plan])
-    spect = spectrum_of_monomial(product)
-    assert spect.negative_count == m**3 - k
-    assert spect.zero_count == k
-    assert spect.positive_count == 0
+    positive, negative, zero = count_signs(spectrum_of_monomial(product).entries)
+    assert negative == m**3 - k
+    assert zero == k
+    assert positive == 0
 
 
 def test_classify_m3_product():
@@ -451,6 +451,6 @@ def test_classify_and_multiplicity_match_a_full_count(counts, scale):
     else:
         expected = spectral.POSITIVE_SEMIDEFINITE
     assert spectrum.classify() == expected
-    assert spectrum.zero_count == zero
+    assert count_signs(spectrum.entries) == (pos, neg, zero)
     for value, m in counts.items():
-        assert spectrum.multiplicity(value) == m
+        assert dict(spectrum.entries).get(value, 0) == m

@@ -9,6 +9,7 @@ import pytest
 from oracles import densify, exhaustive_no_4set, mat_multiply
 from hypothesis import example, given, settings, strategies as st
 
+from ghzcert import words
 from ghzcert.certificate import build_ghz_document
 from ghzcert.errors import (
     InvalidLevelsError,
@@ -109,6 +110,24 @@ def test_flags_four_party_without_coverage():
     flags = ps.requirement_flags
     assert not flags["both_letters_per_party"]
     assert flags["equal_a_parity"] and flags["unique_count_outlier"] and flags["even_slot_usage"]
+
+
+def test_assemble_checks_the_plan_once(monkeypatch):
+    calls = []
+    original = words._check_plan
+
+    def counted(*args):
+        calls.append(args)
+        original(*args)
+
+    monkeypatch.setattr(words, "_check_plan", counted)
+    spec = PartySpec((3, 3, 3))
+    letters = make_words(spec, "ABB", "BAB", "BBA", "AAA")
+    assert all(ProofSet.assemble(letters).requirement_flags.values())
+    assert calls == [(4, (0, 1, 2, 3))]
+    with pytest.raises(ValueError, match="product plan references a word outside the set"):
+        ProofSet.assemble(letters, (0, 1, 2, 4))
+    assert len(calls) == 2
 
 
 def test_non_commuting_set_rejected():
