@@ -9,16 +9,18 @@ over positive scales (see `ghzcert.exact`).
 
 Each certificate kind has one derivation: it checks every claim of the input
 sections and returns the derived ones in document form. Building fills the
-document with it; verifying compares each stored section with it as strings
-and exact integers. Before anything is read, one walk checks the document
-against its kind's declared shape, type-exact down to the leaves; rationals
-must then be spelled as ``format_rational`` writes them. Within one
-derivation each distinct rational string and site pair is read once, each
-distinct pair checked for anticommutation once, and each distinct word's
-and plan column's sign counts derived once, the plan's with no matrix
-product (`spectral.column_signs`); a stored eigen-tuple is checked word by
-word, up to its first failing equation. Nothing is kept between calls. A
-GHZ certificate stores a spectrum as its classification and sign counts,
+document with it; verifying accepts only if each derived section equals the
+stored one, compared whole, and otherwise names the first differing path
+(``stored spectra.words[0].negative does not match re-derivation``). Before
+anything is read, one walk checks the document against its kind's declared
+shape, type-exact down to the leaves; rationals must then be spelled as
+``format_rational`` writes them. Within one derivation each distinct
+rational string and site pair is read once, each distinct pair checked for
+anticommutation once, and each distinct word's and plan column's sign
+counts derived once, the plan's from its per-site factors
+(`spectral.column_product`); a stored eigen-tuple is checked word by word,
+up to its first failing equation. Nothing is kept between calls. A GHZ
+certificate stores a spectrum as its classification and sign counts,
 decimal strings that may pass 2**53: criterion III needs only that the
 plan product has no positive eigenvalue.
 """
@@ -125,13 +127,6 @@ class StateVector:
             raise CertificateError("norm_sq does not match the coefficients")
         object.__setattr__(self, "vec", vec)
 
-    def to_doc(self) -> dict:
-        return {
-            "support": [list(d) for d in self.support],
-            "coefficients": [format_rational(c) for c in self.coefficients],
-            "norm_sq": format_rational(self.norm_sq),
-        }
-
     @classmethod
     def from_doc(cls, dims: tuple[int, ...], doc: dict, read=_read_rational) -> StateVector:
         support = tuple([tuple(entry) for entry in doc["support"]])
@@ -153,14 +148,17 @@ def _signs_to_doc(signs: tuple[int, int, int]) -> dict:
             "zero": format_integer(z)}
 
 
-def _check_decimal_counts(doc: dict) -> None:
+def _check_decimal_counts(spectra: dict) -> None:
     """Stored sign counts are spelled as ``format_integer`` writes them: no
-    sign, space or leading zero."""
-    for key in _COUNT_KEYS:
-        text = doc[key]
-        if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
-            raise _Rejected(f"malformed certificate: a sign count must be a decimal "
-                            f"string, got {text!r}")
+    sign, space or leading zero; a bad count is named by its path."""
+    sections = {f"words[{i}]": signs for i, signs in enumerate(spectra["words"])}
+    sections["plan_product"] = spectra["plan_product"]
+    for name, signs in sections.items():
+        for key in _COUNT_KEYS:
+            text = signs[key]
+            if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+                raise _Rejected(f"malformed certificate: spectra.{name}.{key} must be a "
+                                f"decimal string, got {text!r}")
 
 
 def _pairs_to_doc(pairs: SitePairs) -> list[dict]:
@@ -265,6 +263,32 @@ def _departure(value, shape) -> tuple[str, str | None] | None:
         if type(entry) is not inner and (found := _departure(entry, inner)):
             return f"[{key!r}]{found[0]}", found[1]
     return None
+
+
+def _difference(stored, derived, shape) -> str | None:
+    """The path below ``stored``, a value of ``shape``, of its first
+    difference from ``derived``, else None; a leaf, or a section whose keys
+    or list length differ, is named itself."""
+    if stored == derived:
+        return None
+    kind = type(shape)
+    by_name = kind is dict and str not in shape
+    if kind is type or len(stored) != len(derived) or (
+            kind is dict and stored.keys() != derived.keys()):
+        return ""
+    for key in range(len(derived)) if kind is list else derived:
+        inner = shape[key] if by_name else shape[0 if kind is list else str]
+        if (found := _difference(stored[key], derived[key], inner)) is not None:
+            return (f".{key}" if by_name else f"[{key!r}]") + found
+
+
+def _compare_sections(doc: dict, derived: dict, shape: dict) -> tuple[bool, str]:
+    """Accept only if each derived section equals the stored one, compared
+    whole; else reject, naming the first differing path."""
+    for name, section in derived.items():
+        if (path := _difference(doc[name], section, shape[name])) is not None:
+            return False, f"stored {name}{path} does not match re-derivation"
+    return True, "accept"
 
 
 def _read_input_file(path: str, name: str, shape: dict, parse):
@@ -484,6 +508,8 @@ def _ghz_sections(doc: dict, bound: int) -> dict:
         report = analyze_lhv(cs, bound)
     except GhzError as exc:
         raise _Rejected(f"unsatisfiability re-derivation failed: {exc}") from None
+    if report.status != UNSAT:
+        raise _Rejected(f"re-derived lhv.status is {report.status!r}, not {UNSAT!r}")
 
     return {
         "requirement_flags": dict(ps.requirement_flags),
@@ -520,8 +546,9 @@ def build_ghz_document(
         "words": list(ps.letter_words),
         "product_plan": list(ps.product_plan),
         "eigen_tuple": [format_rational(t, s) for t, s in zip(state.eigen_tuple, scales)],
-        "state": StateVector(parties.levels, state.support, state.coefficients,
-                             state.norm_sq).to_doc(),
+        "state": {"support": [list(d) for d in state.support],
+                  "coefficients": [format_integer(c) for c in state.coefficients],
+                  "norm_sq": format_integer(state.norm_sq)},
         "provenance": {
             "tool": f"ghzcert {_tool_version}",
             "state_selection": STATE_SELECTION_NOTE,
@@ -543,47 +570,18 @@ def verify_ghz_document(doc: dict, bound: int | None = None) -> tuple[bool, str]
     """
     if reason := _shape_reason(doc, GHZ_KIND, "GHZ", _GHZ_SHAPE):
         return False, reason
-    flags, spectra, lhv = doc["requirement_flags"], doc["spectra"], doc["lhv"]
-    word_signs, plan_signs = spectra["words"], spectra["plan_product"]
+    stored_bound = doc["lhv"]["bound"]
     try:
-        for signs in (*word_signs, plan_signs):
-            _check_decimal_counts(signs)
-        # lhv.bound is recorded for the reader; the caller's bound sets the work done
-        if lhv["bound"] < 0:
+        _check_decimal_counts(doc["spectra"])
+        if stored_bound < 0:
             raise _Rejected(f"malformed certificate: bound must be non-negative, "
-                            f"got {format_integer(lhv['bound'])}")
+                            f"got {format_integer(stored_bound)}")
         derived = _ghz_sections(doc, DEFAULT_BOUND if bound is None else bound)
     except _Rejected as exc:
         return False, str(exc)
-    expected, expected_lhv = derived["spectra"], derived["lhv"]
-    if len(word_signs) != len(expected["words"]):
-        return False, "malformed certificate: one spectrum per word required"
-    return _first_mismatch([
-        (flags, derived["requirement_flags"],
-         "stored requirement flags do not match recomputation"),
-        *(
-            (stored, spectrum, f"stored spectrum for word {i} does not match recomputation")
-            for i, (stored, spectrum) in enumerate(zip(word_signs, expected["words"]), 1)
-        ),
-        (plan_signs, expected["plan_product"],
-         "stored plan-product spectrum does not match recomputation"),
-        ((lhv["status"], expected_lhv["status"]), (UNSAT, UNSAT),
-         "stored LHV status does not match re-derivation"),
-        ((lhv["method"], lhv["assignments_checked"]),
-         (expected_lhv["method"], expected_lhv["assignments_checked"]),
-         "stored LHV report does not match re-derivation"),
-        (lhv["witness"], None, "stored LHV witness must be null for an UNSAT claim"),
-        (lhv["explanation"], expected_lhv["explanation"],
-         "stored LHV explanation does not match re-derivation"),
-    ])
-
-
-def _first_mismatch(comparisons) -> tuple[bool, str]:
-    """The reason of the first (stored, derived, reason) that differ, else accept."""
-    for stored, derived, reason in comparisons:
-        if stored != derived:
-            return False, reason
-    return True, "accept"
+    # lhv.bound is recorded for the reader; the caller's bound sets the work done
+    derived["lhv"]["bound"] = stored_bound
+    return _compare_sections(doc, derived, _GHZ_SHAPE)
 
 
 # -- KS certificates ---------------------------------------------------------
@@ -594,6 +592,10 @@ def _ks_sections(m: int, mode: str) -> dict:
     derived from the level count and the search mode, in document form."""
     cfg = build_ks(m)
     report = ks_color_search(cfg, mode)
+    # the canonical configuration is UNSAT in both modes (build_ks asserts
+    # the definite products the refutation rests on)
+    if report.status != KS_UNSAT:
+        raise _Rejected(f"re-derived search.status is {report.status!r}, not {KS_UNSAT!r}")
     horizontal, side = cfg.horizontal_spectrum, cfg.side_spectrum
     return {
         "observables": [{"label": o.label, "letters": list(o.letters)} for o in cfg.observables],
@@ -606,23 +608,16 @@ def _ks_sections(m: int, mode: str) -> dict:
             "horizontal_spectrum": _spectrum_to_doc(horizontal),
             "side_spectrum": _spectrum_to_doc(side),
         },
-        "search": {
-            "mode": report.mode,
-            "status": report.status,
-            "patterns_checked": report.patterns_checked,
-            # the canonical configuration is UNSAT in both modes (build_ks
-            # asserts the definite products the refutation rests on), and
-            # build and verify refuse any other status
-            "witness": None,
-        },
+        "search": {"mode": report.mode, "status": report.status,
+                   "patterns_checked": report.patterns_checked, "witness": None},
     }
 
 
 def build_ks_document(m: int, mode: str = SIGN_ONLY) -> dict:
-    sections = _ks_sections(m, mode)
-    if sections["search"]["status"] != KS_UNSAT:
-        raise AssertionError("freshly built certificate failed to verify: "
-                             "stored search status does not match re-derivation")
+    try:
+        sections = _ks_sections(m, mode)
+    except _Rejected as exc:
+        raise AssertionError(f"freshly built certificate failed to verify: {exc}") from None
     return {"kind": KS_KIND, "format_version": FORMAT_VERSION, "levels": m, **sections,
             "provenance": {"tool": f"ghzcert {_tool_version}"}}
 
@@ -630,37 +625,16 @@ def build_ks_document(m: int, mode: str = SIGN_ONLY) -> dict:
 def verify_ks_document(doc: dict) -> tuple[bool, str]:
     if reason := _shape_reason(doc, KS_KIND, "KS", _KS_SHAPE):
         return False, reason
-    search, structure = doc["search"], doc["structure"]
-    if search["mode"] not in (SIGN_ONLY, FULL_SPECTRUM):
-        return False, f"unknown search mode {search['mode']!r}"
+    mode = doc["search"]["mode"]
+    if mode not in (SIGN_ONLY, FULL_SPECTRUM):
+        return False, f"unknown search mode {mode!r}"
     try:
-        expected = _ks_sections(doc["levels"], search["mode"])
+        derived = _ks_sections(doc["levels"], mode)
     except GhzError as exc:
         return False, f"configuration rebuild failed: {exc}"
-    rebuilt = expected["structure"]
-    return _first_mismatch([
-        (doc["observables"], expected["observables"],
-         "stored observables do not match the rebuilt configuration"),
-        (doc["contexts"], expected["contexts"],
-         "stored contexts do not match the rebuilt configuration"),
-        (doc["sign_targets"], expected["sign_targets"],
-         "stored sign targets do not match the rebuilt configuration"),
-        (doc["contexts_rendered"], expected["contexts_rendered"],
-         "stored rendered contexts do not match the rebuilt configuration"),
-        (structure["horizontal_classification"], rebuilt["horizontal_classification"],
-         "stored horizontal classification does not match recomputation"),
-        (structure["side_classification"], rebuilt["side_classification"],
-         "stored side classification does not match recomputation"),
-        (structure["horizontal_spectrum"], rebuilt["horizontal_spectrum"],
-         "stored horizontal spectrum does not match recomputation"),
-        (structure["side_spectrum"], rebuilt["side_spectrum"],
-         "stored side spectrum does not match recomputation"),
-        ((search["status"], expected["search"]["status"]), (KS_UNSAT, KS_UNSAT),
-         "stored search status does not match re-derivation"),
-        (search["patterns_checked"], expected["search"]["patterns_checked"],
-         "stored pattern count does not match re-derivation"),
-        (search["witness"], None, "stored search witness must be null for an UNSAT claim"),
-    ])
+    except _Rejected as exc:
+        return False, str(exc)
+    return _compare_sections(doc, derived, _KS_SHAPE)
 
 
 def verify_document(doc: dict, bound: int | None = None) -> tuple[bool, str]:

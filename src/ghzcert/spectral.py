@@ -28,9 +28,9 @@ sites that share their counts.
 A product of words in which every one-particle operator occurs an even
 number of times is diagonal at every site, and one rule reads each site
 factor off the pair's weights and the column's letter order
-(`column_product`), with no matrix product; `column_signs` reads only its
-sign counts. The GHZ plan product (`plan_product`) and the KS context
-products are formed this way (`context_product`).
+(`column_product`), with no matrix product. The GHZ plan product
+(`plan_product`) and the KS context products are formed this way
+(`context_product`), and the plan's sign counts are read off its factors.
 
 A composite index is a tuple of digits, one per party, never an integer:
 lexicographic order on tuples is the ascending mixed-radix order of the
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from .errors import NoGhzStateError, NonCommutingSetError
 from .exact import FactoredMonomial, MonomialMatrix, count_signs
 from .siteops import check_anticommute
-from .words import LETTERS, ProofSet, SitePairs, column_inversions
+from .words import ProofSet, SitePairs, column_inversions
 
 # A composite index: one digit per party.
 Index = tuple[int, ...]
@@ -223,21 +223,10 @@ def plan_product(ps: ProofSet, pairs: SitePairs) -> FactoredMonomial:
     return context_product(pairs, [ps.words[i].letters for i in ps.product_plan])
 
 
-def column_signs(pair, column) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of `column_product`, read
-    off without forming it: zero where a letter that occurs has weight 0,
-    elsewhere of sign (-1)^k."""
-    used = [op.weight for op, letter in zip(pair, LETTERS) if letter in column]
-    zero = sum(1 for row in zip(*used) if 0 in row)
-    nonzero = pair[0].dim - zero
-    return (0, nonzero, zero) if column_inversions(column) % 2 else (nonzero, 0, zero)
-
-
 def plan_product_signs(ps: ProofSet, pairs: SitePairs) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of `plan_product`, by
-    `column_signs`, with no matrix product."""
-    rows = [ps.words[i].letters for i in ps.product_plan]
-    return kronecker_signs(_per_column(pairs, rows, column_signs))
+    """(positive, negative, zero) eigenvalue counts of `plan_product`, from
+    its site factors' sign counts, with no matrix product."""
+    return kronecker_signs([f.sign_counts for f in plan_product(ps, pairs).factors])
 
 
 # -- joint eigenvectors ------------------------------------------------------

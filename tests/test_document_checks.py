@@ -3,6 +3,7 @@ against it; document rationals have one spelling; the declared document
 shapes match what build emits; the verifier is total under single mutations
 and arbitrary subtree replacements of real certificates."""
 
+import ast
 import json
 import re
 import time
@@ -214,7 +215,7 @@ def test_shared_word_spectra_are_separate_objects():
     spectra[1]["zero"] = "5"
     assert spectra[0] == before[0] and spectra[2:] == before[2:]
     assert verify_document(doc) == (
-        False, "stored spectrum for word 2 does not match recomputation"
+        False, "stored spectra.words[1].zero does not match re-derivation"
     )
 
 
@@ -372,7 +373,7 @@ NON_CANONICAL_FIELDS = {
     "plan-product count": ("ghz", _set_item(("spectra", "plan_product", "negative")), "malformed"),
     "ks spectrum key": (
         "ks", _rename_key(("structure", "horizontal_spectrum"), "-1/4096"),
-        "stored horizontal spectrum",
+        "stored structure.horizontal_spectrum does not match re-derivation",
     ),
 }
 
@@ -613,3 +614,132 @@ def test_any_subtree_replacement_is_rejected(data):
     assert not LEAKED_REASONS.search(reason), reason
     if ok:
         assert _same_json(old, new) or any(path[:len(p)] == p for p in UNCHECKED), (path, new)
+
+
+# -- stored claim sections against the re-derivation -------------------------
+
+# The sections each kind's derivation returns. The KS search mode is an input
+# of that derivation, and the stored LHV bound a record (UNCHECKED).
+DERIVED_SECTIONS = {
+    "ghz-certificate": ("requirement_flags", "spectra", "lhv"),
+    "ks-certificate": ("observables", "contexts", "sign_targets", "contexts_rendered",
+                       "structure", "search"),
+}
+NOT_CLAIMS = (("search", "mode"), ("lhv", "bound"))
+_PATH_STEP = re.compile(r"\.(\w+)|\[(\d+)\]|\[('[^']*')\]")
+
+
+def _shape_of(doc):
+    return certificate._GHZ_SHAPE if doc["kind"] == "ghz-certificate" else certificate._KS_SHAPE
+
+
+def _dotted(path, shape):
+    """``path`` in the notation of the shape walk: ``.key`` for a declared
+    key, ``[...]`` for a list index or a key of an object with any keys."""
+    text = ""
+    for key in path:
+        by_index = isinstance(shape, list) or str in shape
+        text += f"[{key!r}]" if by_index else f".{key}"
+        shape = shape[0] if isinstance(shape, list) else shape[str if by_index else key]
+    return text.removeprefix(".")
+
+
+def _parsed(text):
+    """The keys of a dotted path, from its first name on."""
+    name, rest = re.fullmatch(r"(\w+)(.*)", text).groups()
+    keys = [name]
+    while rest:
+        step = _PATH_STEP.match(rest)
+        keys.append(step[1] or (int(step[2]) if step[2] else ast.literal_eval(step[3])))
+        rest = rest[step.end():]
+    return tuple(keys)
+
+
+def _well_formed_change(value):
+    """A different value that every check before the comparison admits:
+    the same type, and a sign count still a decimal string."""
+    if value is None:  # a witness, of any shape
+        return 0
+    if type(value) is bool:
+        return not value
+    if type(value) is int:
+        return value + 1
+    return str(int(value) + 1) if value.isdigit() else value + "x"
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_DOCS))
+def test_each_derived_leaf_is_named_by_its_path(name):
+    doc = MUTATED_DOCS[name]()
+    shape = _shape_of(doc)
+    checked = 0
+    for section in DERIVED_SECTIONS[doc["kind"]]:
+        for parent, key, path in _nodes(doc[section], (section,)):
+            original = parent[key]
+            if isinstance(original, (dict, list)) or path in NOT_CLAIMS:
+                continue
+            parent[key] = _well_formed_change(original)
+            ok, reason = verify_document(doc)
+            assert (ok, reason) == (
+                False, f"stored {_dotted(path, shape)} does not match re-derivation"), path
+            named = reason.removeprefix("stored ").removesuffix(" does not match re-derivation")
+            # the named path resolves, in the document, to the changed leaf
+            assert _parsed(named) == path
+            parent[key] = original
+            checked += 1
+    assert checked > 20
+    assert verify_document(doc) == (True, "accept")
+
+
+# (document, where a key is added, its value); the reason names that section.
+# An object with any keys gets a value of its declared type.
+UNKNOWN_KEY_SECTIONS = {
+    "lhv": ("3 3 3", ("lhv",), "1"),
+    "requirement_flags": ("3 3 3", ("requirement_flags",), True),
+    "spectra": ("2 2 2 2", ("spectra",), "1"),
+    "spectra.words[1]": ("3 3 3", ("spectra", "words", 1), "1"),
+    "spectra.plan_product": ("3 3 3", ("spectra", "plan_product"), "1"),
+    "structure": ("ks 2 sign-only", ("structure",), "1"),
+    "structure.side_spectrum": ("ks 2 sign-only", ("structure", "side_spectrum"), 1),
+    "search": ("ks 4 full-spectrum", ("search",), "1"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(UNKNOWN_KEY_SECTIONS))
+def test_unknown_key_in_a_derived_section_is_rejected(section):
+    name, path, value = UNKNOWN_KEY_SECTIONS[section]
+    doc = MUTATED_DOCS[name]()
+    reduce(lambda node, key: node[key], path, doc)["note"] = value
+    assert verify_document(doc) == (False, f"stored {section} does not match re-derivation")
+
+
+@pytest.mark.parametrize("name, path", (
+    ("3 3 3", ()), ("3 3 3", ("state",)), ("3 3 3", ("provenance",)),
+    ("ks 2 sign-only", ()), ("ks 2 sign-only", ("provenance",)),
+), ids=("ghz root", "ghz state", "ghz provenance", "ks root", "ks provenance"))
+def test_unknown_key_outside_the_derived_sections_is_admitted(name, path):
+    doc = MUTATED_DOCS[name]()
+    reduce(lambda node, key: node[key], path, doc)["note"] = "1"
+    assert verify_document(doc) == (True, "accept")
+
+
+SAT_DERIVATIONS = {
+    "ghz": ("analyze_lhv", lambda cs, bound: lhv.LhvReport(lhv.SAT, (), "brute-force", 1),
+            lambda: build_ghz_document(PartySpec((3, 3, 3))), ("lhv", "status")),
+    "ks": ("ks_color_search",
+           lambda cfg, mode: kochen_specker.KsReport(kochen_specker.KS_SAT, (), 1, mode),
+           lambda: build_ks_document(2, SIGN_ONLY), ("search", "status")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAT_DERIVATIONS))
+def test_a_derived_sat_status_is_never_accepted(monkeypatch, kind):
+    step, sat, build, (section, key) = SAT_DERIVATIONS[kind]
+    doc = build()
+    monkeypatch.setattr(certificate, step, sat)
+    reason = f"re-derived {section}.{key} is 'SAT', not 'UNSAT'"
+    assert verify_document(doc) == (False, reason)
+    # a stored SAT status that agrees with the derivation is refused too
+    doc[section][key] = "SAT"
+    assert verify_document(doc) == (False, reason)
+    with pytest.raises(AssertionError, match=f"^freshly built certificate failed to verify: {reason}$"):
+        build()

@@ -23,7 +23,6 @@ from ghzcert.kochen_specker import build_ks
 from ghzcert.siteops import canonical_pair, check_anticommute, custom_site
 from ghzcert.spectral import (
     column_product,
-    column_signs,
     kronecker_signs,
     plan_product,
     plan_product_signs,
@@ -271,10 +270,9 @@ def test_column_signs_match_dense_product(pair, column):
     letter_ops = dict(zip(LETTERS, pair), I=MonomialMatrix.identity(pair[0].dim))
     product = monomial_compose(letter_ops[c] for c in column)
     assert column_product(pair, column) == product
-    assert column_signs(pair, column) == column_product(pair, column).sign_counts
     dense = functools.reduce(
         oracles.mat_multiply, [oracles.densify(letter_ops[c]) for c in column])
-    assert certificate._signs_to_doc(column_signs(pair, column)) == (
+    assert certificate._signs_to_doc(column_product(pair, column).sign_counts) == (
         oracles.sign_counts_doc(oracles.dense_spectrum(dense)))
 
 
